@@ -495,11 +495,11 @@ def _cmd_match_sista(args):
     )
     result = {"beta": beta}
     diagnostics = {
-        "converged": True,
+        "converged": info["converged"],
         "iterations": len(info["objectives"]),
         "objective": info["objectives"][-1],
     }
-    return result, diagnostics, True
+    return result, diagnostics, info["converged"]
 
 
 _HANDLERS = {

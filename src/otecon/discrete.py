@@ -8,9 +8,12 @@ The linear program
 is solved by maintaining a basic feasible solution whose basis edges form a
 spanning tree of the bipartite supply/demand graph.  Dual potentials are
 propagated along the tree, a violating edge enters the basis, mass shifts
-around the unique cycle it creates, and the binding edge leaves.  With the
-lexicographic entering and leaving rules used here the method never cycles,
-so the iteration cap is a pure safety net.
+around the unique cycle it creates, and the binding edge leaves.  The
+lexicographic entering and leaving rules used here are Bland's rule, which
+cannot cycle in exact arithmetic; in floating point the pivot tolerance,
+scaled by ``max(1, max|C|)``, keeps rounding noise in the reduced costs from
+reading as a violation.  The iteration cap is a safety net and raises
+:class:`SolverStallError` when hit.
 
 The returned plan and potentials form an optimality certificate: dual
 feasibility plus complementary slackness, checkable by
@@ -19,7 +22,6 @@ feasibility plus complementary slackness, checkable by
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +35,13 @@ from .errors import (
 )
 from .measures import CostMatrix, DiscreteMeasure
 
-# Dual violations below this threshold are treated as zero when searching
-# for an entering edge; well under the 1e-9 certificate tolerance but well
-# above accumulated rounding noise at the supported problem sizes.
+# Dual violations below PIVOT_TOL * max(1, max|C|) are treated as zero when
+# searching for an entering edge; well under the certificate tolerance but
+# well above accumulated rounding noise at the supported problem sizes.
 PIVOT_TOL = 1e-11
 
+# Certificate tolerance: reduced costs are held to CERT_TOL * max(1, max|C|)
+# by default, plan masses (probabilities) to CERT_TOL itself.
 CERT_TOL = 1e-9
 
 
@@ -171,60 +175,9 @@ def northwest_corner(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     return TransportPlan(mass, frozenset(edges))
 
 
-def _tree_adjacency(edges, rows: int, cols: int) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(rows + cols)]
-    for i, j in edges:
-        adj[i].append(rows + j)
-        adj[rows + j].append(i)
-    return adj
-
-
-def _potentials_from_basis(
-    edges: frozenset, cost: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate dual potentials over the basis tree from phi[0] = 0.
-
-    Basis edges satisfy phi_i + psi_j = C_ij exactly by construction, which
-    is complementary slackness for every edge that can carry mass.
-    """
-    rows, cols = cost.shape
-    phi = np.zeros(rows)
-    psi = np.zeros(cols)
-    adj = _tree_adjacency(edges, rows, cols)
-    seen = [False] * (rows + cols)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if seen[nxt]:
-                continue
-            seen[nxt] = True
-            if node < rows:
-                psi[nxt - rows] = cost[node, nxt - rows] - phi[node]
-            else:
-                phi[nxt] = cost[nxt, node - rows] - psi[node - rows]
-            queue.append(nxt)
-    return phi, psi
-
-
-def _tree_path(adj, start: int, goal: int) -> list[int]:
-    """Unique node path between two tree nodes, by breadth-first search."""
-    prev = {start: -1}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt in adj[node]:
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+def _cost_scale(c: np.ndarray) -> float:
+    """Scale the pivot and certificate tolerances are measured against."""
+    return max(1.0, float(np.max(np.abs(c))))
 
 
 def solve_discrete_ot(
@@ -237,51 +190,129 @@ def solve_discrete_ot(
 
     Pivoting uses the lexicographically smallest violating edge to enter and,
     among the minimum-mass reverse edges on the induced cycle, the
-    lexicographically smallest to leave.  Both rules are deterministic and
-    together rule out cycling.  Zero-mass basic edges are retained so the
-    basis stays a spanning tree under degeneracy.
+    lexicographically smallest to leave.  In exact arithmetic this is
+    Bland's rule, which cannot cycle.  In floating point, termination rests
+    on the pivot tolerance exceeding the rounding noise in the reduced
+    costs, so the tolerance is ``PIVOT_TOL * max(1, max|C|)``; if pivots
+    still run to ``max_iter``, :class:`SolverStallError` is raised.
+    Zero-mass basic edges are retained so the basis stays a spanning tree
+    under degeneracy.
+
+    The basis is kept as a tree rooted at row 0 (nodes 0..M-1 are rows,
+    M..M+N-1 columns), with parent and depth arrays and an adjacency
+    updated in place.  After each pivot only the subtree cut off by the
+    leaving edge is re-hung under the entering edge, and only its
+    potentials are recomputed, each from its tree parent.
     """
     c = cost.entries
     if c.shape != (mu.size, nu.size):
         raise DomainError(
             f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
         )
-    plan = northwest_corner(mu, nu)
-    mass = np.array(plan.mass)
-    edges = set(plan.basis_edges)
+    start = northwest_corner(mu, nu)
     rows, cols = c.shape
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
+    tol = PIVOT_TOL * _cost_scale(c)
+    cl = c.tolist()
+    mass = start.mass.tolist()
+    n_nodes = rows + cols
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for i, j in start.basis_edges:
+        adj[i].append(rows + j)
+        adj[rows + j].append(i)
+    parent = [-1] * n_nodes
+    depth = [0] * n_nodes
+    pot = [0.0] * n_nodes  # phi for rows, then psi for columns
 
-    for _ in range(max_iter):
-        phi, psi = _potentials_from_basis(frozenset(edges), c)
-        slack = c - phi[:, None] - psi[None, :]
-        violating = np.argwhere(slack < -PIVOT_TOL)
-        if violating.size == 0:
-            plan = TransportPlan(mass, frozenset(edges))
-            pots = DualPotentials(phi, psi)
-            value = float(np.sum(mass * c))
-            return plan, pots, value
-        # np.argwhere scans row-major, so the first hit is the
-        # lexicographically smallest violating edge.
-        enter = (int(violating[0, 0]), int(violating[0, 1]))
+    def edge(node: int) -> tuple[int, int]:
+        """Basis edge from a non-root node to its parent, as (row, col)."""
+        up = parent[node]
+        return (node, up - rows) if node < rows else (up, node - rows)
 
-        adj = _tree_adjacency(edges, rows, cols)
-        node_path = _tree_path(adj, rows + enter[1], enter[0])
-        cycle = [enter]
-        for a, b in zip(node_path[:-1], node_path[1:]):
-            if a < rows:
-                cycle.append((a, b - rows))
+    def descend(top: int) -> None:
+        """Reset parent, depth and potential below top from top's own."""
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            d = depth[node] + 1
+            base = pot[node]
+            if node < rows:
+                row = cl[node]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = row[nxt - rows] - base
+                        stack.append(nxt)
             else:
-                cycle.append((b, a - rows))
-        reverse = cycle[1::2]
-        theta = min(mass[e] for e in reverse)
-        leave = min(e for e in reverse if mass[e] <= theta)
-        for k, e in enumerate(cycle):
-            mass[e] += theta if k % 2 == 0 else -theta
-        mass[leave] = 0.0
-        edges.remove(leave)
-        edges.add(enter)
+                j = node - rows
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = cl[nxt][j] - base
+                        stack.append(nxt)
+
+    descend(0)
+    for _ in range(max_iter):
+        p = np.array(pot)
+        violating = c - p[:rows, None] - p[None, rows:] < -tol
+        # argmax scans row-major, so it finds the lexicographically
+        # smallest violating edge.
+        flat = int(violating.argmax())
+        if not violating.flat[flat]:
+            basis = frozenset(edge(node) for node in range(1, n_nodes))
+            plan = TransportPlan(np.array(mass), basis)
+            pots = DualPotentials(p[:rows], p[rows:])
+            return plan, pots, float(np.sum(plan.mass * c))
+        enter = divmod(flat, cols)
+
+        # Climb from both ends to their common ancestor.  The cycle runs
+        # enter, then the tree path from the column end to the row end; an
+        # edge on it loses mass when that walk crosses it column to row.
+        a, b = rows + enter[1], enter[0]
+        col_side: list[int] = []
+        row_side: list[int] = []
+        while depth[a] > depth[b]:
+            col_side.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            row_side.append(b)
+            b = parent[b]
+        while a != b:
+            col_side.append(a)
+            a = parent[a]
+            row_side.append(b)
+            b = parent[b]
+        # (edge, child node, loses mass) for each tree edge on the cycle
+        cycle = [(edge(x), x, x >= rows) for x in col_side]
+        cycle += [(edge(x), x, x < rows) for x in row_side]
+        reverse = [(e, x) for e, x, loses in cycle if loses]
+        theta = min(mass[i][j] for (i, j), _ in reverse)
+        leave, cut = min(r for r in reverse if mass[r[0][0]][r[0][1]] <= theta)
+
+        i, j = enter
+        mass[i][j] += theta
+        for (ei, ej), _, loses in cycle:
+            if loses:
+                mass[ei][ej] -= theta
+            else:
+                mass[ei][ej] += theta
+        mass[leave[0]][leave[1]] = 0.0
+
+        up = parent[cut]
+        adj[cut].remove(up)
+        adj[up].remove(cut)
+        adj[i].append(rows + j)
+        adj[rows + j].append(i)
+        # Re-hang the cut-off subtree from the entering edge's end inside it.
+        top, up = (rows + j, i) if cut in col_side else (i, rows + j)
+        parent[top] = up
+        depth[top] = depth[up] + 1
+        pot[top] = cl[i][j] - pot[up]
+        descend(top)
     raise SolverStallError(f"no optimum after {max_iter} pivots")
 
 
@@ -289,12 +320,13 @@ def verify_optimality(
     plan: TransportPlan,
     potentials: DualPotentials,
     cost: CostMatrix,
-    tol: float = CERT_TOL,
+    tol: float | None = None,
 ) -> bool:
     """Certificate check: dual feasibility plus complementary slackness.
 
     Independent of how plan and potentials were computed; a True result
-    proves optimality of the plan for the given cost up to tol.
+    proves optimality of the plan for the given cost up to tol, which
+    defaults to ``CERT_TOL * max(1, max|C|)``.
     """
     c = cost.entries
     if plan.shape != c.shape:
@@ -304,6 +336,8 @@ def verify_optimality(
     phi, psi = potentials.phi, potentials.psi
     if phi.size != c.shape[0] or psi.size != c.shape[1]:
         raise DomainError("potential lengths do not match cost shape")
+    if tol is None:
+        tol = CERT_TOL * _cost_scale(c)
     slack = c - phi[:, None] - psi[None, :]
     if np.min(slack) < -tol:
         return False

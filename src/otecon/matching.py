@@ -117,10 +117,15 @@ def cs_equilibrium(
 
     Iterates the closed-form positive-root updates
 
-        u_x = (-s_x + sqrt(s_x^2 + 4 mu_x)) / 2,  s_x = sum_y K_xy v_y
-        v_y = (-t_y + sqrt(t_y^2 + 4 nu_y)) / 2,  t_y = sum_x K_xy u_x
+        u_x = 2 mu_x / (s_x + sqrt(s_x^2 + 4 mu_x)),  s_x = sum_y K_xy v_y
+        v_y = 2 nu_y / (t_y + sqrt(t_y^2 + 4 nu_y)),  t_y = sum_x K_xy u_x
 
-    with K = exp(Phi), until the population constraints
+    (the roots of u^2 + s u = mu, written so that they do not cancel to 0
+    when s^2 >> mu), with K = exp(Phi).  After each sweep (u, v) is
+    rescaled to (c u, v / c), which keeps every flow, with c chosen so that
+    the single totals match the population totals; without this step the
+    alternation creeps along that direction at O(1/iteration) when
+    surpluses are large.  Iteration stops when the population constraints
 
         mu_x = u_x^2 + u_x s_x,   nu_y = v_y^2 + v_y t_y
 
@@ -142,13 +147,21 @@ def cs_equilibrium(
     k = _guard_exp(p, "surplus")
     v = np.sqrt(nu)
     u = np.sqrt(mu)
+    gap = float(mu.sum() - nu.sum())
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         s = k @ v
-        u = 0.5 * (-s + np.sqrt(s * s + 4.0 * mu))
+        u = 2.0 * mu / (s + np.sqrt(s * s + 4.0 * mu))
         t = k.T @ u
-        v = 0.5 * (-t + np.sqrt(t * t + 4.0 * nu))
+        v = 2.0 * nu / (t + np.sqrt(t * t + 4.0 * nu))
+        # (c u, v / c) leaves every flow unchanged; pick c so the single
+        # totals absorb the population gap: a c^2 - b / c^2 = gap.
+        a, b = float(u @ u), float(v @ v)
+        root = np.sqrt(gap * gap + 4.0 * a * b)
+        c = np.sqrt((gap + root) / (2.0 * a) if gap >= 0 else 2.0 * b / (root - gap))
+        u = u * c
+        v = v / c
         flows = k * np.outer(u, v)
         res = max(
             float(np.max(np.abs(flows.sum(axis=1) + u * u - mu))),
@@ -365,8 +378,9 @@ def sista(
     -F + l1 * |beta|_1 would increase; two consecutive exhausted searches
     signal divergence and raise :class:`StepSizeError`.  Iteration stops
     when the coefficient update is smaller than tol.  With ``log=True``
-    returns (beta, info) where info carries the composite objective history
-    and the final potentials and plan.
+    returns (beta, info) where info carries whether that happened before
+    max_iter (``converged``), the composite objective history and the final
+    potentials and plan.
     """
     pi_hat = as_float_array(pi_hat, "pi_hat", ndim=2)
     mu = as_float_array(mu, "mu", ndim=1)
@@ -414,6 +428,7 @@ def sista(
         return neg_f(phi_, psi_, cost_) + l1 * float(np.sum(np.abs(beta_)))
 
     fails = 0
+    converged = False
     objectives: list[float] = []
     plan = np.zeros_like(pi_hat)
     for _ in range(max_iter):
@@ -449,9 +464,11 @@ def sista(
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         if delta < tol:
+            converged = True
             break
     if log:
         info = {
+            "converged": converged,
             "objectives": tuple(objectives),
             "phi": phi,
             "psi": psi,

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: the transport LP goes through
 scipy's HiGHS, the vertex oracle enumerates spanning-tree basic solutions
-directly, and the robust-expectation oracle solves the primal ball program
+directly, the tree-potential oracle propagates duals over a basis from
+scratch, and the robust-expectation oracle solves the primal ball program
 as an explicit LP.
 """
 
@@ -139,3 +140,28 @@ def binary_dual_maximum(w_mu, w_nu, gamma):
         cols = {j for i in rows for j in range(n) if gamma[i, j] == 0}
         best = max(best, sum(w_mu[i] for i in rows) - sum(w_nu[j] for j in cols))
     return float(best)
+
+
+def tree_potentials(edges, cost):
+    """Dual potentials on a spanning-tree basis, propagated from phi[0] = 0.
+
+    Walks the tree outward from row 0 and sets each node's potential from
+    the node it was reached by: psi_j = C_ij - phi_i for a column reached
+    from row i, phi_i = C_ij - psi_j for a row reached from column j.
+    """
+    m, n = cost.shape
+    pending = set(edges)
+    assert len(pending) == m + n - 1
+    phi = [None] * m
+    psi = [None] * n
+    phi[0] = 0.0
+    while pending:
+        for i, j in sorted(pending):
+            if phi[i] is not None and psi[j] is None:
+                psi[j] = float(cost[i, j]) - phi[i]
+            elif psi[j] is not None and phi[i] is None:
+                phi[i] = float(cost[i, j]) - psi[j]
+        left = {(i, j) for i, j in pending if phi[i] is None or psi[j] is None}
+        assert len(left) < len(pending), "edges do not span from row 0"
+        pending = left
+    return np.array(phi), np.array(psi)

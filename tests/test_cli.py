@@ -159,6 +159,22 @@ class TestValues:
         beta = json.loads(payload)["result"]["beta"]
         assert abs(beta[0]) < 1e-8
 
+    def test_match_equilibrium_large_surplus(self, tmp_path):
+        # s^2 >> mu here: the textbook root form cancels to 0 singles
+        code, payload = run_cli(
+            ["match-equilibrium", "--phi", "phi_3x3_twenties.csv",
+             "--mu", "ones_three.csv", "--nu", "ones_three.csv"],
+            tmp_path,
+        )
+        assert code == 0
+        result = json.loads(payload)["result"]
+        flows = np.array(result["flows"])
+        assert np.all(flows > 0)
+        assert np.all(np.array(result["singles_x"]) > 0)
+        assert np.all(np.array(result["singles_y"]) > 0)
+        assert np.allclose(flows.sum(axis=1) + result["singles_x"], 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(flows.sum(axis=0) + result["singles_y"], 1.0, rtol=0, atol=1e-12)
+
     def test_config_echoes_arguments(self, tmp_path):
         _, payload = run_cli(COMMANDS["dro"], tmp_path)
         doc = json.loads(payload)
@@ -217,6 +233,19 @@ class TestFailureModes:
         doc = json.loads(out.read_bytes())
         VALIDATOR.validate(doc)
         assert doc["diagnostics"]["converged"] is False
+
+    def test_sista_cap_reports_nonconvergence(self, tmp_path):
+        code, payload = run_cli(
+            ["match-sista", "--pi", "pi_tilted.csv", "--mu", "mu_46.csv",
+             "--nu", "nu_37.csv", "--basis", "basis_2x2.csv", "--eps", "1.0",
+             "--max-iter", "2"],
+            tmp_path,
+        )
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["iterations"] == 2
 
     def test_bad_window_rejected(self, tmp_path):
         code = main(

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_transport_instance
-from oracles import lp_transport_value, vertex_minimum_value
+from oracles import (
+    binary_dual_maximum,
+    lp_transport_value,
+    tree_potentials,
+    vertex_minimum_value,
+)
 from otecon import (
     CostMatrix,
     DiscreteMeasure,
@@ -12,6 +17,7 @@ from otecon import (
     DualPotentials,
     InfeasibleError,
     NonAssignmentError,
+    SolverStallError,
     TransportPlan,
     extract_assignment,
     northwest_corner,
@@ -136,6 +142,73 @@ class TestSolve:
         mu, nu = measures([1.0], [1.0])
         with pytest.raises(DomainError):
             solve_discrete_ot(mu, nu, CostMatrix([[np.inf]]))
+
+
+class TestCostScale:
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e4, 1e5, 1e6])
+    def test_random_8x8_at_scale(self, rng, scale):
+        # the same 30 instances at every scale; rounding noise in the
+        # reduced costs grows with the costs, and so must the tolerances
+        for _ in range(30):
+            mu, nu, base = random_transport_instance(rng, 8, 8)
+            cost = CostMatrix(base.entries * scale)
+            try:
+                plan, pots, value = solve_discrete_ot(mu, nu, cost)
+            except SolverStallError as exc:
+                pytest.fail(f"stalled at cost scale {scale:g}: {exc}")
+            assert verify_optimality(plan, pots, cost)
+            # HiGHS's own tolerances are absolute, so it solves at unit
+            # scale; the LP value is linear in the cost.
+            oracle = scale * lp_transport_value(mu.weights, nu.weights, base.entries)
+            assert value == pytest.approx(oracle, rel=1e-9, abs=1e-9 * scale)
+
+    def test_certificate_tolerance_scales_with_cost(self):
+        cost = CostMatrix([[0.0, 1e6], [1e6, 0.0]])
+        plan = TransportPlan(np.diag([0.5, 0.5]), frozenset({(0, 0), (1, 1), (0, 1)}))
+        # a 1e-6 slack violation is rounding noise next to 1e6 costs
+        pots = DualPotentials([0.0, 1e-6], [0.0, 0.0])
+        assert verify_optimality(plan, pots, cost)
+        assert not verify_optimality(plan, pots, cost, tol=1e-9)
+
+
+class TestIncrementalPotentials:
+    """Potentials kept across pivots must equal a from-scratch propagation."""
+
+    @staticmethod
+    def assert_tree_potentials(plan, pots, cost):
+        phi, psi = tree_potentials(plan.basis_edges, cost.entries)
+        assert pots.phi.tobytes() == phi.tobytes()
+        assert pots.psi.tobytes() == psi.tobytes()
+
+    def test_uniform_square(self, rng):
+        for n in range(1, 13):
+            uniform = DiscreteMeasure(np.full(n, 1.0 / n))
+            cost = CostMatrix(rng.random((n, n)))
+            plan, pots, _ = solve_discrete_ot(uniform, uniform, cost)
+            self.assert_tree_potentials(plan, pots, cost)
+
+    def test_zero_slack_ties(self, rng):
+        # few distinct integer costs and rational weights: many tied slacks
+        for _ in range(40):
+            m, n = rng.integers(2, 10, size=2)
+            mu, nu, _ = random_transport_instance(rng, m, n, rational=True)
+            cost = CostMatrix(rng.integers(0, 3, size=(m, n)).astype(float))
+            plan, pots, _ = solve_discrete_ot(mu, nu, cost)
+            self.assert_tree_potentials(plan, pots, cost)
+            assert verify_optimality(plan, pots, cost)
+
+    def test_binary_costs(self, rng):
+        # the 0/1 relation binary_cost_ot hands to the solver as its cost
+        for _ in range(40):
+            m, n = rng.integers(2, 10, size=2)
+            mu, nu, _ = random_transport_instance(rng, m, n, rational=bool(rng.integers(2)))
+            gamma = (rng.random((m, n)) < 0.7).astype(float)
+            cost = CostMatrix(gamma)
+            plan, pots, value = solve_discrete_ot(mu, nu, cost)
+            self.assert_tree_potentials(plan, pots, cost)
+            assert value == pytest.approx(
+                binary_dual_maximum(mu.weights, nu.weights, gamma), abs=1e-9
+            )
 
 
 class TestVerify:

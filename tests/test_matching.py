@@ -274,6 +274,13 @@ class TestSista:
         gap = np.einsum("xy,xyk->k", fitted - plan, basis.basis)
         assert np.max(np.abs(gap)) < 1e-6
 
+    def test_converged_flag(self, rng):
+        plan, mu, nu, basis, _ = self.synthetic(rng, k=1)
+        _, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
+        assert info["converged"] is True
+        _, capped = sista(plan, mu, nu, basis, eps=1.0, max_iter=2, log=True)
+        assert capped["converged"] is False
+
     def test_step_validation(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng)
         with pytest.raises(DomainError):
