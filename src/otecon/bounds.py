@@ -7,7 +7,10 @@ bounds for supermodular or submodular functionals, quantile bounds for
 subgroup average effects, a lower bound on the fraction of winners within
 a rank subgroup, exact transport values for binary (indicator) costs with
 a certifying dual witness set, and distributionally robust expectation
-bounds over a Wasserstein ball on a finite support.
+bounds over a Wasserstein ball on a finite support.  The quantile and rank
+computations are array operations on the samples' step grids; the binary
+witness is a residual-graph search on the optimal plan, not a subset
+enumeration.
 """
 
 from __future__ import annotations
@@ -18,9 +21,13 @@ from typing import Callable
 import numpy as np
 
 from ._util import as_float_array, frozen
-from .errors import DomainError, ResourceError
-from .measures import CostMatrix, DiscreteMeasure, Sample1D, empirical_cdf
+from .errors import DomainError
+from .measures import CostMatrix, DiscreteMeasure, Sample1D
 from .discrete import solve_discrete_ot
+
+# Plan masses below WITNESS_TOL * total mass are rounding noise to the
+# binary-cost witness search.
+WITNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,15 +109,9 @@ def _integrate_quantile(sample: Sample1D, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     n = sample.n
-    total = 0.0
-    k_lo = int(np.floor(lo * n))
-    k_hi = int(np.ceil(hi * n))
-    for k in range(k_lo, min(k_hi, n)):
-        seg_lo = max(lo, k / n)
-        seg_hi = min(hi, (k + 1) / n)
-        if seg_hi > seg_lo:
-            total += sample.values[k] * (seg_hi - seg_lo)
-    return total
+    k = np.arange(int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n))
+    overlap = np.minimum(hi, (k + 1) / n) - np.maximum(lo, k / n)
+    return float(np.sum(sample.values[k] * np.maximum(overlap, 0.0)))
 
 
 def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Interval:
@@ -151,15 +152,13 @@ def winners_lower_bound(a: float, b: float, y0: Sample1D, y1: Sample1D) -> float
         raise DomainError(f"need 0 <= a < b <= 1, got a={a!r}, b={b!r}")
     n0 = y0.n
     ranks = np.arange(1, n0 + 1, dtype=float) / n0
-    candidates = [r for r in ranks if a < r <= b]
-    candidates.append(b)
-    if a > 0.0:
-        candidates.append(a)
-    best = 0.0
-    for abar in candidates:
-        k = int(np.searchsorted(ranks, abar, side="left"))
-        qv = float(y0.values[min(k, n0 - 1)])
-        best = max(best, abar - a - empirical_cdf(y1, qv))
+    candidates = np.concatenate(
+        (ranks[(ranks > a) & (ranks <= b)], [b], [a] if a > 0.0 else [])
+    )
+    k = np.minimum(np.searchsorted(ranks, candidates, side="left"), n0 - 1)
+    qv = y0.values[k]
+    f1 = np.searchsorted(y1.values, qv, side="right") / y1.n
+    best = max(0.0, float(np.max(candidates - a - f1)))
     return best / (b - a)
 
 
@@ -167,7 +166,7 @@ def binary_cost_ot(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     rel: BinaryRelation,
-    witness: bool | None = None,
+    witness: bool = True,
 ) -> tuple[float, frozenset | None]:
     """Minimal coupled mass on a relation, with a certifying witness set.
 
@@ -175,10 +174,16 @@ def binary_cost_ot(
     gamma = 1.  By strong duality this equals
     max over subsets A of rows of mu(A) - nu(A^Gamma), where A^Gamma
     collects every column reachable from A outside the relation.  The
-    witness is the first maximizing A in subset enumeration order; it is
-    computed for up to 20 rows (enumeration is exponential) and skipped
-    above that unless explicitly requested, in which case a resource error
-    is raised.
+    witness is the minimal maximizing A, the intersection of all
+    maximizers and so also the first one in subset enumeration order (up
+    to floating-point near-ties).  It is read off the optimal plan, whose
+    mass off the relation is a maximum flow on the gamma = 0 edges: the
+    rows its residual graph reaches from the source are the source side
+    of the minimal minimum cut.  The search starts at every row with mass
+    on a gamma = 1 edge, steps from a row to its gamma = 0 columns and
+    from a column back to the rows sending it gamma = 0 mass.  Masses
+    below ``WITNESS_TOL`` times the total mass count as zero.  There is no
+    row cap; each step is O(MN).
     """
     g = rel.gamma
     m_rows, n_cols = g.shape
@@ -186,51 +191,20 @@ def binary_cost_ot(
         raise DomainError(
             f"relation shape {g.shape} does not match measures ({mu.size}, {nu.size})"
         )
-    _, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
-    if witness is None:
-        witness = m_rows <= 20
+    plan, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
     if not witness:
         return value, None
-    if m_rows > 20:
-        raise ResourceError(f"witness enumeration needs <= 20 rows, got {m_rows}")
-    # Column bitmask of the complement relation per row: j is in A^Gamma as
-    # soon as some row in A relates to it with gamma = 0.
-    comp_masks = []
-    for i in range(m_rows):
-        mask = 0
-        for j in range(n_cols):
-            if g[i, j] == 0.0:
-                mask |= 1 << j
-        comp_masks.append(mask)
-    nu_w = nu.weights
-    best_val = -np.inf
-    best_set: frozenset | None = None
-    for subset in range(1 << m_rows):
-        mu_mass = 0.0
-        reach = 0
-        s = subset
-        i = 0
-        while s:
-            if s & 1:
-                mu_mass += mu.weights[i]
-                reach |= comp_masks[i]
-            s >>= 1
-            i += 1
-        nu_mass = 0.0
-        r = reach
-        j = 0
-        while r:
-            if r & 1:
-                nu_mass += nu_w[j]
-            r >>= 1
-            j += 1
-        dual = mu_mass - nu_mass
-        if dual > best_val + 1e-15:
-            best_val = dual
-            best_set = frozenset(
-                i for i in range(m_rows) if subset & (1 << i)
-            )
-    return value, best_set
+    tol = WITNESS_TOL * mu.total_mass
+    pi = plan.mass
+    free = g == 0.0
+    back = free & (pi > tol)
+    reached = np.sum(pi * g, axis=1) > tol
+    frontier = reached
+    while frontier.any():
+        cols = free[frontier].any(axis=0)
+        frontier = back[:, cols].any(axis=1) & ~reached
+        reached |= frontier
+    return value, frozenset(np.flatnonzero(reached).tolist())
 
 
 def dro_expectation_bound(

@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness",
         choices=["auto", "yes", "no"],
         default="auto",
-        help="dual witness set enumeration (auto: only up to 20 rows)",
+        help="dual witness set (auto and yes: compute it; no: skip it)",
     )
 
     p = cmd("dro", "worst-case expectation over a transport ball")
@@ -416,7 +416,7 @@ def _cmd_binary_ot(args):
     mu = read_measure_csv(args.mu)
     nu = read_measure_csv(args.nu)
     rel = BinaryRelation(read_matrix_csv(args.gamma))
-    witness = {"auto": None, "yes": True, "no": False}[args.witness]
+    witness = args.witness != "no"
     value, witness_set = binary_cost_ot(mu, nu, rel, witness=witness)
     result = {
         "value": value,

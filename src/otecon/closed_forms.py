@@ -2,9 +2,12 @@
 
 On the real line the comonotone coupling is optimal for any submodular cost,
 so transport values reduce to exact sums over the merged quantile grid of
-the two samples.  Between Gaussians the quadratic problem has an explicit
-affine optimal map.  Sliced distances reduce multivariate samples to
-averages of one-dimensional values over random projection directions.
+the two samples.  That grid depends only on the two sample sizes; it is
+built once as segment lengths plus the order-statistic index of each sample
+on each segment, and values are gathered through it.  Between Gaussians the
+quadratic problem has an explicit affine optimal map.  Sliced distances
+reduce multivariate samples to averages of one-dimensional values over
+random projection directions, all gathered through one grid.
 """
 
 from __future__ import annotations
@@ -44,24 +47,21 @@ class AffineMap:
         return x @ self.linear.T + self.shift
 
 
-def _merged_segments(x: Sample1D, y: Sample1D):
-    """Yield (length, xi, yj) over the merged quantile breakpoint grid.
+def _merged_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merged quantile breakpoint grid of an m-point and an n-point sample.
 
-    Both empirical quantile functions are constant on each yielded segment,
-    so integrals of h(Q_x(t), Q_y(t)) over (0, 1) are exact sums.
+    Returns the segment lengths and, per segment, the order-statistic
+    indices ix and iy at which the two empirical quantile functions sit
+    there.  Breakpoints are the floats (i+1)/m and (j+1)/n, merged on exact
+    equality, so integrals of h(Q_x(t), Q_y(t)) over (0, 1) are exact sums.
     """
-    m, n = x.n, y.n
-    xv, yv = x.values, y.values
-    i = j = 0
-    t = 0.0
-    while i < m and j < n:
-        nxt = min((i + 1) / m, (j + 1) / n)
-        yield nxt - t, xv[i], yv[j]
-        if (i + 1) / m <= nxt:
-            i += 1
-        if (j + 1) / n <= nxt:
-            j += 1
-        t = nxt
+    bx = np.arange(1, m + 1) / m
+    by = np.arange(1, n + 1) / n
+    ends = np.union1d(bx, by)
+    lengths = np.diff(ends, prepend=0.0)
+    ix = np.searchsorted(bx, ends, side="left")
+    iy = np.searchsorted(by, ends, side="left")
+    return lengths, ix, iy
 
 
 def ot_value_1d(
@@ -75,14 +75,15 @@ def ot_value_1d(
     Computes the integral of cost(Q_x(t), Q_y(t)) over t in (0, 1) on the
     merged breakpoint grid, which is the optimal value whenever the cost is
     submodular.  The caller asserts submodularity via the flag; it cannot be
-    verified pointwise here.
+    verified pointwise here.  The cost is called once per grid segment with
+    two floats.
     """
     if not submodular:
         raise DomainError("the quantile formula requires a submodular cost")
-    total = 0.0
-    for length, xi, yj in _merged_segments(x, y):
-        total += length * float(cost(xi, yj))
-    return total
+    lengths, ix, iy = _merged_grid(x.n, y.n)
+    pairs = zip(x.values[ix].tolist(), y.values[iy].tolist())
+    costs = np.fromiter((float(cost(a, b)) for a, b in pairs), float, lengths.size)
+    return float(np.sum(lengths * costs))
 
 
 def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:
@@ -92,10 +93,9 @@ def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:
     """
     if p < 1:
         raise DomainError(f"order p must be at least 1, got {p!r}")
-    total = 0.0
-    for length, xi, yj in _merged_segments(x, y):
-        total += length * abs(xi - yj) ** p
-    return total ** (1.0 / p)
+    lengths, ix, iy = _merged_grid(x.n, y.n)
+    total = np.sum(lengths * np.abs(x.values[ix] - y.values[iy]) ** p)
+    return float(total ** (1.0 / p))
 
 
 def gaussian_ot_map(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
@@ -170,13 +170,16 @@ def sliced_wasserstein(
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms < 1e-12] = 1.0
     dirs /= norms[:, None]
-    proj_x = np.sort(x @ dirs.T, axis=0)
-    proj_y = np.sort(y @ dirs.T, axis=0)
-    total = 0.0
-    for k in range(n_dir):
-        w = wasserstein_1d(Sample1D(proj_x[:, k]), Sample1D(proj_y[:, k]), p)
-        total += w**p
-    return (total / n_dir) ** (1.0 / p)
+    # One row per direction; each row is gathered through the same grid.
+    proj_x = np.sort((x @ dirs.T).T, axis=1)
+    proj_y = np.sort((y @ dirs.T).T, axis=1)
+    lengths, ix, iy = _merged_grid(x.shape[0], y.shape[0])
+    gap = proj_x[:, ix]
+    gap -= proj_y[:, iy]
+    np.abs(gap, out=gap)
+    gap **= p
+    gap *= lengths
+    return float((np.sum(gap) / n_dir) ** (1.0 / p))
 
 
 def barycenter_1d(samples: list[Sample1D], lam: np.ndarray) -> Sample1D:

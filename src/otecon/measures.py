@@ -181,17 +181,6 @@ def empirical_cdf(sample: Sample1D, y: float) -> float:
     return float(np.searchsorted(sample.values, float(y), side="right")) / sample.n
 
 
-def _radical_inverse(i: int, base: int) -> float:
-    """Van der Corput radical inverse of i in the given base."""
-    inv = 0.0
-    denom = 1.0
-    while i > 0:
-        i, digit = divmod(i, base)
-        denom *= base
-        inv += digit / denom
-    return inv
-
-
 def halton(n: int, d: int) -> HaltonSet:
     """First n Halton points in dimension d (prime bases 2, 3, 5, ...).
 
@@ -202,10 +191,16 @@ def halton(n: int, d: int) -> HaltonSet:
         raise DomainError(f"need n >= 1 points, got {n}")
     if not 1 <= d <= len(PRIMES):
         raise DomainError(f"dimension must be in [1, {len(PRIMES)}], got {d}")
-    pts = np.empty((n, d))
-    for j in range(d):
-        base = PRIMES[j]
-        pts[:, j] = [_radical_inverse(i, base) for i in range(1, n + 1)]
+    pts = np.zeros((n, d))
+    for j, base in enumerate(PRIMES[:d]):
+        # Van der Corput radical inverse of every index at once, one digit
+        # per sweep.
+        idx = np.arange(1, n + 1)
+        denom = 1.0
+        while idx.any():
+            idx, digit = np.divmod(idx, base)
+            denom *= base
+            pts[:, j] += digit / denom
     return HaltonSet(pts)
 
 

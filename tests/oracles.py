@@ -4,7 +4,9 @@ Nothing here shares code with the package: the transport LP goes through
 scipy's HiGHS, the vertex oracle enumerates spanning-tree basic solutions
 directly, the tree-potential oracle propagates duals over a basis from
 scratch, and the robust-expectation oracle solves the primal ball program
-as an explicit LP.
+as an explicit LP.  The loop references at the end walk the quantile grids,
+rank candidates and Halton digits one element at a time, as the package
+did before those paths became array operations.
 """
 
 import itertools
@@ -142,6 +144,27 @@ def binary_dual_maximum(w_mu, w_nu, gamma):
     return float(best)
 
 
+def binary_dual_maximizers(w_mu, w_nu, gamma):
+    """The maximum of mu(A) - nu(A^Gamma) and every row set A attaining it.
+
+    Enumerates all 2^m row subsets as one boolean matrix, so it is only
+    viable for small m.  Ties are decided by exact float equality, which
+    is exact when every weight is a dyadic rational with few bits.
+    """
+    m, _ = gamma.shape
+    subsets = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    outside = np.asarray(gamma) == 0
+    reach = (subsets[:, :, None] & outside[None, :, :]).any(axis=1)
+    duals = np.array(
+        [np.sum(w_mu[s]) - np.sum(w_nu[r]) for s, r in zip(subsets, reach)]
+    )
+    best = float(duals.max())
+    maximizers = [
+        frozenset(np.flatnonzero(s).tolist()) for s in subsets[duals == best]
+    ]
+    return best, maximizers
+
+
 def tree_potentials(edges, cost):
     """Dual potentials on a spanning-tree basis, propagated from phi[0] = 0.
 
@@ -165,3 +188,64 @@ def tree_potentials(edges, cost):
         assert len(left) < len(pending), "edges do not span from row 0"
         pending = left
     return np.array(phi), np.array(psi)
+
+
+def merged_segments_loop(m, n):
+    """Merged quantile grid of an m- and an n-point sample, one segment at a time.
+
+    Walks the breakpoints (i+1)/m and (j+1)/n with two pointers and returns
+    the segment lengths and the order-statistic indices used on each.
+    """
+    lengths, ix, iy = [], [], []
+    i = j = 0
+    t = 0.0
+    while i < m and j < n:
+        nxt = min((i + 1) / m, (j + 1) / n)
+        lengths.append(nxt - t)
+        ix.append(i)
+        iy.append(j)
+        if (i + 1) / m <= nxt:
+            i += 1
+        if (j + 1) / n <= nxt:
+            j += 1
+        t = nxt
+    return lengths, ix, iy
+
+
+def integrate_quantile_loop(values, lo, hi):
+    """Integral of the empirical quantile of sorted values over (lo, hi]."""
+    n = len(values)
+    total = 0.0
+    for k in range(int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)):
+        seg_lo = max(lo, k / n)
+        seg_hi = min(hi, (k + 1) / n)
+        if seg_hi > seg_lo:
+            total += values[k] * (seg_hi - seg_lo)
+    return total
+
+
+def winners_loop(a, b, v0, v1):
+    """Winners lower bound, each rank-grid candidate evaluated on its own."""
+    n0 = len(v0)
+    ranks = np.arange(1, n0 + 1, dtype=float) / n0
+    candidates = [r for r in ranks if a < r <= b] + [b] + ([a] if a > 0.0 else [])
+    best = 0.0
+    for abar in candidates:
+        k = min(int(np.searchsorted(ranks, abar, side="left")), n0 - 1)
+        cdf = float(np.searchsorted(v1, v0[k], side="right")) / len(v1)
+        best = max(best, abar - a - cdf)
+    return best / (b - a)
+
+
+def halton_loop(n, bases):
+    """Halton points by the digit-by-digit radical inverse of each index."""
+    points = np.empty((n, len(bases)))
+    for col, base in enumerate(bases):
+        for row in range(n):
+            i, inv, denom = row + 1, 0.0, 1.0
+            while i > 0:
+                i, digit = divmod(i, base)
+                denom *= base
+                inv += digit / denom
+            points[row, col] = inv
+    return points

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import binary_dual_maximum, dro_primal_value
+from oracles import (
+    binary_dual_maximizers,
+    binary_dual_maximum,
+    dro_primal_value,
+    integrate_quantile_loop,
+    lp_transport_value,
+    winners_loop,
+)
 from otecon import (
     BinaryRelation,
     CostMatrix,
     DiscreteMeasure,
     DomainError,
     Interval,
-    ResourceError,
     Sample1D,
     binary_cost_ot,
     dro_expectation_bound,
@@ -110,6 +118,19 @@ class TestKajiBounds:
             iv = kaji_subgroup_bounds(a, b, y0, y1)
             assert 0.7 in iv
 
+    def test_matches_step_loop(self, rng):
+        for _ in range(20):
+            y0 = Sample1D.from_data(rng.normal(size=int(rng.integers(1, 60))))
+            y1 = Sample1D.from_data(rng.normal(size=int(rng.integers(1, 60))))
+            a, b = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, *rng.uniform(size=2)], 2, replace=False))
+            width = b - a
+            base = integrate_quantile_loop(y0.values, a, b)
+            lower = (integrate_quantile_loop(y1.values, 0.0, width) - base) / width
+            upper = (integrate_quantile_loop(y1.values, 1.0 - width, 1.0) - base) / width
+            iv = kaji_subgroup_bounds(a, b, y0, y1)
+            assert iv.lower == pytest.approx(lower, rel=1e-12, abs=1e-12)
+            assert iv.upper == pytest.approx(upper, rel=1e-12, abs=1e-12)
+
 
 class TestWinners:
     def test_dominant_treatment(self, rng):
@@ -126,6 +147,15 @@ class TestWinners:
         y = Sample1D([0.0, 1.0])
         with pytest.raises(DomainError):
             winners_lower_bound(0.5, 0.5, y, y)
+
+    def test_matches_candidate_loop(self, rng):
+        # rounded draws put ties inside and across the two samples
+        for _ in range(30):
+            y0 = Sample1D.from_data(np.round(rng.normal(size=int(rng.integers(1, 50))), 1))
+            y1 = Sample1D.from_data(np.round(rng.normal(0.3, size=int(rng.integers(1, 50))), 1))
+            a, b = np.sort(rng.choice([0.0, 0.5, 1.0, *rng.uniform(size=2)], 2, replace=False))
+            direct = winners_lower_bound(a, b, y0, y1)
+            assert direct == winners_loop(a, b, y0.values, y1.values)
 
     def test_range(self, rng):
         for _ in range(20):
@@ -200,16 +230,64 @@ class TestBinaryCostOt:
                 binary_dual_maximum(w_mu, w_nu, gamma), abs=1e-9
             )
 
-    def test_witness_budget(self, rng):
+    def test_witness_without_row_cap(self, rng):
+        def dual(w_mu, w_nu, gamma, witness):
+            rows = sorted(witness)
+            reach = np.flatnonzero((gamma[rows] == 0).any(axis=0))
+            return w_mu[rows].sum() - w_nu[reach].sum()
+
         m = 21
         gamma = rng.integers(0, 2, size=(m, 3))
-        w = np.full(m, 1.0 / m)
-        mu = DiscreteMeasure(w)
-        nu = DiscreteMeasure(np.full(3, 1.0 / 3.0))
-        value, witness = binary_cost_ot(mu, nu, BinaryRelation(gamma))
-        assert witness is None
-        with pytest.raises(ResourceError):
-            binary_cost_ot(mu, nu, BinaryRelation(gamma), witness=True)
+        w_mu, w_nu = np.full(m, 1.0 / m), np.full(3, 1.0 / 3.0)
+        value, witness = binary_cost_ot(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), BinaryRelation(gamma)
+        )
+        assert witness is not None
+        assert dual(w_mu, w_nu, gamma, witness) == pytest.approx(value, abs=1e-9)
+
+        m, n = 200, 30
+        w_mu = rng.uniform(0.1, 1.0, size=m)
+        w_mu /= w_mu.sum()
+        w_nu = rng.uniform(0.1, 1.0, size=n)
+        w_nu /= w_nu.sum()
+        gamma = (rng.random((m, n)) < 0.8).astype(int)
+        value, witness = binary_cost_ot(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), BinaryRelation(gamma)
+        )
+        assert value > 0.0
+        assert dual(w_mu, w_nu, gamma, witness) == pytest.approx(value, abs=1e-9)
+        assert value == pytest.approx(
+            lp_transport_value(w_mu, w_nu, gamma.astype(float)), abs=1e-9
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_witness_is_minimal_maximizer(self, data):
+        # Weights are multiples of 1/64 summing to 1, so every mass sum is
+        # exact in floating point and ties between maximizers are exact.
+        # Repeated cuts give zero weights, which join some maximizers but
+        # never the minimal one.
+        def dyadic(size):
+            cuts = data.draw(
+                st.lists(st.integers(0, 64), min_size=size - 1, max_size=size - 1)
+            )
+            return np.diff([0, *sorted(cuts), 64]) / 64.0
+
+        m = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 12))
+        w_mu, w_nu = dyadic(m), dyadic(n)
+        gamma = np.array(
+            data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m)),
+            dtype=int,
+        )
+        value, witness = binary_cost_ot(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), BinaryRelation(gamma)
+        )
+        best, maximizers = binary_dual_maximizers(w_mu, w_nu, gamma)
+        assert best == binary_dual_maximum(w_mu, w_nu, gamma)
+        assert value == pytest.approx(best, abs=1e-12)
+        assert witness in maximizers
+        assert witness == frozenset.intersection(*maximizers)
 
 
 class TestDro:

@@ -1,5 +1,7 @@
 """Closed-form values on the line, Gaussian maps, sliced distance, barycenters."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from otecon import (
     solve_discrete_ot,
     wasserstein_1d,
 )
+from otecon.closed_forms import _merged_grid
+from oracles import lp_transport_value, merged_segments_loop
 
 abs_cost = lambda a, b: abs(a - b)
 sq_cost = lambda a, b: (a - b) ** 2
@@ -102,6 +106,42 @@ class TestWasserstein1D:
         d = wasserstein_1d(x, y, 2.0)
         assert d >= 0.0
         assert d == pytest.approx(wasserstein_1d(y, x, 2.0), rel=1e-12, abs=1e-12)
+
+
+class TestMergedGrid:
+    # Size pairs whose breakpoints (i+1)/m and (j+1)/n coincide as floats;
+    # each shared point must merge into one grid breakpoint.
+    SIZES = [(4, 6), (3, 9), (5, 5), (1, 7), (7, 1)]
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_shared_breakpoints_merge(self, m, n):
+        lengths, ix, iy = _merged_grid(m, n)
+        assert lengths.size == m + n - math.gcd(m, n)
+        assert np.all(lengths > 0)
+        assert np.sum(lengths) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(np.diff(ix) >= 0) and np.all(np.diff(iy) >= 0)
+        assert (ix[0], iy[0], ix[-1], iy[-1]) == (0, 0, m - 1, n - 1)
+
+    @pytest.mark.parametrize("m, n", SIZES + [(1, 1), (49, 70), (2000, 1900)])
+    def test_matches_segment_loop(self, m, n):
+        lengths, ix, iy = _merged_grid(m, n)
+        ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
+        assert lengths.tolist() == ref_lengths
+        assert ix.tolist() == ref_ix and iy.tolist() == ref_iy
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_values_match_lp(self, rng, m, n, p):
+        x = Sample1D.from_data(rng.normal(size=m))
+        y = Sample1D.from_data(rng.normal(loc=0.3, size=n))
+        cost = np.abs(x.values[:, None] - y.values[None, :]) ** p
+        lp = lp_transport_value(np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost)
+        assert wasserstein_1d(x, y, p) ** p == pytest.approx(lp, rel=1e-9, abs=1e-12)
+        assert ot_value_1d(x, y, lambda a, b: abs(a - b) ** p) == pytest.approx(
+            lp, rel=1e-9, abs=1e-12
+        )
+        sliced = sliced_wasserstein(x.values[:, None], y.values[:, None], p=p, n_dir=3)
+        assert sliced**p == pytest.approx(lp, rel=1e-9, abs=1e-12)
 
 
 class TestGaussianMap:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import halton_loop
 from otecon import (
     DiscreteMeasure,
     DomainError,
@@ -135,6 +136,10 @@ class TestHalton:
     def test_strict_interior(self):
         pts = halton(64, 3).points
         assert np.all(pts > 0) and np.all(pts < 1)
+
+    def test_matches_digit_loop(self):
+        bases = [2, 3, 5, 7, 11, 13]
+        assert np.array_equal(halton(3000, 6).points, halton_loop(3000, bases))
 
 
 class TestSpdSqrt:
