@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--l1", type=float, default=0.0, help="soft-threshold penalty")
-    p.add_argument("--step", type=float, help="gradient step (default 1/L)")
+    p.add_argument(
+        "--step",
+        type=float,
+        help="gradient step (default eps / (nu total * max_xy |basis[x, y, :]|^2))",
+    )
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int)
 

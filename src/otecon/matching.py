@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import EXP_CAP, as_float_array, frozen, logsumexp
+from ._util import EXP_CAP, as_float_array, frozen
+from .entropic import _half_sweep_lse
 from .errors import (
     DomainError,
     ExpOverflowError,
@@ -370,10 +371,12 @@ def sista(
         -F = -sum_xy pi_hat (phi + psi - c) + eps sum_xy exp((phi + psi - c)/eps).
 
     Each iteration performs the two exact Sinkhorn marginal updates in the
-    log domain (block minimization of -F in phi, then psi) and one proximal
-    gradient step on beta: the gradient of -F in beta is the gap between
-    model and observed basis moments, and the prox of the l1 penalty is
-    soft thresholding.  The default step is 1 / max_k sum_xy basis_k^2.
+    log domain (the balanced half-sweeps of :func:`sinkhorn`: block
+    minimization of -F in phi, then psi) and one proximal gradient step on
+    beta: the gradient of -F in beta is the gap between model and observed
+    basis moments, and the prox of the l1 penalty is soft thresholding.  The
+    default step is the inverse of the beta-curvature bound of -F at fixed
+    potentials, eps / (nu.sum() * max_xy |basis[x, y, :]|^2).
     Backtracking halves the step while the composite objective
     -F + l1 * |beta|_1 would increase; two consecutive exhausted searches
     signal divergence and raise :class:`StepSizeError`.  Iteration stops
@@ -401,8 +404,10 @@ def sista(
     if l1 < 0:
         raise DomainError(f"l1 penalty must be nonnegative, got {l1!r}")
     if step is None:
-        lipschitz = float(np.max(np.einsum("xyk,xyk->k", basis.basis, basis.basis)))
-        step = 1.0 / lipschitz if lipschitz > 0 else 1.0
+        # plan mass is nu.sum() after the column update, so the beta-Hessian
+        # sum_xy plan_xy b_xy b_xy' / eps of -F is at most this
+        curvature = nu.sum() * float(np.max(np.sum(basis.basis**2, axis=2))) / eps
+        step = 1.0 / curvature if curvature > 0 else 1.0
     if step <= 0:
         raise DomainError(f"step must be positive, got {step!r}")
     if max_iter < 1:
@@ -413,19 +418,16 @@ def sista(
         if basis.params is not None
         else np.zeros(basis.n_params)
     )
-    phi = np.zeros(mu.size)
-    psi = np.zeros(nu.size)
     log_mu = np.log(mu)
     log_nu = np.log(nu)
+    # f, g are the potentials against mu x nu (phi - eps log mu and
+    # psi - eps log nu), so the updates are the balanced Sinkhorn half-sweeps
+    g = np.zeros(nu.size)
+    ref = eps * (log_mu[:, None] + log_nu[None, :])
 
-    def neg_f(phi_, psi_, cost_) -> float:
-        z = (phi_[:, None] + psi_[None, :] - cost_) / eps
-        ez = _guard_exp(z, "plan exponent")
-        lin = float(np.sum(pi_hat * (phi_[:, None] + psi_[None, :] - cost_)))
-        return -lin + eps * float(ez.sum())
-
-    def composite(phi_, psi_, beta_, cost_) -> float:
-        return neg_f(phi_, psi_, cost_) + l1 * float(np.sum(np.abs(beta_)))
+    def composite(arg, plan_, beta_) -> float:
+        lin = float(np.sum(pi_hat * arg))
+        return -lin + eps * float(plan_.sum()) + l1 * float(np.sum(np.abs(beta_)))
 
     fails = 0
     converged = False
@@ -433,11 +435,13 @@ def sista(
     plan = np.zeros_like(pi_hat)
     for _ in range(max_iter):
         cost = -basis.surplus(beta)
-        phi = eps * (log_mu - logsumexp((psi[None, :] - cost) / eps, axis=1))
-        psi = eps * (log_nu - logsumexp((phi[:, None] - cost) / eps, axis=0))
-        plan = _guard_exp((phi[:, None] + psi[None, :] - cost) / eps, "plan exponent")
+        f = -eps * _half_sweep_lse(log_nu, g, cost, eps, 1)
+        g = -eps * _half_sweep_lse(log_mu, f, cost, eps, 0)
+        pot = f[:, None] + g[None, :] + ref
+        # columns sum to nu after the half-sweep, so this exp cannot overflow
+        plan = np.exp((pot - cost) / eps)
         grad = np.einsum("xy,xyk->k", plan - pi_hat, basis.basis)
-        current = composite(phi, psi, beta, cost)
+        current = composite(pot - cost, plan, beta)
         objectives.append(current)
         trial_step = step
         new_beta = beta
@@ -445,10 +449,9 @@ def sista(
         while trial_step > step * 2.0**-40:
             cand = beta - trial_step * grad
             cand = np.sign(cand) * np.maximum(np.abs(cand) - l1 * trial_step, 0.0)
-            cost_cand = -basis.surplus(cand)
-            if composite(phi, psi, cand, cost_cand) <= current + 1e-12 * max(
-                1.0, abs(current)
-            ):
+            arg = pot + basis.surplus(cand)
+            trial = composite(arg, _guard_exp(arg / eps, "plan exponent"), cand)
+            if trial <= current + 1e-12 * max(1.0, abs(current)):
                 new_beta = cand
                 accepted = True
                 break
@@ -470,8 +473,8 @@ def sista(
         info = {
             "converged": converged,
             "objectives": tuple(objectives),
-            "phi": phi,
-            "psi": psi,
+            "phi": f + eps * log_mu,
+            "psi": g + eps * log_nu,
             "plan": plan,
         }
         return beta, info

@@ -6,7 +6,8 @@ directly, the tree-potential oracle propagates duals over a basis from
 scratch, and the robust-expectation oracle solves the primal ball program
 as an explicit LP.  The loop references at the end walk the quantile grids,
 rank candidates and Halton digits one element at a time, as the package
-did before those paths became array operations.
+did before those paths became array operations, and run the Sinkhorn
+loops that build the plan on every sweep to measure their residual.
 """
 
 import itertools
@@ -249,3 +250,62 @@ def halton_loop(n, bases):
                 inv += digit / denom
             points[row, col] = inv
     return points
+
+
+def _lse(a, axis):
+    amax = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    return np.squeeze(out, axis=axis)
+
+
+def _gibbs(log_mu, log_nu, phi, psi, c, eps):
+    return np.exp(
+        log_mu[:, None] + log_nu[None, :] + (phi[:, None] + psi[None, :] - c) / eps
+    )
+
+
+def sinkhorn_loop(w_mu, w_nu, c, eps, tol=1e-9, max_iter=10000):
+    """Log-domain Sinkhorn that builds the plan every sweep for its residual.
+
+    Returns (phi, psi, iterations, errors, converged) with phi[0] == 0.
+    """
+    log_mu, log_nu = np.log(w_mu), np.log(w_nu)
+    phi, psi = np.zeros(len(w_mu)), np.zeros(len(w_nu))
+    errors = []
+    for it in range(1, max_iter + 1):
+        phi = -eps * _lse(log_nu[None, :] + (psi[None, :] - c) / eps, axis=1)
+        psi = -eps * _lse(log_mu[:, None] + (phi[:, None] - c) / eps, axis=0)
+        plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
+        errors.append(max(
+            float(np.max(np.abs(plan.sum(axis=1) - w_mu))),
+            float(np.max(np.abs(plan.sum(axis=0) - w_nu))),
+        ))
+        if errors[-1] < tol:
+            break
+    return phi - phi[0], psi + phi[0], it, errors, errors[-1] < tol
+
+
+def unbalanced_loop(w_mu, w_nu, c, eps, lam_mu, lam_nu, tol=1e-9, max_iter=10000):
+    """Damped log-domain Sinkhorn without a translation step.
+
+    The residual is the first-order one, phi + lam_mu log(pi 1 / mu) and
+    psi + lam_nu log(pi' 1 / nu), from the plan built every sweep.  Returns
+    (plan, iterations, converged).
+    """
+    log_mu, log_nu = np.log(w_mu), np.log(w_nu)
+    phi, psi = np.zeros(len(w_mu)), np.zeros(len(w_nu))
+    for it in range(1, max_iter + 1):
+        phi = -eps * lam_mu / (lam_mu + eps) * _lse(
+            log_nu[None, :] + (psi[None, :] - c) / eps, axis=1
+        )
+        psi = -eps * lam_nu / (lam_nu + eps) * _lse(
+            log_mu[:, None] + (phi[:, None] - c) / eps, axis=0
+        )
+        plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
+        residual = max(
+            float(np.max(np.abs(phi + lam_mu * np.log(plan.sum(axis=1) / w_mu)))),
+            float(np.max(np.abs(psi + lam_nu * np.log(plan.sum(axis=0) / w_nu)))),
+        )
+        if residual < tol:
+            return plan, it, True
+    return plan, it, False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_transport_instance
+from oracles import sinkhorn_loop, unbalanced_loop
 from otecon import (
     CostMatrix,
     DiscreteMeasure,
@@ -19,6 +20,14 @@ SWAP_COST = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 def coin():
     return DiscreteMeasure([0.5, 0.5]), DiscreteMeasure([0.5, 0.5])
+
+
+def first_order_residual(sol, w_mu, w_nu, lam_mu, lam_nu):
+    """phi + lam_mu log(pi 1 / mu) and its column twin, from the returned plan."""
+    return max(
+        np.max(np.abs(sol.phi + lam_mu * np.log(sol.plan.sum(axis=1) / w_mu))),
+        np.max(np.abs(sol.psi + lam_nu * np.log(sol.plan.sum(axis=0) / w_nu))),
+    )
 
 
 class TestSinkhorn:
@@ -79,6 +88,31 @@ class TestSinkhorn:
             sinkhorn(mu, nu, SWAP_COST, eps=1.0, tol=0.0)
         with pytest.raises(DomainError):
             sinkhorn(DiscreteMeasure([0.4, 0.4]), nu, SWAP_COST, eps=1.0)
+
+    @pytest.mark.parametrize("m, n, eps", [(3, 5, 0.5), (8, 8, 0.05), (12, 7, 0.1)])
+    def test_matches_plan_per_sweep_loop(self, rng, m, n, eps):
+        for _ in range(3):
+            mu, nu, cost = random_transport_instance(rng, m, n)
+            sol = sinkhorn(mu, nu, cost, eps=eps)
+            phi, psi, iterations, errors, converged = sinkhorn_loop(
+                mu.weights, nu.weights, cost.entries, eps
+            )
+            assert sol.converged and converged
+            assert sol.iterations == iterations
+            assert np.allclose(sol.phi, phi, rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.psi, psi, rtol=0.0, atol=1e-12)
+            recomputed = max(
+                np.max(np.abs(sol.plan.sum(axis=1) - mu.weights)),
+                np.max(np.abs(sol.plan.sum(axis=0) - nu.weights)),
+            )
+            assert sol.marginal_errors[-1] == pytest.approx(recomputed, abs=1e-15)
+            assert sol.marginal_errors[-1] == pytest.approx(errors[-1], abs=1e-15)
+            capped = sinkhorn(mu, nu, cost, eps=eps, max_iter=3)
+            phi, psi, *_ = sinkhorn_loop(
+                mu.weights, nu.weights, cost.entries, eps, max_iter=3
+            )
+            assert np.allclose(capped.phi, phi, rtol=0.0, atol=1e-12)
+            assert np.allclose(capped.psi, psi, rtol=0.0, atol=1e-12)
 
     def test_cost_monotone_in_eps_with_gap_bound(self, rng):
         for _ in range(5):
@@ -175,3 +209,58 @@ class TestUnbalanced:
         mu, nu = coin()
         with pytest.raises(DomainError):
             unbalanced_sinkhorn(mu, nu, SWAP_COST, eps=0.5, lam_mu=0.0, lam_nu=1.0)
+
+    def test_large_lam_converges(self):
+        # without the translation step the damped updates creep along
+        # (phi + t, psi - t) at about 1 - 5e-7 per sweep and hit the cap
+        rng = np.random.default_rng(0)
+        w_mu = rng.random(4) + 0.1
+        w_nu = rng.random(4) + 0.1
+        mu, nu = DiscreteMeasure(w_mu / w_mu.sum()), DiscreteMeasure(w_nu / w_nu.sum())
+        cost = CostMatrix(rng.random((4, 4)))
+        lam, tol = 1e6, 1e-9
+        sol = unbalanced_sinkhorn(
+            mu, nu, cost, eps=0.5, lam_mu=lam, lam_nu=lam, tol=tol
+        )
+        assert sol.converged
+        assert first_order_residual(sol, mu.weights, nu.weights, lam, lam) < tol
+
+    @pytest.mark.parametrize(
+        "lam_mu, lam_nu, eps", [(1.0, 1.0, 0.1), (0.5, 5.0, 0.5), (5.0, 0.5, 0.02)]
+    )
+    def test_residual_is_first_order_residual_of_plan(self, rng, lam_mu, lam_nu, eps):
+        w_mu = rng.random(4) + 0.1
+        w_nu = 2.0 * (rng.random(5) + 0.1)
+        cost = CostMatrix(rng.random((4, 5)))
+        for sweeps in (1, 2, 5):
+            sol = unbalanced_sinkhorn(
+                DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), cost,
+                eps=eps, lam_mu=lam_mu, lam_nu=lam_nu, max_iter=sweeps,
+            )
+            assert sol.iterations == sweeps and not sol.converged
+            expected = first_order_residual(sol, w_mu, w_nu, lam_mu, lam_nu)
+            assert sol.marginal_errors[-1] == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.5])
+    @pytest.mark.parametrize("lam", [1e-2, 1.0, 5.0, 1e2, 1e6])
+    def test_matches_untranslated_loop(self, rng, lam, eps):
+        w_mu = rng.random(4) + 0.1
+        w_nu = rng.random(5) + 0.1
+        w_nu *= 1.5 * w_mu.sum() / w_nu.sum()
+        cost = rng.random((4, 5))
+        tol, cap = 1e-10, 4000
+        sol = unbalanced_sinkhorn(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), CostMatrix(cost),
+            eps=eps, lam_mu=lam, lam_nu=lam, tol=tol, max_iter=cap,
+        )
+        plan, _, converged = unbalanced_loop(
+            w_mu, w_nu, cost, eps, lam, lam, tol=tol, max_iter=cap
+        )
+        if converged:
+            assert sol.converged
+            assert np.allclose(sol.plan, plan, rtol=0.0, atol=1e-8)
+        if sol.converged:
+            # at lam = 1e6 a zero residual read off a float fixed point
+            # would hide a first-order residual of about 1e-3 in the plan
+            residual = first_order_residual(sol, w_mu, w_nu, lam, lam)
+            assert residual < tol * (1 + 1e-6)

@@ -281,6 +281,31 @@ class TestSista:
         _, capped = sista(plan, mu, nu, basis, eps=1.0, max_iter=2, log=True)
         assert capped["converged"] is False
 
+    def test_two_columns_converge_at_default_tol(self, rng):
+        # the iterates do not depend on tol, so this also covers tol=1e-8
+        plan, mu, nu, basis, _ = self.synthetic(rng)
+        _, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
+        assert info["converged"] is True
+
+    def test_recovers_12x12_three_columns(self, rng):
+        basis = SurplusBasis(0.3 * rng.standard_normal((12, 12, 3)))
+        beta0 = rng.standard_normal(3)
+        mu = rng.random(12) + 0.5
+        mu /= mu.sum()
+        nu = rng.random(12) + 0.5
+        nu /= nu.sum()
+        plan = sinkhorn(
+            DiscreteMeasure(mu),
+            DiscreteMeasure(nu),
+            CostMatrix(-basis.surplus(beta0)),
+            eps=1.0,
+            tol=1e-14,
+        ).plan
+        beta, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
+        assert info["converged"] is True
+        assert len(info["objectives"]) < 1000
+        assert np.max(np.abs(beta - beta0)) < 1e-6
+
     def test_step_validation(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng)
         with pytest.raises(DomainError):
