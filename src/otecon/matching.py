@@ -7,17 +7,17 @@ In the Choo-Siow logit market, equilibrium matched flows and singles obey
 
 together with the population adding-up constraints; u, v solve a coupled
 fixed point with closed-form positive roots.  The surplus matrix Phi is
-nonparametrically identified from one observed table, linearly
-parameterized surplus is estimated by moment matching, and the same
-estimator maximizes a weighted Poisson pseudo-likelihood.  sista performs
-proximal-gradient estimation of surplus coefficients under an l1 penalty,
-alternating exact Sinkhorn marginal updates with a soft-thresholded
-gradient step on the coefficients.
+nonparametrically identified from one observed table, and linearly
+parameterized surplus is estimated by moment matching, computed by
+Newton's method as the maximizer of a weighted Poisson pseudo-likelihood.
+sista performs proximal-gradient estimation of surplus coefficients under
+an l1 penalty, alternating exact Sinkhorn marginal updates with a
+soft-thresholded gradient step on the coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,35 +195,6 @@ def cs_identify(table: MatchingTable) -> CostMatrix:
     return CostMatrix(phi)
 
 
-def _observed_moments(table: MatchingTable, basis: SurplusBasis) -> np.ndarray:
-    return np.einsum("xy,xyk->k", table.flows, basis.basis)
-
-
-def _mm_objective(
-    table_fit: MatchingTable,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    observed_phi_sum: float,
-) -> float:
-    """Convex outer objective of moment matching at an inner equilibrium.
-
-    The inner fees (a, b) minimize the market's dual welfare, whose value at
-    the equilibrium is a sum of fee revenues and cell intensities; the outer
-    objective subtracts the observed surplus total, so its lambda-gradient
-    is exactly predicted minus observed moments.
-    """
-    a = -np.log(table_fit.singles_x) / 2.0
-    b = -np.log(table_fit.singles_y) / 2.0
-    value = (
-        float(mu @ a)
-        + float(nu @ b)
-        + float(table_fit.flows.sum())
-        + 0.5 * float(table_fit.singles_x.sum())
-        + 0.5 * float(table_fit.singles_y.sum())
-    )
-    return value - observed_phi_sum
-
-
 def moment_matching(
     table: MatchingTable,
     basis: SurplusBasis,
@@ -233,78 +204,89 @@ def moment_matching(
 ):
     """Fit surplus coefficients so predicted basis moments match observed ones.
 
-    Minimizes the convex outer objective of the linearly parameterized
-    matching model by gradient descent on the coefficients; the gradient is
-    exactly (predicted moments - observed moments), each prediction coming
-    from an inner equilibrium solve at the current surplus.  Backtracking
-    halving guards every step; near the optimum, steps that leave the
-    objective unchanged at float resolution are still accepted because the
-    residual keeps shrinking.  Returns (lam, a, b): the fitted coefficients
-    and the log-inverse single shares of each side; with ``log=True`` a
-    fourth element carries the accepted objective history.  A stalled
-    search with a nonzero moment residual means no coefficient vector can
-    fit the data and raises :class:`NonIdentificationError`.
+    Maximizes the concave :func:`poisson_loglik` over theta = (lam, a, b)
+    by damped Newton steps with the exact (K + X + Y)-square Hessian and
+    Armijo backtracking, starting from lam = 0 and the fees -log(singles)/2
+    of the observed table.  The gradient of the negated likelihood is
+    (predicted - observed basis moments) in lam and the adding-up residuals
+    (observed - predicted populations) in a and b; iteration stops when
+    every entry is below tol, so both the moments and the populations of
+    the fitted market match the table within tol.  Returns (lam, a, b): the
+    fitted coefficients and the log-inverse single shares, -log(singles)/2,
+    of each side of the fitted market; with ``log=True`` a fourth element
+    carries the accepted history of the negated likelihood, whose last
+    entry equals -poisson_loglik((lam, a, b), table, basis).
+
+    Raises :class:`NonIdentificationError` before the first step when the
+    basis, reshaped to (X * Y, K), has column rank below K (the coefficients
+    are then not identified), and when the gradient is still above tol
+    after max_iter Newton steps, or earlier once backtracking finds no
+    decrease, which happens only when tol lies below the float resolution
+    of the gradient.
     """
-    mu = table.mu
-    nu = table.nu
     if basis.basis.shape[:2] != table.flows.shape:
         raise DomainError(
             f"basis shape {basis.basis.shape[:2]} does not match table"
             f" {table.flows.shape}"
         )
-    observed = _observed_moments(table, basis)
-    lam = np.zeros(basis.n_params)
-    inner_tol = min(1e-12, tol * 1e-3)
-
-    def fit_at(point: np.ndarray):
-        eq = cs_equilibrium(CostMatrix(basis.surplus(point)), mu, nu, tol=inner_tol)
-        value = _mm_objective(eq, mu, nu, float(observed @ point))
-        predicted = _observed_moments(eq, basis)
-        return eq, value, predicted
-
-    eq, value, predicted = fit_at(lam)
-    history = [value]
-
-    def finish():
-        a = -np.log(eq.singles_x) / 2.0
-        b = -np.log(eq.singles_y) / 2.0
-        if log:
-            return lam, a, b, {"objectives": tuple(history)}
-        return lam, a, b
-
-    for _ in range(max_iter):
-        grad = predicted - observed
-        g2 = float(grad @ grad)
-        if float(np.max(np.abs(grad))) < tol:
-            return finish()
-        step = 1.0
-        improved = False
-        while step > 1e-14:
-            trial = lam - step * grad
-            try:
-                trial_eq, trial_value, trial_pred = fit_at(trial)
-            except ExpOverflowError:
-                step *= 0.5
-                continue
-            # Sufficient decrease, or no measurable change once the descent
-            # quantum falls below float resolution of the objective.
-            armijo = trial_value <= value - 1e-4 * step * g2
-            saturated = (
-                1e-4 * step * g2 <= 1e-15 * max(1.0, abs(value))
-                and trial_value <= value + 1e-15 * max(1.0, abs(value))
-            )
-            if armijo or saturated:
-                eq, lam, value, predicted = trial_eq, trial, trial_value, trial_pred
-                history.append(value)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            raise NonIdentificationError(
-                "moment residual cannot be reduced; basis does not span the data"
-            )
+    nx, ny, k = basis.basis.shape
+    if np.linalg.matrix_rank(basis.basis.reshape(nx * ny, k)) < k:
+        raise NonIdentificationError(
+            "basis columns are linearly dependent; coefficients are not identified"
+        )
+    theta = np.concatenate(
+        [np.zeros(k), -0.5 * np.log(table.singles_x), -0.5 * np.log(table.singles_y)]
+    )
+    cuts = [k, k + nx]
+    history = [-poisson_loglik(np.split(theta, cuts), table, basis)]
+    for steps in range(max_iter + 1):
+        lam, a, b = np.split(theta, cuts)
+        z = basis.surplus(lam) - a[:, None] - b[None, :]
+        e, ea, eb = np.exp(z), np.exp(-2.0 * a), np.exp(-2.0 * b)
+        grad = np.concatenate([
+            np.einsum("xy,xyk->k", e - table.flows, basis.basis),
+            table.mu - e.sum(axis=1) - ea,
+            table.nu - e.sum(axis=0) - eb,
+        ])
+        res = float(np.max(np.abs(grad)))
+        if res < tol:
+            if log:
+                return lam, a, b, {"objectives": tuple(history)}
+            return lam, a, b
+        if steps == max_iter:
+            break
+        weighted = e[:, :, None] * basis.basis
+        wx, wy = weighted.sum(axis=1), weighted.sum(axis=0)
+        hess = np.block([
+            [np.einsum("xyk,xyl->kl", weighted, basis.basis), -wx.T, -wy.T],
+            [-wx, np.diag(e.sum(axis=1) + 2.0 * ea), e],
+            [-wy, e.T, np.diag(e.sum(axis=0) + 2.0 * eb)],
+        ])
+        newton = np.linalg.solve(hess, grad)
+        slope = float(grad @ newton)
+        # The Armijo test sums the change of -poisson_loglik term by term with
+        # expm1: near the optimum the change falls below the float resolution
+        # of the likelihood itself long before the gradient reaches a tight tol.
+        t = 1.0
+        for _ in range(60):
+            dlam, da, db = np.split(-t * newton, cuts)
+            dz = basis.surplus(dlam) - da[:, None] - db[None, :]
+            exponents = (z + dz, -2.0 * (a + da), -2.0 * (b + db))
+            if max(float(np.max(x)) for x in exponents) <= EXP_CAP:
+                change = (
+                    np.sum(e * np.expm1(dz) - table.flows * dz)
+                    + table.singles_x @ da + 0.5 * ea @ np.expm1(-2.0 * da)
+                    + table.singles_y @ db + 0.5 * eb @ np.expm1(-2.0 * db)
+                )
+                if change <= -1e-4 * t * slope:
+                    break
+            t *= 0.5
+        else:
+            break
+        theta = theta - t * newton
+        history.append(-poisson_loglik(np.split(theta, cuts), table, basis))
     raise NonIdentificationError(
-        f"moment residual above {tol!r} after {max_iter} gradient steps"
+        f"moment residual {res!r} above {tol!r} after {steps} Newton steps"
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import as_float_array, frozen
-from .errors import DomainError, NonAssignmentError, ResourceError
+from .errors import DomainError, ResourceError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, halton
 from .discrete import extract_assignment, solve_discrete_ot
 
@@ -217,10 +217,12 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     """Multivariate ranks: match observations to Halton points optimally.
 
     Solves the quadratic assignment between the n observations and the
-    first n Halton points in dimension d, both weighted uniformly.  If the
-    optimal plan splits mass (a cost tie), costs are perturbed by
-    1e-12 * (i * n + j) and the problem is re-solved, which breaks the tie
-    deterministically.
+    first n Halton points in dimension d, both weighted uniformly.  The
+    network simplex returns a vertex of the transport polytope, and with
+    uniform marginals every vertex is a permutation matrix
+    (Birkhoff-von Neumann), so the plan is an assignment even when cost
+    ties leave several optimal ones; which of them is returned is fixed by
+    the solver's deterministic pivot order.
     """
     y = as_float_array(sample, "sample")
     if y.ndim == 1:
@@ -230,12 +232,4 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     cost = np.sum((y[:, None, :] - ref.points[None, :, :]) ** 2, axis=2)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
     plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost))
-    try:
-        sigma = extract_assignment(plan)
-    except NonAssignmentError:
-        bump = 1e-12 * (
-            np.arange(n)[:, None] * n + np.arange(n)[None, :]
-        )
-        plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost + bump))
-        sigma = extract_assignment(plan)
-    return RankAssignment(sigma, ref)
+    return RankAssignment(extract_assignment(plan), ref)

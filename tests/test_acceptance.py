@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from conftest import random_transport_instance
 from oracles import (

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otecon import (
-    AffineMap,
     DiscreteMeasure,
     CostMatrix,
     DomainError,

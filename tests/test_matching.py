@@ -132,6 +132,48 @@ class TestMomentMatching:
         with pytest.raises(NonIdentificationError):
             moment_matching(table, ones_basis(2, 2), tol=1e-14, max_iter=1)
 
+    # at tol 1e-12 the last Newton steps decrease poisson_loglik by less than
+    # its float resolution, so this also checks that the line search still
+    # accepts them
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recovers_20x20_three_normal_columns(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        basis = SurplusBasis(rng.standard_normal((20, 20, 3)))
+        truth = rng.standard_normal(3)
+        mu = rng.uniform(0.5, 1.5, size=20)
+        nu = rng.uniform(0.5, 1.5, size=20)
+        table = cs_equilibrium(
+            CostMatrix(basis.surplus(truth)), 4.0 * mu / mu.sum(), 4.0 * nu / nu.sum(),
+            tol=1e-14,
+        )
+        lam, _, _ = moment_matching(table, basis, tol=tol)
+        assert np.max(np.abs(lam - truth)) <= 1e-8
+
+    def test_collinear_basis_not_identified(self, rng):
+        first = rng.uniform(-0.5, 0.5, size=(6, 6))
+        basis = SurplusBasis(np.stack([first, 2.0 * first], axis=2))
+        table = cs_equilibrium(
+            CostMatrix(basis.surplus(np.array([0.5, 0.25]))),
+            np.full(6, 1.0),
+            np.full(6, 1.0),
+            tol=1e-14,
+        )
+        with pytest.raises(NonIdentificationError):
+            moment_matching(table, basis)
+
+    def test_last_objective_is_negated_loglik(self, rng):
+        basis = SurplusBasis(rng.uniform(-1.0, 1.0, size=(4, 3, 2)))
+        table = cs_equilibrium(
+            CostMatrix(basis.surplus(np.array([0.8, -0.4]))),
+            rng.uniform(0.5, 1.5, size=4),
+            rng.uniform(0.5, 1.5, size=3),
+            tol=1e-14,
+        )
+        lam, a, b, info = moment_matching(table, basis, log=True)
+        expected = -poisson_loglik((lam, a, b), table, basis)
+        assert info["objectives"][-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestPoissonLoglik:
     def flat_table(self):

@@ -18,6 +18,14 @@ from otecon import (
 )
 
 
+SAMPLE_KINDS = {
+    "normal": lambda rng, n, d: rng.standard_normal((n, d)),
+    "three_values": lambda rng, n, d: rng.integers(0, 3, size=(n, d)).astype(float),
+    "all_equal": lambda rng, n, d: np.full((n, d), rng.standard_normal()),
+    "rounded_1e6": lambda rng, n, d: np.round(rng.standard_normal((n, d)), 1) * 1e6,
+}
+
+
 def two_site_line(delta, q=(0.5, 0.5)):
     return LaguerreDiagram(
         sites=np.array([[0.0], [1.0]]),
@@ -206,6 +214,15 @@ class TestVectorRank:
         y = rng.normal(size=(17, 2))
         ra = vector_rank(y)
         assert np.array_equal(np.sort(ra.permutation), np.arange(17))
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLE_KINDS))
+    def test_bijection_under_cost_ties(self, rng, kind):
+        # every vertex of the uniform-marginal polytope is a permutation, so
+        # one simplex solve yields an assignment even with tied costs
+        for n in (2, 7, 16, 39):
+            for d in (1, 2, 3):
+                ra = vector_rank(SAMPLE_KINDS[kind](rng, n, d))
+                assert np.array_equal(np.sort(ra.permutation), np.arange(n))
 
     def test_ranks_are_reference_rows(self, rng):
         y = rng.normal(size=(8, 2))
