@@ -6,7 +6,9 @@ Every command writes a single JSON document with five fixed keys:
 Floats are serialized with 17 significant digits, so repeated runs of the
 same config are byte-identical and values round-trip exactly.
 
-Exit codes: 0 success, 2 malformed input, 3 solver non-convergence.
+Exit codes: 0 success, 2 malformed input, 3 solver non-convergence.  Exit 3
+still writes the document, with ``converged: false`` and, when the solver
+raised instead of returning its last iterate, an empty ``result``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .csvio import (
     read_matching_csv,
     read_matrix_csv,
     read_measure_csv,
-    read_points_csv,
     read_sample_csv,
     read_values_csv,
 )
@@ -58,18 +59,6 @@ from .matching import (
 )
 from .measures import CostMatrix
 from .semidiscrete import semidiscrete_solve, vector_rank
-
-# Iteration caps by command when neither --max-iter nor OTECON_MAX_ITER is
-# given; None defers to the solver's own size-dependent default.
-_MAX_ITER_DEFAULTS = {
-    "ot": None,
-    "sinkhorn": 10000,
-    "uot": 10000,
-    "semidiscrete": 2000,
-    "match-equilibrium": 10000,
-    "match-fit": 1000,
-    "match-sista": 20000,
-}
 
 _TE_FUNCTIONALS = {
     "diff": (lambda a, b: b - a, "submodular"),
@@ -118,6 +107,7 @@ def _to_json(value, indent: int = 0) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands; a handler returns result, or (result, diagnostics) if iterative."""
     parser = argparse.ArgumentParser(
         prog="otecon",
         description="Optimal transport solvers and econometric bounds.",
@@ -125,61 +115,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    def cmd(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(run=run)
         return p
 
-    p = cmd("ot", "exact discrete transport by network simplex")
+    # max_iter is the cap when neither --max-iter nor OTECON_MAX_ITER is
+    # given; None defers to the solver's own size-dependent default.
+    def iterative(p, max_iter, tol=None, cap_help=None) -> None:
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--max-iter", type=int, help=cap_help)
+        p.set_defaults(default_max_iter=max_iter)
+
+    p = cmd("ot", "exact discrete transport by network simplex", _cmd_ot)
     p.add_argument("--mu", required=True, help="source measure CSV (w,x1..xd)")
     p.add_argument("--nu", required=True, help="target measure CSV")
     p.add_argument("--cost", required=True, help="cost matrix CSV")
-    p.add_argument("--max-iter", type=int, help="pivot cap")
+    iterative(p, None, cap_help="pivot cap")
 
-    p = cmd("sinkhorn", "entropic transport, log-domain Sinkhorn")
+    p = cmd("sinkhorn", "entropic transport, log-domain Sinkhorn", _cmd_sinkhorn)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--eps", type=float, required=True, help="regularization strength")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 10000, tol=1e-9)
 
-    p = cmd("uot", "unbalanced entropic transport with soft marginals")
+    p = cmd("uot", "unbalanced entropic transport with soft marginals", _cmd_uot)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lam-mu", type=float, required=True, help="source KL penalty")
     p.add_argument("--lam-nu", type=float, required=True, help="target KL penalty")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 10000, tol=1e-9)
 
-    p = cmd("w1d", "p-Wasserstein distance between scalar samples")
+    p = cmd("w1d", "p-Wasserstein distance between scalar samples", _cmd_w1d)
     p.add_argument("--x", required=True, help="sample CSV, one value per row")
     p.add_argument("--y", required=True)
     p.add_argument("--p", type=float, default=2.0)
 
-    p = cmd("gaussian-w2", "closed-form W2 between Gaussians")
+    p = cmd("gaussian-w2", "closed-form W2 between Gaussians", _cmd_gaussian_w2)
     p.add_argument("--g1", required=True, help="mean row + covariance rows CSV")
     p.add_argument("--g2", required=True)
 
-    p = cmd("sliced", "sliced Wasserstein distance between point clouds")
+    p = cmd("sliced", "sliced Wasserstein distance between point clouds", _cmd_sliced)
     p.add_argument("--x", required=True, help="points CSV, one row per point")
     p.add_argument("--y", required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--n-dir", type=int, default=100, help="number of directions")
     p.add_argument("--seed", type=int, default=0)
 
-    p = cmd("semidiscrete", "Laguerre weights for uniform-to-discrete transport")
+    p = cmd("semidiscrete", "Laguerre weights for uniform-to-discrete transport",
+            _cmd_semidiscrete)
     p.add_argument("--nu", required=True, help="sites measure CSV (w,x1..xd)")
     p.add_argument("--grid-res", type=int, help="grid cells per axis")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 2000, tol=1e-3)
 
-    p = cmd("ranks", "assignment-based vector ranks onto a Halton set")
+    p = cmd("ranks", "assignment-based vector ranks onto a Halton set", _cmd_ranks)
     p.add_argument("--sample", required=True, help="points CSV")
 
-    p = cmd("bounds-te", "rearrangement bounds for a treatment functional")
+    p = cmd("bounds-te", "rearrangement bounds for a treatment functional",
+            _cmd_bounds_te)
     p.add_argument("--y0", required=True, help="control sample CSV")
     p.add_argument("--y1", required=True, help="treated sample CSV")
     p.add_argument(
@@ -189,19 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff: b-a, product: a*b, sqdiff: (b-a)^2",
     )
 
-    p = cmd("bounds-subgroup", "quantile-window bounds on a subgroup effect")
+    p = cmd("bounds-subgroup", "quantile-window bounds on a subgroup effect",
+            _cmd_bounds_subgroup)
     p.add_argument("--y0", required=True)
     p.add_argument("--y1", required=True)
     p.add_argument("--a", type=float, required=True, help="window lower rank")
     p.add_argument("--b", type=float, required=True, help="window upper rank")
 
-    p = cmd("bounds-winners", "lower bound on the gaining fraction in a window")
+    p = cmd("bounds-winners", "lower bound on the gaining fraction in a window",
+            _cmd_bounds_winners)
     p.add_argument("--y0", required=True)
     p.add_argument("--y1", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
 
-    p = cmd("binary-ot", "minimal coupled mass on a 0/1 relation, with witness")
+    p = cmd("binary-ot", "minimal coupled mass on a 0/1 relation, with witness",
+            _cmd_binary_ot)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--gamma", required=True, help="0/1 relation matrix CSV")
@@ -212,29 +213,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="dual witness set (auto and yes: compute it; no: skip it)",
     )
 
-    p = cmd("dro", "worst-case expectation over a transport ball")
+    p = cmd("dro", "worst-case expectation over a transport ball", _cmd_dro)
     p.add_argument("--f", required=True, help="objective values CSV, one per row")
     p.add_argument("--delta", required=True, help="discrepancy matrix CSV")
     p.add_argument("--mu", required=True, help="reference weights CSV (w)")
     p.add_argument("--rho", type=float, required=True, help="ball radius")
 
-    p = cmd("match-identify", "surplus matrix from matched and single counts")
+    p = cmd("match-identify", "surplus matrix from matched and single counts",
+            _cmd_match_identify)
     p.add_argument("--table", required=True, help="matching CSV (x,y,count)")
 
-    p = cmd("match-equilibrium", "logit matching equilibrium for given surplus")
+    p = cmd("match-equilibrium", "logit matching equilibrium for given surplus",
+            _cmd_match_equilibrium)
     p.add_argument("--phi", required=True, help="surplus matrix CSV")
     p.add_argument("--mu", required=True, help="x-side masses CSV (w)")
     p.add_argument("--nu", required=True, help="y-side masses CSV (w)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 10000, tol=1e-12)
 
-    p = cmd("match-fit", "surplus coefficients by moment matching")
+    p = cmd("match-fit", "surplus coefficients by moment matching", _cmd_match_fit)
     p.add_argument("--table", required=True, help="matching CSV (x,y,count)")
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 1000, tol=1e-9)
 
-    p = cmd("match-sista", "sparse surplus coefficients from an observed plan")
+    p = cmd("match-sista", "sparse surplus coefficients from an observed plan",
+            _cmd_match_sista)
     p.add_argument("--pi", required=True, help="observed plan matrix CSV")
     p.add_argument("--mu", required=True, help="row marginals CSV (w)")
     p.add_argument("--nu", required=True, help="column marginals CSV (w)")
@@ -246,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="gradient step (default eps / (nu total * max_xy |basis[x, y, :]|^2))",
     )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int)
+    iterative(p, 20000, tol=1e-10)
 
     return parser
 
@@ -266,7 +267,7 @@ def _resolve_max_iter(args: argparse.Namespace) -> None:
             raise DomainError(f"OTECON_MAX_ITER must be at least 1, got {cap}")
         args.max_iter = cap
     else:
-        args.max_iter = _MAX_ITER_DEFAULTS[args.command]
+        args.max_iter = args.default_max_iter
 
 
 def _cmd_ot(args):
@@ -285,7 +286,7 @@ def _cmd_ot(args):
         "converged": True,
         "residual": plan.marginal_residual(mu, nu),
     }
-    return result, diagnostics, True
+    return result, diagnostics
 
 
 def _cmd_sinkhorn(args):
@@ -310,7 +311,7 @@ def _cmd_sinkhorn(args):
         "iterations": sol.iterations,
         "residual": sol.marginal_error,
     }
-    return result, diagnostics, sol.converged
+    return result, diagnostics
 
 
 def _cmd_uot(args):
@@ -339,26 +340,26 @@ def _cmd_uot(args):
         "iterations": sol.iterations,
         "residual": sol.marginal_errors[-1] if sol.marginal_errors else None,
     }
-    return result, diagnostics, sol.converged
+    return result, diagnostics
 
 
 def _cmd_w1d(args):
     x = read_sample_csv(args.x)
     y = read_sample_csv(args.y)
-    return {"value": wasserstein_1d(x, y, p=args.p)}, {"converged": True}, True
+    return {"value": wasserstein_1d(x, y, p=args.p)}
 
 
 def _cmd_gaussian_w2(args):
     g1 = read_gaussian_csv(args.g1)
     g2 = read_gaussian_csv(args.g2)
-    return {"value": gaussian_w2(g1, g2)}, {"converged": True}, True
+    return {"value": gaussian_w2(g1, g2)}
 
 
 def _cmd_sliced(args):
-    x = read_points_csv(args.x)
-    y = read_points_csv(args.y)
+    x = read_matrix_csv(args.x)
+    y = read_matrix_csv(args.y)
     value = sliced_wasserstein(x, y, p=args.p, n_dir=args.n_dir, seed=args.seed)
-    return {"value": value}, {"converged": True}, True
+    return {"value": value}
 
 
 def _cmd_semidiscrete(args):
@@ -378,18 +379,17 @@ def _cmd_semidiscrete(args):
         "iterations": diagram.iterations,
         "objective": diagram.objectives[-1],
     }
-    return result, diagnostics, diagram.converged
+    return result, diagnostics
 
 
 def _cmd_ranks(args):
-    sample = read_points_csv(args.sample)
+    sample = read_matrix_csv(args.sample)
     assignment = vector_rank(sample)
-    result = {
+    return {
         "permutation": [int(k) for k in assignment.permutation],
         "halton": assignment.reference.points,
         "ranks": assignment.ranks,
     }
-    return result, {"converged": True}, True
 
 
 def _cmd_bounds_te(args):
@@ -397,23 +397,21 @@ def _cmd_bounds_te(args):
     y1 = read_sample_csv(args.y1)
     h, modularity = _TE_FUNCTIONALS[args.functional]
     interval = rearrangement_bounds(h, y0, y1, modularity)
-    result = {"lower": interval.lower, "upper": interval.upper}
-    return result, {"converged": True}, True
+    return {"lower": interval.lower, "upper": interval.upper}
 
 
 def _cmd_bounds_subgroup(args):
     y0 = read_sample_csv(args.y0)
     y1 = read_sample_csv(args.y1)
     interval = kaji_subgroup_bounds(args.a, args.b, y0, y1)
-    result = {"lower": interval.lower, "upper": interval.upper}
-    return result, {"converged": True}, True
+    return {"lower": interval.lower, "upper": interval.upper}
 
 
 def _cmd_bounds_winners(args):
     y0 = read_sample_csv(args.y0)
     y1 = read_sample_csv(args.y1)
     value = winners_lower_bound(args.a, args.b, y0, y1)
-    return {"value": value}, {"converged": True}, True
+    return {"value": value}
 
 
 def _cmd_binary_ot(args):
@@ -422,11 +420,10 @@ def _cmd_binary_ot(args):
     rel = BinaryRelation(read_matrix_csv(args.gamma))
     witness = args.witness != "no"
     value, witness_set = binary_cost_ot(mu, nu, rel, witness=witness)
-    result = {
+    return {
         "value": value,
         "witness": None if witness_set is None else sorted(witness_set),
     }
-    return result, {"converged": True}, True
 
 
 def _cmd_dro(args):
@@ -434,13 +431,13 @@ def _cmd_dro(args):
     delta = CostMatrix(read_matrix_csv(args.delta))
     mu = read_measure_csv(args.mu)
     value = dro_expectation_bound(f, delta, mu, rho=args.rho)
-    return {"value": value}, {"converged": True}, True
+    return {"value": value}
 
 
 def _cmd_match_identify(args):
     table = read_matching_csv(args.table)
     phi = cs_identify(table)
-    return {"Phi": phi.entries}, {"converged": True}, True
+    return {"Phi": phi.entries}
 
 
 def _cmd_match_equilibrium(args):
@@ -462,7 +459,7 @@ def _cmd_match_equilibrium(args):
         "iterations": table.iterations,
         "residual": residual,
     }
-    return result, diagnostics, table.converged
+    return result, diagnostics
 
 
 def _cmd_match_fit(args):
@@ -477,7 +474,7 @@ def _cmd_match_fit(args):
         "iterations": len(info["objectives"]) - 1,
         "objective": info["objectives"][-1],
     }
-    return result, diagnostics, True
+    return result, diagnostics
 
 
 def _cmd_match_sista(args):
@@ -503,73 +500,46 @@ def _cmd_match_sista(args):
         "iterations": len(info["objectives"]),
         "objective": info["objectives"][-1],
     }
-    return result, diagnostics, info["converged"]
-
-
-_HANDLERS = {
-    "ot": _cmd_ot,
-    "sinkhorn": _cmd_sinkhorn,
-    "uot": _cmd_uot,
-    "w1d": _cmd_w1d,
-    "gaussian-w2": _cmd_gaussian_w2,
-    "sliced": _cmd_sliced,
-    "semidiscrete": _cmd_semidiscrete,
-    "ranks": _cmd_ranks,
-    "bounds-te": _cmd_bounds_te,
-    "bounds-subgroup": _cmd_bounds_subgroup,
-    "bounds-winners": _cmd_bounds_winners,
-    "binary-ot": _cmd_binary_ot,
-    "dro": _cmd_dro,
-    "match-identify": _cmd_match_identify,
-    "match-equilibrium": _cmd_match_equilibrium,
-    "match-fit": _cmd_match_fit,
-    "match-sista": _cmd_match_sista,
-}
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"command"}
-    return {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip
-    }
+    return result, diagnostics
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _resolve_max_iter(args)
-        result, diagnostics, converged = _HANDLERS[args.command](args)
-    except (DomainError, ResourceError, ExpOverflowError) as exc:
-        print(f"otecon {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"otecon {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (SolverStallError, NonIdentificationError, StepSizeError, NonAssignmentError) as exc:
-        print(f"otecon {args.command}: {exc}", file=sys.stderr)
-        return 3
-
-    document = {
-        "command": args.command,
-        "version": __version__,
-        "config": _config_echo(args),
-        "result": result,
-        "diagnostics": diagnostics,
-    }
-    text = _to_json(document) + "\n"
-    if args.out is not None:
         try:
+            out = args.run(args)
+        except (
+            SolverStallError, NonIdentificationError, StepSizeError, NonAssignmentError
+        ) as exc:
+            # no iterate to report; exit 3 still writes the document
+            print(f"otecon {args.command}: {exc}", file=sys.stderr)
+            out = {}, {"converged": False}
+        if not isinstance(out, tuple):
+            out = out, {"converged": True}
+        result, diagnostics = out
+        config = {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("command", "run", "default_max_iter")
+        }
+        document = {
+            "command": args.command,
+            "version": __version__,
+            "config": config,
+            "result": result,
+            "diagnostics": diagnostics,
+        }
+        text = _to_json(document) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
             with open(args.out, "w") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"otecon {args.command}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return 0 if converged else 3
+    except (DomainError, ResourceError, ExpOverflowError, OSError) as exc:
+        print(f"otecon {args.command}: {exc}", file=sys.stderr)
+        return 2
+    return 0 if diagnostics["converged"] else 3
 
 
 if __name__ == "__main__":

@@ -99,15 +99,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def read_sample_csv(path: str) -> Sample1D:
     """Scalar sample, one value per row; values are sorted on load."""
-    rows = _rows(path)
-    values = []
-    for line, fields in rows:
-        if len(fields) != 1:
-            raise CsvError(
-                f"{path}, line {line}: expected a single value, got {len(fields)} fields"
-            )
-        values.append(_float(fields[0], path, line))
-    return Sample1D.from_data(values)
+    return Sample1D.from_data(read_values_csv(path))
 
 
 def read_values_csv(path: str) -> np.ndarray:
@@ -121,11 +113,6 @@ def read_values_csv(path: str) -> np.ndarray:
             )
         values.append(_float(fields[0], path, line))
     return np.array(values)
-
-
-def read_points_csv(path: str) -> np.ndarray:
-    """Point cloud, one d-vector per row."""
-    return read_matrix_csv(path)
 
 
 def read_measure_csv(path: str) -> DiscreteMeasure:

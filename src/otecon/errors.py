@@ -2,8 +2,14 @@
 
 Solvers distinguish bad inputs (:class:`DomainError` and subclasses) from
 runtime failures of the algorithm itself (stalls, resource limits,
-overflow guards).  Plain non-convergence within an iteration budget is not
-an exception: solvers report it through a ``converged`` flag instead.
+overflow guards).  Running out of an iteration budget is reported in one
+of two ways.  The scaling, ascent and proximal-gradient solvers return
+their last iterate with a ``converged`` flag.  Solvers that have no
+iterate worth returning raise instead: ``solve_discrete_ot`` raises
+:class:`SolverStallError` at its pivot cap, and ``moment_matching`` raises
+:class:`NonIdentificationError` at its step budget.  The command line maps
+both ways to exit code 3 and still writes its JSON document, with
+``converged: false`` and an empty ``result`` when the solver raised.
 """
 
 

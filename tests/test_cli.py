@@ -1,5 +1,6 @@
 """End-to-end command line checks: JSON shape, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from otecon import __version__
-from otecon.cli import main
+from otecon.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,6 +112,15 @@ class TestEveryCommand:
         _, first = run_cli(COMMANDS[name], tmp_path, "same.json")
         _, second = run_cli(COMMANDS[name], tmp_path, "same.json")
         assert first == second
+
+    def test_schema_lists_the_parser_commands(self):
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(SCHEMA["properties"]["command"]["enum"])
+        assert set(subparsers.choices) == set(COMMANDS)
 
 
 class TestValues:
@@ -246,6 +256,42 @@ class TestFailureModes:
         VALIDATOR.validate(doc)
         assert doc["diagnostics"]["converged"] is False
         assert doc["diagnostics"]["iterations"] == 2
+
+    # each iterative command at a cap its fixture cannot meet
+    CAPPED = {
+        "ot": [
+            "ot", "--mu", "mu_six.csv", "--nu", "nu_six.csv", "--cost", "cost_6x6.csv",
+        ],
+        "sinkhorn": [
+            "sinkhorn", "--mu", "mu_uneven.csv", "--nu", "nu_uneven.csv",
+            "--cost", "cost_2x2.csv", "--eps", "0.5",
+        ],
+        "uot": [
+            "uot", "--mu", "mu_uneven.csv", "--nu", "nu_uneven.csv",
+            "--cost", "cost_2x2.csv", "--eps", "0.5", "--lam-mu", "5", "--lam-nu", "5",
+        ],
+        "semidiscrete": ["semidiscrete", "--nu", "sites_three.csv"],
+        "match-equilibrium": [
+            "match-equilibrium", "--phi", "phi_3x3_twenties.csv",
+            "--mu", "ones_three.csv", "--nu", "ones_three.csv",
+        ],
+        "match-fit": ["match-fit", "--table", "table_3x3.csv", "--basis", "basis_3x3.csv"],
+        "match-sista": [
+            "match-sista", "--pi", "pi_tilted.csv", "--mu", "mu_46.csv",
+            "--nu", "nu_37.csv", "--basis", "basis_2x2.csv", "--eps", "1.0",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_cap_writes_document(self, name, tmp_path):
+        code, payload = run_cli(self.CAPPED[name] + ["--max-iter", "1"], tmp_path)
+        assert code == 3
+        assert payload is not None
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["command"] == name
+        assert doc["config"]["max_iter"] == 1
+        assert doc["diagnostics"]["converged"] is False
 
     def test_bad_window_rejected(self, tmp_path):
         code = main(
