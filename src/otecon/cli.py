@@ -14,6 +14,8 @@ raised instead of returning its last iterate, an empty ``result``.
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import math
 import os
 import sys
@@ -99,8 +101,7 @@ def _to_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(value, ensure_ascii=False)
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -121,26 +122,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    # max_iter is the cap when neither --max-iter nor OTECON_MAX_ITER is
-    # given; None defers to the solver's own size-dependent default.
-    def iterative(p, max_iter, tol=None, cap_help=None) -> None:
+    # The cap when neither --max-iter nor OTECON_MAX_ITER is given is the
+    # solver's own max_iter default; None defers to its size-dependent one.
+    def iterative(p, solver, tol=None, cap_help=None) -> None:
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--max-iter", type=int, help=cap_help)
-        p.set_defaults(default_max_iter=max_iter)
+        cap = inspect.signature(solver).parameters["max_iter"].default
+        p.set_defaults(default_max_iter=cap)
 
     p = cmd("ot", "exact discrete transport by network simplex", _cmd_ot)
     p.add_argument("--mu", required=True, help="source measure CSV (w,x1..xd)")
     p.add_argument("--nu", required=True, help="target measure CSV")
     p.add_argument("--cost", required=True, help="cost matrix CSV")
-    iterative(p, None, cap_help="pivot cap")
+    iterative(p, solve_discrete_ot, cap_help="pivot cap")
 
     p = cmd("sinkhorn", "entropic transport, log-domain Sinkhorn", _cmd_sinkhorn)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--eps", type=float, required=True, help="regularization strength")
-    iterative(p, 10000, tol=1e-9)
+    iterative(p, sinkhorn, tol=1e-9)
 
     p = cmd("uot", "unbalanced entropic transport with soft marginals", _cmd_uot)
     p.add_argument("--mu", required=True)
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lam-mu", type=float, required=True, help="source KL penalty")
     p.add_argument("--lam-nu", type=float, required=True, help="target KL penalty")
-    iterative(p, 10000, tol=1e-9)
+    iterative(p, unbalanced_sinkhorn, tol=1e-9)
 
     p = cmd("w1d", "p-Wasserstein distance between scalar samples", _cmd_w1d)
     p.add_argument("--x", required=True, help="sample CSV, one value per row")
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_semidiscrete)
     p.add_argument("--nu", required=True, help="sites measure CSV (w,x1..xd)")
     p.add_argument("--grid-res", type=int, help="grid cells per axis")
-    iterative(p, 2000, tol=1e-3)
+    iterative(p, semidiscrete_solve, tol=1e-3)
 
     p = cmd("ranks", "assignment-based vector ranks onto a Halton set", _cmd_ranks)
     p.add_argument("--sample", required=True, help="points CSV")
@@ -228,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="surplus matrix CSV")
     p.add_argument("--mu", required=True, help="x-side masses CSV (w)")
     p.add_argument("--nu", required=True, help="y-side masses CSV (w)")
-    iterative(p, 10000, tol=1e-12)
+    iterative(p, cs_equilibrium, tol=1e-12)
 
     p = cmd("match-fit", "surplus coefficients by moment matching", _cmd_match_fit)
     p.add_argument("--table", required=True, help="matching CSV (x,y,count)")
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
-    iterative(p, 1000, tol=1e-9)
+    iterative(p, moment_matching, tol=1e-9)
 
     p = cmd("match-sista", "sparse surplus coefficients from an observed plan",
             _cmd_match_sista)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="gradient step (default eps / (nu total * max_xy |basis[x, y, :]|^2))",
     )
-    iterative(p, 20000, tol=1e-10)
+    iterative(p, sista, tol=1e-10)
 
     return parser
 

@@ -7,13 +7,14 @@ The linear program
 
 is solved by maintaining a basic feasible solution whose basis edges form a
 spanning tree of the bipartite supply/demand graph.  Dual potentials are
-propagated along the tree, a violating edge enters the basis, mass shifts
-around the unique cycle it creates, and the binding edge leaves.  The
-lexicographic entering and leaving rules used here are Bland's rule, which
-cannot cycle in exact arithmetic; in floating point the pivot tolerance,
-scaled by ``max(1, max|C|)``, keeps rounding noise in the reduced costs from
-reading as a violation.  The iteration cap is a safety net and raises
-:class:`SolverStallError` when hit.
+propagated along the tree, the edge with the most negative reduced cost
+enters the basis (Dantzig's rule), mass shifts around the unique cycle it
+creates, and a binding edge leaves, chosen by Cunningham's rule (1976, "A
+network simplex method"), which keeps the tree strongly feasible and so
+cannot cycle under any entering rule.  In floating point the pivot
+tolerance, scaled by ``max(1, max|C|)``, keeps rounding noise in the reduced
+costs from reading as a violation.  The iteration cap is a safety net and
+raises :class:`SolverStallError` when hit.
 
 The returned plan and potentials form an optimality certificate: dual
 feasibility plus complementary slackness, checkable by
@@ -188,15 +189,25 @@ def solve_discrete_ot(
 ) -> tuple[TransportPlan, DualPotentials, float]:
     """Solve the discrete transport LP exactly; return plan, duals, value.
 
-    Pivoting uses the lexicographically smallest violating edge to enter and,
-    among the minimum-mass reverse edges on the induced cycle, the
-    lexicographically smallest to leave.  In exact arithmetic this is
-    Bland's rule, which cannot cycle.  In floating point, termination rests
-    on the pivot tolerance exceeding the rounding noise in the reduced
-    costs, so the tolerance is ``PIVOT_TOL * max(1, max|C|)``; if pivots
-    still run to ``max_iter``, :class:`SolverStallError` is raised.
-    Zero-mass basic edges are retained so the basis stays a spanning tree
-    under degeneracy.
+    The edge with the most negative reduced cost enters (Dantzig's rule,
+    ties to the row-major first); the search stops when no reduced cost is
+    below ``-PIVOT_TOL * max(1, max|C|)``, a tolerance above the rounding
+    noise in the reduced costs.  Among the edges on the induced cycle that
+    lose mass and carry the least of it, the last one met when the cycle is
+    walked from its apex in the entering edge's direction leaves
+    (Cunningham's rule).  Zero-mass basic edges are retained so the basis
+    stays a spanning tree under degeneracy.
+
+    Rooted at row 0, a basis is strongly feasible when every zero-mass edge
+    has its row end as the child, so that some flow can move from every
+    node to the root.  Cunningham's rule keeps that property, and a strongly
+    feasible basis never repeats, so degenerate pivots cannot cycle.  The
+    north-west corner start is strongly feasible when all weights are
+    positive.  A zero-weight atom makes it impossible: no tree rooted at row
+    0 is strongly feasible, since a zero-weight column can send no flow
+    toward the root.  There the rule carries no guarantee, and
+    ``max_iter`` (default ``200 * M * N + 1000``) is the safety net: when
+    pivots run to it, :class:`SolverStallError` is raised.
 
     The basis is kept as a tree rooted at row 0 (nodes 0..M-1 are rows,
     M..M+N-1 columns), with parent and depth arrays and an adjacency
@@ -256,13 +267,17 @@ def solve_discrete_ot(
                         stack.append(nxt)
 
     descend(0)
+    # One buffer for the reduced costs: a fresh large array each pivot
+    # costs more in page faults than the arithmetic.
+    reduced = np.empty_like(c)
     for _ in range(max_iter):
         p = np.array(pot)
-        violating = c - p[:rows, None] - p[None, rows:] < -tol
-        # argmax scans row-major, so it finds the lexicographically
-        # smallest violating edge.
-        flat = int(violating.argmax())
-        if not violating.flat[flat]:
+        # Dantzig's rule: the most negative reduced cost enters (argmin
+        # breaks ties row-major).
+        np.subtract(c, p[:rows, None], out=reduced)
+        np.subtract(reduced, p[None, rows:], out=reduced)
+        flat = int(reduced.argmin())
+        if reduced.flat[flat] >= -tol:
             basis = frozenset(edge(node) for node in range(1, n_nodes))
             plan = TransportPlan(np.array(mass), basis)
             pots = DualPotentials(p[:rows], p[rows:])
@@ -286,12 +301,17 @@ def solve_discrete_ot(
             a = parent[a]
             row_side.append(b)
             b = parent[b]
-        # (edge, child node, loses mass) for each tree edge on the cycle
-        cycle = [(edge(x), x, x >= rows) for x in col_side]
+        # (edge, child node, loses mass) for each tree edge on the cycle, in
+        # reverse of the walk that starts at the apex along the entering
+        # edge's direction: down to the row end, across enter, up from the
+        # column end.  Cunningham's rule takes the last blocking edge of
+        # that walk, so the first one in this list.
+        cycle = [(edge(x), x, x >= rows) for x in reversed(col_side)]
         cycle += [(edge(x), x, x < rows) for x in row_side]
-        reverse = [(e, x) for e, x, loses in cycle if loses]
-        theta = min(mass[i][j] for (i, j), _ in reverse)
-        leave, cut = min(r for r in reverse if mass[r[0][0]][r[0][1]] <= theta)
+        theta = min(mass[i][j] for (i, j), _, loses in cycle if loses)
+        leave, cut = next(
+            (e, x) for e, x, loses in cycle if loses and mass[e[0]][e[1]] <= theta
+        )
 
         i, j = enter
         mass[i][j] += theta

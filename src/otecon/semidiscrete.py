@@ -223,12 +223,24 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     (Birkhoff-von Neumann), so the plan is an assignment even when cost
     ties leave several optimal ones; which of them is returned is fixed by
     the solver's deterministic pivot order.
+
+    In d = 1 no solve is needed: the monotone rearrangement is an optimal
+    assignment for the quadratic cost, ties included, so the permutation is
+    ``perm[argsort(y, kind="stable")] = argsort(ref, kind="stable")``,
+    which sends the k-th smallest observation (tied ones in index order)
+    to the k-th smallest Halton point.
     """
     y = as_float_array(sample, "sample")
     if y.ndim == 1:
         y = y[:, None]
     n, d = y.shape
     ref = halton(n, d)
+    if d == 1:
+        perm = np.empty(n, dtype=int)
+        perm[np.argsort(y[:, 0], kind="stable")] = np.argsort(
+            ref.points[:, 0], kind="stable"
+        )
+        return RankAssignment(perm, ref)
     cost = np.sum((y[:, None, :] - ref.points[None, :, :]) ** 2, axis=2)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
     plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost))

@@ -1,7 +1,9 @@
 """End-to-end command line checks: JSON shape, determinism, exit codes."""
 
 import argparse
+import inspect
 import json
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +13,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from otecon import __version__
+from otecon import (
+    __version__,
+    cs_equilibrium,
+    moment_matching,
+    semidiscrete_solve,
+    sinkhorn,
+    sista,
+    solve_discrete_ot,
+    unbalanced_sinkhorn,
+)
 from otecon.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -197,6 +208,52 @@ class TestValues:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         VALIDATOR.validate(doc)
+
+
+class TestConfigEcho:
+    # the solver behind each command that takes --max-iter
+    SOLVERS = {
+        "ot": solve_discrete_ot,
+        "sinkhorn": sinkhorn,
+        "uot": unbalanced_sinkhorn,
+        "semidiscrete": semidiscrete_solve,
+        "match-equilibrium": cs_equilibrium,
+        "match-fit": moment_matching,
+        "match-sista": sista,
+    }
+
+    def test_every_capped_command_listed(self):
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        capped = {
+            name
+            for name, p in subparsers.choices.items()
+            if any(a.dest == "max_iter" for a in p._actions)
+        }
+        assert capped == set(self.SOLVERS)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_default_cap_is_the_solvers(self, name, tmp_path, monkeypatch):
+        monkeypatch.delenv("OTECON_MAX_ITER", raising=False)
+        _, payload = run_cli(COMMANDS[name], tmp_path)
+        default = inspect.signature(self.SOLVERS[name]).parameters["max_iter"].default
+        assert json.loads(payload)["config"]["max_iter"] == default
+
+    def test_control_characters_in_paths(self, tmp_path):
+        # a tab in an input and in the output path is echoed in config
+        x = tmp_path / "x\ts.csv"
+        shutil.copy(DATA / "xs.csv", x)
+        out = tmp_path / "out\tput.json"
+        code = main(["w1d", "--x", str(x), "--y", data("ys.csv"), "--out", str(out)])
+        assert code == 0
+        with open(out) as handle:
+            doc = json.load(handle)
+        VALIDATOR.validate(doc)
+        assert doc["config"]["x"] == str(x)
+        assert doc["config"]["out"] == str(out)
 
 
 class TestFailureModes:

@@ -211,6 +211,70 @@ class TestIncrementalPotentials:
             )
 
 
+class TestPivotRules:
+    """Dantzig entering and Cunningham leaving on degenerate instances."""
+
+    @staticmethod
+    def strongly_feasible(plan):
+        """Rooted at row 0, every zero-mass basis edge has its row as child.
+
+        Then a positive amount of flow can go from every node to the root,
+        which is the invariant Cunningham's leaving rule keeps.
+        """
+        m, n = plan.shape
+        adj = [[] for _ in range(m + n)]
+        for i, j in plan.basis_edges:
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        parent = {0: None}
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    stack.append(nxt)
+        return all(
+            plan.mass[i, j] > 0.0 or parent[i] == m + j for i, j in plan.basis_edges
+        )
+
+    def test_basis_strongly_feasible(self, rng):
+        # uniform marginals and 0/1/2 costs: many zero-mass basis edges
+        for _ in range(60):
+            m, n = rng.integers(2, 11, size=2)
+            mu, nu = measures(np.full(m, 1.0 / m), np.full(n, 1.0 / n))
+            cost = CostMatrix(rng.integers(0, 3, size=(m, n)).astype(float))
+            plan, pots, _ = solve_discrete_ot(mu, nu, cost)
+            assert self.strongly_feasible(plan)
+            assert verify_optimality(plan, pots, cost)
+
+    @staticmethod
+    def probability(rng, n, zeros):
+        w = rng.random(n) + 0.05
+        w[rng.choice(n, size=zeros, replace=False)] = 0.0
+        return DiscreteMeasure(w / w.sum())
+
+    @pytest.mark.parametrize("kind", ["uniform square", "integer costs", "zero weights"])
+    def test_pivot_budget(self, rng, kind):
+        # first-violating-edge pricing needed thousands of pivots here
+        n = 40
+        for _ in range(3):
+            if kind == "uniform square":
+                mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
+                cost = CostMatrix(rng.random((n, n)))
+            elif kind == "integer costs":
+                mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
+                cost = CostMatrix(rng.integers(0, 4, size=(n, n)).astype(float))
+            else:
+                mu, nu = self.probability(rng, n, 8), self.probability(rng, n, 8)
+                cost = CostMatrix(rng.random((n, n)))
+            plan, pots, value = solve_discrete_ot(mu, nu, cost, max_iter=8 * (n + n))
+            assert verify_optimality(plan, pots, cost)
+            assert value == pytest.approx(
+                lp_transport_value(mu.weights, nu.weights, cost.entries), abs=1e-9
+            )
+
+
 class TestVerify:
     def test_solver_output_certifies(self, rng):
         mu, nu, cost = random_transport_instance(rng, 3, 4)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from otecon import (
     DiscreteMeasure,
@@ -218,11 +219,18 @@ class TestVectorRank:
     @pytest.mark.parametrize("kind", sorted(SAMPLE_KINDS))
     def test_bijection_under_cost_ties(self, rng, kind):
         # every vertex of the uniform-marginal polytope is a permutation, so
-        # one simplex solve yields an assignment even with tied costs
+        # one simplex solve yields an assignment even with tied costs; in
+        # d = 1 the sorting permutation is optimal, ties included
         for n in (2, 7, 16, 39):
             for d in (1, 2, 3):
-                ra = vector_rank(SAMPLE_KINDS[kind](rng, n, d))
+                y = SAMPLE_KINDS[kind](rng, n, d)
+                ra = vector_rank(y)
                 assert np.array_equal(np.sort(ra.permutation), np.arange(n))
+                cost = np.sum((y[:, None, :] - ra.reference.points[None]) ** 2, axis=2)
+                rows, cols = linear_sum_assignment(cost)
+                assert cost[np.arange(n), ra.permutation].sum() == pytest.approx(
+                    cost[rows, cols].sum(), rel=1e-12, abs=1e-12
+                )
 
     def test_ranks_are_reference_rows(self, rng):
         y = rng.normal(size=(8, 2))
