@@ -1,0 +1,84 @@
+"""Run the command-line test invocations in two checkouts and compare them.
+
+    python3 scripts/compare_documents.py PARENT_TREE CHANGE_TREE
+
+Reads the ``COMMANDS`` and ``TestFailureModes.CAPPED`` invocations from
+CHANGE_TREE's ``tests/test_cli.py`` (each CAPPED one is run as listed and
+with ``--max-iter 1``, as ``test_cap_writes_document`` runs it).  Every
+invocation runs as ``python -m otecon.cli`` once per tree, with
+``PYTHONPATH=<tree>/src``, the fixtures of CHANGE_TREE's ``tests/data`` and
+the same ``--out`` path, so that the echoed config is the same.  Prints a
+Markdown table saying, per invocation, whether the exit code, the stderr
+and the document bytes match, and how many of each differ.
+"""
+
+import argparse
+import ast
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def invocations(test_file: Path) -> list[list[str]]:
+    """COMMANDS values, then each CAPPED value as listed and at --max-iter 1."""
+    tree = ast.parse(test_file.read_text())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("COMMANDS", "CAPPED"):
+                found[target.id] = ast.literal_eval(node.value)
+    capped = list(found["CAPPED"].values())
+    return (
+        list(found["COMMANDS"].values())
+        + capped
+        + [argv + ["--max-iter", "1"] for argv in capped]
+    )
+
+
+def run(tree: Path, argv: list[str], data: Path, out: Path) -> tuple:
+    args = [str(data / t) if t.endswith(".csv") else t for t in argv]
+    env = {k: v for k, v in os.environ.items() if k != "OTECON_MAX_ITER"}
+    env["PYTHONPATH"] = str(tree / "src")
+    if out.exists():
+        out.unlink()
+    proc = subprocess.run(
+        [sys.executable, "-m", "otecon.cli", *args, "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tree,
+    )
+    document = out.read_bytes() if out.exists() else None
+    return proc.returncode, proc.stderr, document
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args()
+    parent, change = args.parent.resolve(), args.change.resolve()
+    data = change / "tests" / "data"
+    differing = {"exit": 0, "stderr": 0, "document": 0}
+    print("| invocation | exit code | stderr | document |")
+    print("|---|---|---|---|")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        for argv in invocations(change / "tests" / "test_cli.py"):
+            before = run(parent, argv, data, out)
+            after = run(change, argv, data, out)
+            cells = []
+            for key, a, b in zip(differing, before, after):
+                if a == b:
+                    cells.append("same" if key != "exit" else f"same ({a})")
+                else:
+                    differing[key] += 1
+                    cells.append(f"{a} -> {b}" if key == "exit" else "differs")
+            print(f"| `{' '.join(argv)}` | " + " | ".join(cells) + " |")
+    print()
+    print(", ".join(f"{key}: {n} differ" for key, n in differing.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

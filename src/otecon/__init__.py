@@ -44,7 +44,6 @@ from .errors import (
     OteconError,
     ResourceError,
     SolverStallError,
-    StepSizeError,
 )
 from .matching import (
     MatchingTable,
@@ -101,7 +100,6 @@ __all__ = [
     "ResourceError",
     "Sample1D",
     "SolverStallError",
-    "StepSizeError",
     "SurplusBasis",
     "TransportPlan",
     "barycenter_1d",

@@ -50,7 +50,6 @@ from .errors import (
     NonIdentificationError,
     ResourceError,
     SolverStallError,
-    StepSizeError,
 )
 from .matching import (
     SurplusBasis,
@@ -245,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--l1", type=float, default=0.0, help="soft-threshold penalty")
-    p.add_argument(
-        "--step",
-        type=float,
-        help="gradient step (default eps / (nu total * max_xy |basis[x, y, :]|^2))",
-    )
     iterative(p, sista, tol=1e-10)
 
     return parser
@@ -491,7 +485,6 @@ def _cmd_match_sista(args):
         basis,
         eps=args.eps,
         l1=args.l1,
-        step=args.step,
         tol=args.tol,
         max_iter=args.max_iter,
         log=True,
@@ -499,7 +492,7 @@ def _cmd_match_sista(args):
     result = {"beta": beta}
     diagnostics = {
         "converged": info["converged"],
-        "iterations": len(info["objectives"]),
+        "iterations": len(info["objectives"]) - 1,
         "objective": info["objectives"][-1],
     }
     return result, diagnostics
@@ -511,9 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         _resolve_max_iter(args)
         try:
             out = args.run(args)
-        except (
-            SolverStallError, NonIdentificationError, StepSizeError, NonAssignmentError
-        ) as exc:
+        except (SolverStallError, NonIdentificationError, NonAssignmentError) as exc:
             # no iterate to report; exit 3 still writes the document
             print(f"otecon {args.command}: {exc}", file=sys.stderr)
             out = {}, {"converged": False}

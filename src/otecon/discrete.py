@@ -206,8 +206,8 @@ def solve_discrete_ot(
     positive.  A zero-weight atom makes it impossible: no tree rooted at row
     0 is strongly feasible, since a zero-weight column can send no flow
     toward the root.  There the rule carries no guarantee, and
-    ``max_iter`` (default ``200 * M * N + 1000``) is the safety net: when
-    pivots run to it, :class:`SolverStallError` is raised.
+    ``max_iter`` (default ``200 * M * N + 1000``, at least 1) is the safety
+    net: when pivots run to it, :class:`SolverStallError` is raised.
 
     The basis is kept as a tree rooted at row 0 (nodes 0..M-1 are rows,
     M..M+N-1 columns), with parent and depth arrays and an adjacency
@@ -224,6 +224,8 @@ def solve_discrete_ot(
     rows, cols = c.shape
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     tol = PIVOT_TOL * _cost_scale(c)
     cl = c.tolist()
     mass = start.mass.tolist()

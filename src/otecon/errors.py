@@ -3,13 +3,15 @@
 Solvers distinguish bad inputs (:class:`DomainError` and subclasses) from
 runtime failures of the algorithm itself (stalls, resource limits,
 overflow guards).  Running out of an iteration budget is reported in one
-of two ways.  The scaling, ascent and proximal-gradient solvers return
-their last iterate with a ``converged`` flag.  Solvers that have no
-iterate worth returning raise instead: ``solve_discrete_ot`` raises
+of two ways.  The scaling and ascent solvers and ``sista`` (proximal
+Newton) return their last iterate with a ``converged`` flag, also when a
+line search finds no decrease.  Solvers that have no iterate worth
+returning raise instead: ``solve_discrete_ot`` raises
 :class:`SolverStallError` at its pivot cap, and ``moment_matching`` raises
 :class:`NonIdentificationError` at its step budget.  The command line maps
 both ways to exit code 3 and still writes its JSON document, with
-``converged: false`` and an empty ``result`` when the solver raised.
+``converged: false`` and an empty ``result`` when the solver raised.  An
+iteration cap below 1 is malformed input (:class:`DomainError`).
 """
 
 
@@ -47,10 +49,6 @@ class SolverStallError(OteconError):
 
 class NonIdentificationError(OteconError):
     """An estimation problem has no parameter value fitting the data."""
-
-
-class StepSizeError(OteconError):
-    """Backtracking line search failed to find an acceptable step."""
 
 
 class ExpOverflowError(OteconError):

@@ -10,9 +10,9 @@ fixed point with closed-form positive roots.  The surplus matrix Phi is
 nonparametrically identified from one observed table, and linearly
 parameterized surplus is estimated by moment matching, computed by
 Newton's method as the maximizer of a weighted Poisson pseudo-likelihood.
-sista performs proximal-gradient estimation of surplus coefficients under
-an l1 penalty, alternating exact Sinkhorn marginal updates with a
-soft-thresholded gradient step on the coefficients.
+sista estimates l1-penalized coefficients by proximal Newton steps on the
+entropic dual, jointly over coefficients and potentials.  Both estimators
+share one damped Newton loop, which stops on residuals below tol.
 """
 
 from __future__ import annotations
@@ -22,14 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import EXP_CAP, as_float_array, frozen
-from .entropic import _half_sweep_lse
-from .errors import (
-    DomainError,
-    ExpOverflowError,
-    NonIdentificationError,
-    StepSizeError,
-)
-from .measures import CostMatrix
+from .discrete import _check_balanced
+from .errors import DomainError, ExpOverflowError, NonIdentificationError
+from .measures import CostMatrix, DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,83 @@ def _guard_exp(z: np.ndarray, what: str) -> np.ndarray:
     if np.max(z) > EXP_CAP:
         raise ExpOverflowError(f"{what} exceeds the exp overflow guard ({EXP_CAP})")
     return np.exp(z)
+
+
+def _exponent(basis: SurplusBasis, theta: np.ndarray, nx: int) -> np.ndarray:
+    """basis @ theta[:K] + p_x + q_y for theta = (coefficients, p, q)."""
+    beta, p, q = np.split(theta, [basis.n_params, basis.n_params + nx])
+    return basis.surplus(beta) + p[:, None] + q[None, :]
+
+
+def _cell_terms(m: np.ndarray, basis: SurplusBasis):
+    """Gradient and Hessian of sum_xy m_xy exp(z_xy) at z = 0 (z: _exponent)."""
+    weighted = m[:, :, None] * basis.basis
+    wx, wy = weighted.sum(axis=1), weighted.sum(axis=0)
+    rows, cols = m.sum(axis=1), m.sum(axis=0)
+    grad = np.concatenate([wx.sum(axis=0), rows, cols])
+    hess = np.block([
+        [np.einsum("xyk,xyl->kl", weighted, basis.basis), wx.T, wy.T],
+        [wx, np.diag(rows), m],
+        [wy, m.T, np.diag(cols)],
+    ])
+    return grad, hess
+
+
+def _prox_newton(state, theta, k, l1, tol, max_iter):
+    """Damped proximal Newton on F(theta) + l1 |theta[:k]|_1, F smooth convex.
+
+    ``state(theta)`` returns F's value, gradient and Hessian, the residuals
+    of the optimality conditions in theta[k:] (they may cover conditions met
+    only implicitly), and ``change(d)`` = F(theta + d) - F(theta) summed term
+    by term, since near the optimum a Newton step's decrease falls below the
+    float resolution of F itself; it is inf where an exponent passes the guard.
+
+    Each step minimizes the second-order model plus the penalty: theta[k:]
+    is eliminated by a Schur complement, and the lasso left in theta[:k] is
+    solved by coordinate descent from the Newton step (kept when l1 = 0); a
+    coordinate with zero curvature keeps its value.  Armijo backtracking
+    damps the step.  Returns (theta, the objective at the start and after
+    each step, converged, residual), converged once the largest of those
+    residuals and |beta - soft(beta - grad_beta, l1)| is below tol, within
+    max_iter steps of at most 60 halvings each.
+    """
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    history = []
+    for steps in range(max_iter + 1):
+        value, grad, hess, pot_res, change = state(theta)
+        beta = theta[:k]
+        penalty = l1 * np.abs(beta).sum()
+        history.append(float(value + penalty))
+        # beta - soft(beta - grad, l1), written so that it is exactly grad at l1 = 0
+        prox_res = grad[:k] + np.clip(beta - grad[:k], -l1, l1)
+        res = float(np.max(np.abs(np.concatenate([prox_res, pot_res]))))
+        if res < tol or steps == max_iter:
+            return theta, history, res < tol, res
+        solved = np.linalg.solve(
+            hess[k:, k:], np.column_stack([grad[k:], hess[k:, :k]])
+        )
+        schur = hess[:k, :k] - hess[:k, k:] @ solved[:, 1:]
+        reduced = grad[:k] - hess[:k, k:] @ solved[:, 0]
+        z = beta - np.linalg.pinv(schur) @ reduced
+        # the cap is for nearly singular models; every sweep lowers the model
+        for _ in range(1000):
+            last = z.copy()
+            for j in np.flatnonzero(np.diag(schur) > 0):
+                u = z[j] - (reduced[j] + schur[j] @ (z - beta)) / schur[j, j]
+                z[j] = np.sign(u) * max(abs(u) - l1 / schur[j, j], 0.0)
+            if np.allclose(z, last, rtol=1e-12, atol=1e-12):
+                break
+        step = np.concatenate([z - beta, -solved[:, 0] - solved[:, 1:] @ (z - beta)])
+        slope = grad @ step + l1 * np.abs(z).sum() - penalty
+        for t in 0.5 ** np.arange(60.0):
+            delta = change(t * step) + l1 * np.abs(beta + t * step[:k]).sum() - penalty
+            if delta <= 1e-4 * t * slope:
+                break
+        else:
+            break
+        theta = theta + t * step
+    return theta, history, False, res
 
 
 def cs_equilibrium(
@@ -204,25 +276,19 @@ def moment_matching(
 ):
     """Fit surplus coefficients so predicted basis moments match observed ones.
 
-    Maximizes the concave :func:`poisson_loglik` over theta = (lam, a, b)
-    by damped Newton steps with the exact (K + X + Y)-square Hessian and
-    Armijo backtracking, starting from lam = 0 and the fees -log(singles)/2
-    of the observed table.  The gradient of the negated likelihood is
-    (predicted - observed basis moments) in lam and the adding-up residuals
-    (observed - predicted populations) in a and b; iteration stops when
-    every entry is below tol, so both the moments and the populations of
-    the fitted market match the table within tol.  Returns (lam, a, b): the
-    fitted coefficients and the log-inverse single shares, -log(singles)/2,
-    of each side of the fitted market; with ``log=True`` a fourth element
-    carries the accepted history of the negated likelihood, whose last
-    entry equals -poisson_loglik((lam, a, b), table, basis).
+    Maximizes the concave :func:`poisson_loglik` over theta = (lam, a, b) by
+    :func:`_prox_newton` (l1 = 0) from lam = 0 and the observed table's fees
+    -log(singles)/2, until the fitted market matches the table's basis
+    moments and populations (the adding-up residuals) within tol.  Returns
+    (lam, a, b), a and b being -log(singles)/2 of the fitted market; with
+    ``log=True`` a fourth element holds the negated likelihood at the start
+    and after each Newton step.
 
     Raises :class:`NonIdentificationError` before the first step when the
     basis, reshaped to (X * Y, K), has column rank below K (the coefficients
-    are then not identified), and when the gradient is still above tol
-    after max_iter Newton steps, or earlier once backtracking finds no
-    decrease, which happens only when tol lies below the float resolution
-    of the gradient.
+    are then not identified), and when the residual is above tol after
+    max_iter steps or once backtracking finds no decrease (which happens
+    only when tol lies below the float resolution of the gradient).
     """
     if basis.basis.shape[:2] != table.flows.shape:
         raise DomainError(
@@ -234,60 +300,41 @@ def moment_matching(
         raise NonIdentificationError(
             "basis columns are linearly dependent; coefficients are not identified"
         )
-    theta = np.concatenate(
-        [np.zeros(k), -0.5 * np.log(table.singles_x), -0.5 * np.log(table.singles_y)]
+    target = np.concatenate([
+        np.einsum("xy,xyk->k", table.flows, basis.basis), table.mu, table.nu
+    ])
+
+    # theta = (lam, -a, -b), so that the exponent is that of _exponent
+    def state(theta):
+        z = _exponent(basis, theta, nx)
+        e, es = np.exp(z), np.exp(2.0 * theta[k:])
+        grad, hess = _cell_terms(e, basis)
+        grad += np.concatenate([np.zeros(k), es]) - target
+        hess[k:, k:] += np.diag(2.0 * es)
+
+        def change(step):
+            dz = _exponent(basis, step, nx)
+            if max(np.max(z + dz), 2.0 * np.max(theta[k:] + step[k:])) > EXP_CAP:
+                return np.inf
+            singles = 0.5 * es @ np.expm1(2.0 * step[k:])
+            return np.sum(e * np.expm1(dz)) + singles - target @ step
+
+        value = np.sum(e) + 0.5 * np.sum(es) - target @ theta
+        return value, grad, hess, grad[k:], change
+
+    start = np.concatenate(
+        [np.zeros(k), 0.5 * np.log(table.singles_x), 0.5 * np.log(table.singles_y)]
     )
-    cuts = [k, k + nx]
-    history = [-poisson_loglik(np.split(theta, cuts), table, basis)]
-    for steps in range(max_iter + 1):
-        lam, a, b = np.split(theta, cuts)
-        z = basis.surplus(lam) - a[:, None] - b[None, :]
-        e, ea, eb = np.exp(z), np.exp(-2.0 * a), np.exp(-2.0 * b)
-        grad = np.concatenate([
-            np.einsum("xy,xyk->k", e - table.flows, basis.basis),
-            table.mu - e.sum(axis=1) - ea,
-            table.nu - e.sum(axis=0) - eb,
-        ])
-        res = float(np.max(np.abs(grad)))
-        if res < tol:
-            if log:
-                return lam, a, b, {"objectives": tuple(history)}
-            return lam, a, b
-        if steps == max_iter:
-            break
-        weighted = e[:, :, None] * basis.basis
-        wx, wy = weighted.sum(axis=1), weighted.sum(axis=0)
-        hess = np.block([
-            [np.einsum("xyk,xyl->kl", weighted, basis.basis), -wx.T, -wy.T],
-            [-wx, np.diag(e.sum(axis=1) + 2.0 * ea), e],
-            [-wy, e.T, np.diag(e.sum(axis=0) + 2.0 * eb)],
-        ])
-        newton = np.linalg.solve(hess, grad)
-        slope = float(grad @ newton)
-        # The Armijo test sums the change of -poisson_loglik term by term with
-        # expm1: near the optimum the change falls below the float resolution
-        # of the likelihood itself long before the gradient reaches a tight tol.
-        t = 1.0
-        for _ in range(60):
-            dlam, da, db = np.split(-t * newton, cuts)
-            dz = basis.surplus(dlam) - da[:, None] - db[None, :]
-            exponents = (z + dz, -2.0 * (a + da), -2.0 * (b + db))
-            if max(float(np.max(x)) for x in exponents) <= EXP_CAP:
-                change = (
-                    np.sum(e * np.expm1(dz) - table.flows * dz)
-                    + table.singles_x @ da + 0.5 * ea @ np.expm1(-2.0 * da)
-                    + table.singles_y @ db + 0.5 * eb @ np.expm1(-2.0 * db)
-                )
-                if change <= -1e-4 * t * slope:
-                    break
-            t *= 0.5
-        else:
-            break
-        theta = theta - t * newton
-        history.append(-poisson_loglik(np.split(theta, cuts), table, basis))
-    raise NonIdentificationError(
-        f"moment residual {res!r} above {tol!r} after {steps} Newton steps"
-    )
+    theta, history, converged, res = _prox_newton(state, start, k, 0.0, tol, max_iter)
+    if not converged:
+        raise NonIdentificationError(
+            f"moment residual {res!r} above {tol!r} after {len(history) - 1}"
+            " Newton steps"
+        )
+    lam, na, nb = np.split(theta, [k, k + nx])
+    if log:
+        return lam, -na, -nb, {"objectives": tuple(history)}
+    return lam, -na, -nb
 
 
 def poisson_loglik(
@@ -337,35 +384,27 @@ def sista(
     basis: SurplusBasis,
     eps: float,
     l1: float = 0.0,
-    step: float | None = None,
     tol: float = 1e-10,
-    max_iter: int = 20000,
+    max_iter: int = 1000,
     log: bool = False,
 ):
-    """l1-penalized surplus estimation by Sinkhorn plus soft thresholding.
+    """l1-penalized surplus estimation by proximal Newton on the entropic dual.
 
-    The entropic matching model with cost c(beta) = -Phi(beta) assigns
+    The entropic matching model with cost -Phi(beta) has the plan
+    pi = mu_x nu_y exp((f_x + g_y + Phi_xy(beta)) / eps).  From
+    ``basis.params`` (or 0) and f = g = 0, :func:`_prox_newton` minimizes
 
-        pi[x, y] = exp((phi_x + psi_y - c_xy) / eps),
+        L(beta, f, g) = -<pi_hat, Phi(beta)> - mu . f - nu . g
+                        + eps sum_xy pi[x, y] + l1 |beta|_1.
 
-    and the smooth part of the loss is the negated dual
-
-        -F = -sum_xy pi_hat (phi + psi - c) + eps sum_xy exp((phi + psi - c)/eps).
-
-    Each iteration performs the two exact Sinkhorn marginal updates in the
-    log domain (the balanced half-sweeps of :func:`sinkhorn`: block
-    minimization of -F in phi, then psi) and one proximal gradient step on
-    beta: the gradient of -F in beta is the gap between model and observed
-    basis moments, and the prox of the l1 penalty is soft thresholding.  The
-    default step is the inverse of the beta-curvature bound of -F at fixed
-    potentials, eps / (nu.sum() * max_xy |basis[x, y, :]|^2).
-    Backtracking halves the step while the composite objective
-    -F + l1 * |beta|_1 would increase; two consecutive exhausted searches
-    signal divergence and raise :class:`StepSizeError`.  Iteration stops
-    when the coefficient update is smaller than tol.  With ``log=True``
-    returns (beta, info) where info carries whether that happened before
-    max_iter (``converged``), the composite objective history and the final
-    potentials and plan.
+    L is unchanged by (f + c, g - c) only when mu and nu have equal totals
+    (else :class:`InfeasibleError`, at 1e-10 relative); g's last entry is
+    held at 0.  ``tol`` bounds |beta - soft(beta - grad_beta, l1)| (at
+    l1 = 0, the gap between model and observed basis moments) and the gaps
+    of the plan's row and column sums to mu and nu.  ``log=True`` returns
+    (beta, info), info holding ``converged`` (all below tol within max_iter
+    steps), L at the start and after each step, phi = f + eps log mu,
+    psi = g + eps log nu and the plan.
     """
     pi_hat = as_float_array(pi_hat, "pi_hat", ndim=2)
     mu = as_float_array(mu, "mu", ndim=1)
@@ -385,79 +424,39 @@ def sista(
         raise DomainError(f"eps must be positive, got {eps!r}")
     if l1 < 0:
         raise DomainError(f"l1 penalty must be nonnegative, got {l1!r}")
-    if step is None:
-        # plan mass is nu.sum() after the column update, so the beta-Hessian
-        # sum_xy plan_xy b_xy b_xy' / eps of -F is at most this
-        curvature = nu.sum() * float(np.max(np.sum(basis.basis**2, axis=2))) / eps
-        step = 1.0 / curvature if curvature > 0 else 1.0
-    if step <= 0:
-        raise DomainError(f"step must be positive, got {step!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    _check_balanced(DiscreteMeasure(mu), DiscreteMeasure(nu))
 
-    beta = (
-        np.array(basis.params, dtype=float)
-        if basis.params is not None
-        else np.zeros(basis.n_params)
-    )
-    log_mu = np.log(mu)
-    log_nu = np.log(nu)
-    # f, g are the potentials against mu x nu (phi - eps log mu and
-    # psi - eps log nu), so the updates are the balanced Sinkhorn half-sweeps
-    g = np.zeros(nu.size)
-    ref = eps * (log_mu[:, None] + log_nu[None, :])
+    nx, ny, k = basis.basis.shape
+    log_ref = np.log(mu)[:, None] + np.log(nu)[None, :]
+    target = np.concatenate([np.einsum("xy,xyk->k", pi_hat, basis.basis), mu, nu[:-1]])
 
-    def composite(arg, plan_, beta_) -> float:
-        lin = float(np.sum(pi_hat * arg))
-        return -lin + eps * float(plan_.sum()) + l1 * float(np.sum(np.abs(beta_)))
+    # theta = (beta, f, g without its last entry, which is held at 0)
+    def state(theta):
+        w = log_ref + _exponent(basis, np.append(theta, 0.0), nx) / eps
+        plan = _guard_exp(w, "plan exponent")
+        grad, hess = _cell_terms(plan, basis)
+        margins = np.concatenate([plan.sum(axis=1) - mu, plan.sum(axis=0) - nu])
 
-    fails = 0
-    converged = False
-    objectives: list[float] = []
-    plan = np.zeros_like(pi_hat)
-    for _ in range(max_iter):
-        cost = -basis.surplus(beta)
-        f = -eps * _half_sweep_lse(log_nu, g, cost, eps, 1)
-        g = -eps * _half_sweep_lse(log_mu, f, cost, eps, 0)
-        pot = f[:, None] + g[None, :] + ref
-        # columns sum to nu after the half-sweep, so this exp cannot overflow
-        plan = np.exp((pot - cost) / eps)
-        grad = np.einsum("xy,xyk->k", plan - pi_hat, basis.basis)
-        current = composite(pot - cost, plan, beta)
-        objectives.append(current)
-        trial_step = step
-        new_beta = beta
-        accepted = False
-        while trial_step > step * 2.0**-40:
-            cand = beta - trial_step * grad
-            cand = np.sign(cand) * np.maximum(np.abs(cand) - l1 * trial_step, 0.0)
-            arg = pot + basis.surplus(cand)
-            trial = composite(arg, _guard_exp(arg / eps, "plan exponent"), cand)
-            if trial <= current + 1e-12 * max(1.0, abs(current)):
-                new_beta = cand
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            fails += 1
-            if fails >= 2:
-                raise StepSizeError(
-                    "backtracking exhausted twice in a row; step size diverged"
-                )
-            continue
-        fails = 0
-        delta = float(np.max(np.abs(new_beta - beta)))
-        beta = new_beta
-        if delta < tol:
-            converged = True
-            break
+        def change(step):
+            dw = _exponent(basis, np.append(step, 0.0), nx) / eps
+            if np.max(w + dw) > EXP_CAP:
+                return np.inf
+            return eps * np.sum(plan * np.expm1(dw)) - target @ step
+
+        value = eps * plan.sum() - target @ theta
+        return value, grad[:-1] - target, hess[:-1, :-1] / eps, margins, change
+
+    start = np.zeros(k + nx + ny - 1)
+    start[:k] = basis.params if basis.params is not None else 0.0
+    theta, history, converged, _ = _prox_newton(state, start, k, l1, tol, max_iter)
+    beta, f, g = np.split(np.append(theta, 0.0), [k, k + nx])
     if log:
         info = {
             "converged": converged,
-            "objectives": tuple(objectives),
-            "phi": f + eps * log_mu,
-            "psi": g + eps * log_nu,
-            "plan": plan,
+            "objectives": tuple(history),
+            "phi": f + eps * np.log(mu),
+            "psi": g + eps * np.log(nu),
+            "plan": np.exp(log_ref + _exponent(basis, np.append(theta, 0.0), nx) / eps),
         }
         return beta, info
     return beta

@@ -7,7 +7,9 @@ scratch, and the robust-expectation oracle solves the primal ball program
 as an explicit LP.  The loop references at the end walk the quantile grids,
 rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations, and run the Sinkhorn
-loops that build the plan on every sweep to measure their residual.
+loops that build the plan on every sweep to measure their residual.  The
+sista loop is the proximal-gradient method the package ran before its
+Newton solver.
 """
 
 import itertools
@@ -309,3 +311,44 @@ def unbalanced_loop(w_mu, w_nu, c, eps, lam_mu, lam_nu, tol=1e-9, max_iter=10000
         if residual < tol:
             return plan, it, True
     return plan, it, False
+
+
+def sista_loop(pi_hat, mu, nu, basis, eps, l1=0.0, beta=None, tol=1e-12,
+               max_iter=100000):
+    """Proximal-gradient sista: Sinkhorn half-sweeps, then a soft-thresholded step.
+
+    basis is the (X, Y, K) array.  Each iteration makes the row and then the
+    column marginals exact and takes one gradient step on beta, starting at
+    eps / (nu.sum() * max_xy |basis[x, y, :]|^2) and halved while the
+    composite objective -F + l1 |beta|_1 would increase.  Stops when beta
+    moves less than tol.  Returns (beta, plan, iterations, converged).
+    """
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    beta = np.zeros(basis.shape[2]) if beta is None else np.array(beta, dtype=float)
+    step = eps / (nu.sum() * np.max(np.sum(basis**2, axis=2)))
+    phi, psi = np.zeros(len(mu)), np.zeros(len(nu))
+    for it in range(1, max_iter + 1):
+        c = -(basis @ beta)
+        phi = -eps * _lse(log_nu[None, :] + (psi[None, :] - c) / eps, axis=1)
+        psi = -eps * _lse(log_mu[:, None] + (phi[:, None] - c) / eps, axis=0)
+        plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
+        grad = np.einsum("xy,xyk->k", plan - pi_hat, basis)
+
+        def composite(b):
+            arg = phi[:, None] + psi[None, :] + basis @ b
+            mass = np.exp(log_mu[:, None] + log_nu[None, :] + arg / eps).sum()
+            return -np.sum(pi_hat * arg) + eps * mass + l1 * np.abs(b).sum()
+
+        current = composite(beta)
+        trial = step
+        while True:
+            cand = beta - trial * grad
+            cand = np.sign(cand) * np.maximum(np.abs(cand) - l1 * trial, 0.0)
+            if composite(cand) <= current + 1e-12 * max(1.0, abs(current)):
+                break
+            trial *= 0.5
+        delta = np.max(np.abs(cand - beta))
+        beta = cand
+        if delta < tol:
+            return beta, plan, it, True
+    return beta, plan, it, False

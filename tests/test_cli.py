@@ -350,6 +350,23 @@ class TestFailureModes:
         assert doc["config"]["max_iter"] == 1
         assert doc["diagnostics"]["converged"] is False
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_nonpositive_cap_rejected(self, name, cap, tmp_path):
+        code, payload = run_cli(self.CAPPED[name] + ["--max-iter", cap], tmp_path)
+        assert code == 2
+        assert payload is None
+
+    def test_sista_unequal_totals_rejected(self, tmp_path, capsys):
+        code, payload = run_cli(
+            ["match-sista", "--pi", "pi_tilted.csv", "--mu", "mu_46.csv",
+             "--nu", "ones_two.csv", "--basis", "basis_2x2.csv", "--eps", "1.0"],
+            tmp_path,
+        )
+        assert code == 2
+        assert payload is None
+        assert "infeasible" in capsys.readouterr().err
+
     def test_bad_window_rejected(self, tmp_path):
         code = main(
             ["bounds-subgroup", "--y0", data("y0_six.csv"), "--y1", data("y1_six.csv"),

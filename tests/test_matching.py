@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from oracles import sista_loop
 from scipy import optimize
 
 from otecon import (
     CostMatrix,
     DiscreteMeasure,
     DomainError,
+    InfeasibleError,
     MatchingTable,
     NonIdentificationError,
     SurplusBasis,
@@ -348,9 +350,70 @@ class TestSista:
         assert len(info["objectives"]) < 1000
         assert np.max(np.abs(beta - beta0)) < 1e-6
 
-    def test_step_validation(self, rng):
+    def test_eps_validation(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng)
         with pytest.raises(DomainError):
-            sista(plan, mu, nu, basis, eps=1.0, step=0.0)
-        with pytest.raises(DomainError):
             sista(plan, mu, nu, basis, eps=0.0)
+
+
+class TestSistaNewton:
+    """The Newton solver against the proximal-gradient loop it replaced."""
+
+    def instance(self, rng, name):
+        if name == "12x12":
+            basis = 0.3 * rng.standard_normal((12, 12, 3))
+            beta0 = rng.standard_normal(3)
+            mu, nu = rng.random(12) + 0.5, rng.random(12) + 0.5
+        else:
+            x = np.linspace(0.0, 1.0, 3)
+            basis = np.stack([np.outer(x, x), np.abs(x[:, None] - x[None, :])], axis=2)
+            k = 2 if name == "3x3 two columns" else 1
+            basis, beta0 = basis[:, :, :k], np.array([1.2, -0.8])[:k]
+            mu, nu = rng.uniform(0.2, 0.4, 3), rng.uniform(0.2, 0.4, 3)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        plan = sinkhorn(
+            DiscreteMeasure(mu),
+            DiscreteMeasure(nu),
+            CostMatrix(-(basis @ beta0)),
+            eps=1.0,
+            tol=1e-14,
+        ).plan
+        return plan, mu, nu, basis
+
+    @pytest.mark.parametrize("l1", [0.0, 0.01, 0.05])
+    @pytest.mark.parametrize("name", ["3x3 two columns", "3x3 one column", "12x12"])
+    def test_matches_proximal_gradient_loop(self, rng, name, l1):
+        pi_hat, mu, nu, basis = self.instance(rng, name)
+        beta, info = sista(pi_hat, mu, nu, SurplusBasis(basis), eps=1.0, l1=l1,
+                           tol=1e-12, log=True)
+        expected, plan, _, converged = sista_loop(pi_hat, mu, nu, basis, 1.0, l1=l1)
+        assert converged and info["converged"]
+        assert np.max(np.abs(beta - expected)) < 1e-8
+        assert np.max(np.abs(info["plan"] - plan)) < 1e-8
+        assert np.max(np.abs(info["plan"].sum(axis=1) - mu)) < 1e-12
+        assert np.max(np.abs(info["plan"].sum(axis=0) - nu)) < 1e-12
+
+    def test_params_start_matches_loop(self, rng):
+        pi_hat, mu, nu, basis = self.instance(rng, "3x3 two columns")
+        start = np.array([0.5, 0.5])
+        beta = sista(pi_hat, mu, nu, SurplusBasis(basis, params=start), eps=1.0,
+                     l1=0.01, tol=1e-12)
+        expected, _, _, _ = sista_loop(pi_hat, mu, nu, basis, 1.0, l1=0.01, beta=start)
+        assert np.max(np.abs(beta - expected)) < 1e-8
+
+    def test_two_columns_take_few_newton_steps(self, rng):
+        # TestSista.synthetic's instance; the proximal-gradient loop needed
+        # 8 384 iterations here
+        pi_hat, mu, nu, basis = self.instance(rng, "3x3 two columns")
+        _, info = sista(pi_hat, mu, nu, SurplusBasis(basis), eps=1.0, log=True)
+        assert info["converged"] is True
+        assert len(info["objectives"]) - 1 <= 20
+
+    def test_unequal_totals_rejected(self):
+        # no balanced plan has these margins, and L falls without bound
+        # along the gauge (f + c, g - c)
+        pi_hat = np.array([[0.2, 0.2], [0.1, 0.5]])
+        mu, nu = np.array([0.4, 0.6]), 2.0 * np.array([0.3, 0.7])
+        basis = SurplusBasis(np.array([[[0.0], [1.0]], [[1.0], [3.0]]]))
+        with pytest.raises(InfeasibleError):
+            sista(pi_hat, mu, nu, basis, eps=1.0)
