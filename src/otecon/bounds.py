@@ -74,7 +74,7 @@ class BinaryRelation:
 
 
 def rearrangement_bounds(
-    h: Callable[[float, float], float],
+    h: Callable[[np.ndarray, np.ndarray], np.ndarray],
     y0: Sample1D,
     y1: Sample1D,
     modularity: str,
@@ -83,7 +83,9 @@ def rearrangement_bounds(
 
     The comonotone coupling pairs equal ranks, the antitone coupling pairs
     opposite ranks; for a submodular h these give the minimum and maximum,
-    for a supermodular h the reverse.  Requires equal sample sizes.
+    for a supermodular h the reverse.  Requires equal sample sizes.  h is
+    called once per coupling, on two arrays of paired values, and must act
+    elementwise.
     """
     if modularity not in ("submodular", "supermodular"):
         raise DomainError(
@@ -92,8 +94,8 @@ def rearrangement_bounds(
     if y0.n != y1.n:
         raise DomainError(f"sample sizes differ: {y0.n} vs {y1.n}")
     v0, v1 = y0.values, y1.values
-    comonotone = float(np.mean([h(a, b) for a, b in zip(v0, v1)]))
-    antitone = float(np.mean([h(a, b) for a, b in zip(v0, v1[::-1])]))
+    comonotone = float(np.mean(h(v0, v1)))
+    antitone = float(np.mean(h(v0, v1[::-1])))
     if modularity == "submodular":
         return Interval(comonotone, antitone)
     return Interval(antitone, comonotone)

@@ -70,12 +70,30 @@ _TE_FUNCTIONALS = {
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
+        raise DomainError(f"cannot serialize non-finite float {x!r}")
     return "%.17g" % x
 
 
+def _float_array(values: np.ndarray, indent: int) -> str:
+    """A finite float array as _to_json writes its nested lists, with one
+    %-format per innermost row."""
+    if len(values) == 0:
+        return "[]"
+    inner = "  " * (indent + 1)
+    if values.ndim == 1:
+        template = (",\n" + inner).join(["%.17g"] * len(values))
+        body = template % tuple(values.tolist())
+    else:
+        body = (",\n" + inner).join(_float_array(row, indent + 1) for row in values)
+    return "[\n" + inner + body + "\n" + "  " * indent + "]"
+
+
 def _to_json(value, indent: int = 0) -> str:
-    """Serialize with %.17g floats; deterministic for identical inputs."""
+    """Serialize with %.17g floats; deterministic for identical inputs.
+
+    A non-finite float raises :class:`DomainError`, so that the command
+    exits 2 and writes no document.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -87,6 +105,11 @@ def _to_json(value, indent: int = 0) -> str:
         )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim:
+            finite = np.isfinite(value)
+            if not finite.all():
+                _format_float(float(value[~finite][0]))  # raises
+            return _float_array(value, indent)
         return _to_json(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
         if not value:

@@ -67,7 +67,7 @@ def _merged_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def ot_value_1d(
     x: Sample1D,
     y: Sample1D,
-    cost: Callable[[float, float], float],
+    cost: Callable[[np.ndarray, np.ndarray], np.ndarray],
     submodular: bool = True,
 ) -> float:
     """Exact transport value between two scalar samples for a submodular cost.
@@ -75,15 +75,13 @@ def ot_value_1d(
     Computes the integral of cost(Q_x(t), Q_y(t)) over t in (0, 1) on the
     merged breakpoint grid, which is the optimal value whenever the cost is
     submodular.  The caller asserts submodularity via the flag; it cannot be
-    verified pointwise here.  The cost is called once per grid segment with
-    two floats.
+    verified pointwise here.  The cost is called once, on the arrays of
+    quantile values at the grid segments, and must act elementwise.
     """
     if not submodular:
         raise DomainError("the quantile formula requires a submodular cost")
     lengths, ix, iy = _merged_grid(x.n, y.n)
-    pairs = zip(x.values[ix].tolist(), y.values[iy].tolist())
-    costs = np.fromiter((float(cost(a, b)) for a, b in pairs), float, lengths.size)
-    return float(np.sum(lengths * costs))
+    return float(np.sum(lengths * cost(x.values[ix], y.values[iy])))
 
 
 def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:

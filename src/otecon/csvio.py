@@ -10,14 +10,22 @@ Formats, one row per record, an optional header row allowed everywhere:
 * matching tables: columns ``x,y,count`` with label 0 reserved for singles
 * surplus bases: columns ``x,y,k,value``, omitted cells are zero
 
-All readers raise :class:`CsvError` with the offending file and line number
-so the CLI can map malformed input to exit code 2.
+Files are read once, as UTF-8 text (a leading byte-order mark is dropped).
+A plain file, one without quotes, NUL characters or carriage returns other
+than in CRLF line ends, is split on newlines and commas and all its numbers
+are parsed in one numpy call.  Text the one-pass parse does not accept is
+parsed again row by row by the csv module, which decides what is valid and
+names the offending line.  All readers raise :class:`CsvError` with the
+offending file and line number so the CLI can map malformed input to exit
+code 2.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -47,45 +55,124 @@ def _int(field: str, path: str, line: int) -> int:
         raise CsvError(f"{path}, line {line}: not an integer: {field!r}") from None
 
 
-def _rows(path: str) -> list[tuple[int, list[str]]]:
+def _numeric(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise CsvError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _rows(path: str, text: str) -> list[tuple[int, list[str]]]:
     """Non-empty rows as (line number, fields), header row dropped.
 
     The first row counts as a header only when none of its fields parses
     as a float; a partially numeric first row is data with an error in it,
     reported with its line number like any other row.
     """
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            raw = []
-            for row in reader:
-                fields = [f.strip() for f in row]
-                if not any(fields):
-                    continue
-                raw.append((reader.line_num, fields))
-    except OSError as exc:
-        raise CsvError(f"{path}: {exc.strerror or exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    raw = []
+    for row in reader:
+        fields = [f.strip() for f in row]
+        if not any(fields):
+            continue
+        raw.append((reader.line_num, fields))
     if not raw:
         raise CsvError(f"{path}: no data rows")
-    first = raw[0][1]
-
-    def numeric(field: str) -> bool:
-        try:
-            float(field)
-        except ValueError:
-            return False
-        return True
-
-    if not any(numeric(f) for f in first):
+    if not any(_numeric(f) for f in raw[0][1]):
         raw = raw[1:]
         if not raw:
             raise CsvError(f"{path}: no data rows after header")
     return raw
 
 
+def _fields(text: str) -> tuple[list[str], int] | None:
+    """Every field of a plain rectangular file in row order, and its width.
+
+    After CRLF line ends become LF, a file without quotes and carriage
+    returns is split by the csv module exactly on newlines and commas
+    (before Python 3.11 it also rejects NUL).  Blank lines and a first row
+    with no numeric field are dropped as in :func:`_rows`; fields are left
+    unstripped, since float() and int() ignore the whitespace str.strip()
+    removes.  None when the file is not plain, has no data row or has
+    ragged rows.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    rows = list(filter(str.strip, text.split("\n")))
+    if rows and not any(map(_numeric, rows[0].split(","))):
+        del rows[0]
+    if not rows:
+        return None
+    width = rows[0].count(",") + 1
+    tokens = ",".join(rows).split(",")
+    # with one field in the first row, the token count alone rules out ragged rows
+    if len(tokens) != width * len(rows) or (
+        width > 1 and len(set(map(str.count, rows, repeat(",")))) > 1
+    ):
+        return None
+    return tokens, width
+
+
+def _floats(tokens: list[str]) -> np.ndarray | None:
+    """The tokens as floats when every one is a finite number, else None.
+
+    numpy converts each string as float() does (checked on numpy 2.4,
+    including underscores, padding and non-ASCII digits).
+    """
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _table(text: str) -> np.ndarray | None:
+    """The numbers of a plain rectangular file as a matrix, or None."""
+    fields = _fields(text)
+    if fields is None:
+        return None
+    values = _floats(fields[0])
+    return None if values is None else values.reshape(-1, fields[1])
+
+
+def _records(text: str, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Integer labels (one row per label column) and the values of a plain
+    ``label,...,value`` file of the given width, or None."""
+    fields = _fields(text)
+    if fields is None or fields[1] != width:
+        return None
+    tokens = fields[0]
+    values = _floats(tokens[width - 1 :: width])
+    if values is None:
+        return None
+    try:
+        labels = np.array([tokens[j::width] for j in range(width - 1)], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return labels, values
+
+
+def _distinct(labels: np.ndarray) -> bool:
+    return np.unique(labels, axis=1).shape[1] == labels.shape[1]
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Rectangular numeric matrix, one matrix row per CSV row."""
-    rows = _rows(path)
+    text = _read(path)
+    table = _table(text)
+    if table is not None:
+        return table
+    rows = _rows(path, text)
     width = len(rows[0][1])
     out = []
     for line, fields in rows:
@@ -104,9 +191,12 @@ def read_sample_csv(path: str) -> Sample1D:
 
 def read_values_csv(path: str) -> np.ndarray:
     """Scalar column in file order (no sorting)."""
-    rows = _rows(path)
+    text = _read(path)
+    table = _table(text)
+    if table is not None and table.shape[1] == 1:
+        return table[:, 0]
     values = []
-    for line, fields in rows:
+    for line, fields in _rows(path, text):
         if len(fields) != 1:
             raise CsvError(
                 f"{path}, line {line}: expected a single value, got {len(fields)} fields"
@@ -141,15 +231,10 @@ def read_gaussian_csv(path: str) -> GaussianMeasure:
         raise CsvError(f"{path}: {exc}") from None
 
 
-def read_matching_csv(path: str) -> MatchingTable:
-    """Matched and single counts: x,y,count with 0 marking the single side.
-
-    Labels are 1-based; every flow cell and every single count must be
-    present (equilibrium tables have full support).
-    """
-    rows = _rows(path)
+def _matching_rows(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and counts of a matching table, read row by row."""
     entries: dict[tuple[int, int], float] = {}
-    for line, fields in rows:
+    for line, fields in _rows(path, text):
         if len(fields) != 3:
             raise CsvError(
                 f"{path}, line {line}: expected x,y,count, got {len(fields)} fields"
@@ -164,20 +249,35 @@ def read_matching_csv(path: str) -> MatchingTable:
         if (x, y) in entries:
             raise CsvError(f"{path}, line {line}: duplicate entry for x={x}, y={y}")
         entries[(x, y)] = count
-    nx = max(x for x, _ in entries)
-    ny = max(y for _, y in entries)
+    return np.array(list(entries)).T, np.array(list(entries.values()))
+
+
+def read_matching_csv(path: str) -> MatchingTable:
+    """Matched and single counts: x,y,count with 0 marking the single side.
+
+    Labels are 1-based; every flow cell and every single count must be
+    present (equilibrium tables have full support).
+    """
+    text = _read(path)
+    records = _records(text, 3)
+    # whatever the row-by-row reader rejects goes to it for its message
+    if records is None or not (
+        (records[0] >= 0).all()
+        and records[0].any(axis=0).all()  # no row with x = y = 0
+        and _distinct(records[0])
+    ):
+        records = _matching_rows(path, text)
+    (x, y), counts = records
+    nx, ny = int(x.max()), int(y.max())
     if nx == 0 or ny == 0:
         raise CsvError(f"{path}: no matched pairs present")
     flows = np.zeros((nx, ny))
     singles_x = np.zeros(nx)
     singles_y = np.zeros(ny)
-    for (x, y), count in entries.items():
-        if x == 0:
-            singles_y[y - 1] = count
-        elif y == 0:
-            singles_x[x - 1] = count
-        else:
-            flows[x - 1, y - 1] = count
+    pair = (x > 0) & (y > 0)
+    flows[x[pair] - 1, y[pair] - 1] = counts[pair]
+    singles_x[x[y == 0] - 1] = counts[y == 0]
+    singles_y[y[x == 0] - 1] = counts[x == 0]
     for arr, what in ((flows, "pair"), (singles_x, "x-single"), (singles_y, "y-single")):
         if np.any(arr <= 0):
             idx = np.argwhere(arr <= 0)[0]
@@ -191,15 +291,12 @@ def read_matching_csv(path: str) -> MatchingTable:
         raise CsvError(f"{path}: {exc}") from None
 
 
-def read_basis_csv(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Surplus basis entries x,y,k,value (1-based); omitted cells are zero.
-
-    With shape given, indices beyond it are rejected; otherwise the array
-    size is the largest index seen per axis.
-    """
-    rows = _rows(path)
+def _basis_rows(
+    path: str, text: str, shape: tuple[int, int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of a surplus basis, read row by row."""
     entries: dict[tuple[int, int, int], float] = {}
-    for line, fields in rows:
+    for line, fields in _rows(path, text):
         if len(fields) != 4:
             raise CsvError(
                 f"{path}, line {line}: expected x,y,k,value, got {len(fields)} fields"
@@ -220,12 +317,25 @@ def read_basis_csv(path: str, shape: tuple[int, int] | None = None) -> np.ndarra
                 f"{path}, line {line}: duplicate entry for x={x}, y={y}, k={k}"
             )
         entries[(x, y, k)] = value
-    nx = max(x for x, _, _ in entries)
-    ny = max(y for _, y, _ in entries)
-    nk = max(k for _, _, k in entries)
-    if shape is not None:
-        nx, ny = shape
-    basis = np.zeros((nx, ny, nk))
-    for (x, y, k), value in entries.items():
-        basis[x - 1, y - 1, k - 1] = value
+    return np.array(list(entries)).T, np.array(list(entries.values()))
+
+
+def read_basis_csv(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Surplus basis entries x,y,k,value (1-based); omitted cells are zero.
+
+    With shape given, indices beyond it are rejected; otherwise the array
+    size is the largest index seen per axis.
+    """
+    text = _read(path)
+    records = _records(text, 4)
+    if records is None or not (
+        (records[0] >= 1).all()
+        and (shape is None or (records[0][:2].max(axis=1) <= shape).all())
+        and _distinct(records[0])
+    ):
+        records = _basis_rows(path, text, shape)
+    (x, y, k), values = records
+    nx, ny = shape if shape is not None else (int(x.max()), int(y.max()))
+    basis = np.zeros((nx, ny, int(k.max())))
+    basis[x - 1, y - 1, k - 1] = values
     return basis

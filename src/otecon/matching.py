@@ -405,6 +405,12 @@ def sista(
     (beta, info), info holding ``converged`` (all below tol within max_iter
     steps), L at the start and after each step, phi = f + eps log mu,
     psi = g + eps log nu and the plan.
+
+    Raises :class:`NonIdentificationError` before the first step when the
+    basis, reshaped to (X * Y, K) and stacked with the X row and Y column
+    indicators, has rank below K + X + Y - 1: some combination of basis
+    columns is then additive in x and y, the potentials absorb it, and L
+    does not determine beta.
     """
     pi_hat = as_float_array(pi_hat, "pi_hat", ndim=2)
     mu = as_float_array(mu, "mu", ndim=1)
@@ -427,6 +433,18 @@ def sista(
     _check_balanced(DiscreteMeasure(mu), DiscreteMeasure(nu))
 
     nx, ny, k = basis.basis.shape
+    cells = basis.basis.reshape(nx * ny, k)
+    scale = np.abs(cells).max(axis=0)
+    stacked = np.hstack([
+        cells / np.where(scale > 0, scale, 1.0),  # so the test ignores column units
+        np.repeat(np.eye(nx), ny, axis=0),
+        np.tile(np.eye(ny), (nx, 1)),
+    ])
+    if np.linalg.matrix_rank(stacked) < k + nx + ny - 1:
+        raise NonIdentificationError(
+            "a combination of basis columns is additive in x and y;"
+            " coefficients are not identified"
+        )
     log_ref = np.log(mu)[:, None] + np.log(nu)[None, :]
     target = np.concatenate([np.einsum("xy,xyk->k", pi_hat, basis.basis), mu, nu[:-1]])
 

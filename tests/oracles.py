@@ -9,10 +9,17 @@ rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations, and run the Sinkhorn
 loops that build the plan on every sweep to measure their residual.  The
 sista loop is the proximal-gradient method the package ran before its
-Newton solver.
+Newton solver.  The CSV readers and the JSON writer at the end are the
+row-by-row csv-module readers and the element-by-element serializer the
+command line used before it parsed and formatted whole arrays; the readers
+stop where the package builds its measure and table objects, and raise
+:class:`CsvLoopError` with the message the package's ``CsvError`` carries.
 """
 
+import csv
 import itertools
+import json
+import math
 
 import numpy as np
 from scipy import optimize
@@ -352,3 +359,188 @@ def sista_loop(pi_hat, mu, nu, basis, eps, l1=0.0, beta=None, tol=1e-12,
         if delta < tol:
             return beta, plan, it, True
     return beta, plan, it, False
+
+
+class CsvLoopError(ValueError):
+    """Malformed CSV input, as reported by the row-by-row readers."""
+
+
+def _float_loop(field, path, line):
+    try:
+        value = float(field)
+    except ValueError:
+        raise CsvLoopError(f"{path}, line {line}: not a number: {field!r}") from None
+    if not math.isfinite(value):
+        raise CsvLoopError(f"{path}, line {line}: non-finite value: {field!r}")
+    return value
+
+
+def _int_loop(field, path, line):
+    try:
+        return int(field)
+    except ValueError:
+        raise CsvLoopError(f"{path}, line {line}: not an integer: {field!r}") from None
+
+
+def csv_rows_loop(path):
+    """Non-empty rows as (line number, stripped fields), header row dropped."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            raw = []
+            for row in reader:
+                fields = [f.strip() for f in row]
+                if not any(fields):
+                    continue
+                raw.append((reader.line_num, fields))
+    except OSError as exc:
+        raise CsvLoopError(f"{path}: {exc.strerror or exc}") from None
+    if not raw:
+        raise CsvLoopError(f"{path}: no data rows")
+
+    def numeric(field):
+        try:
+            float(field)
+        except ValueError:
+            return False
+        return True
+
+    if not any(numeric(f) for f in raw[0][1]):
+        raw = raw[1:]
+        if not raw:
+            raise CsvLoopError(f"{path}: no data rows after header")
+    return raw
+
+
+def read_matrix_loop(path):
+    rows = csv_rows_loop(path)
+    width = len(rows[0][1])
+    out = []
+    for line, fields in rows:
+        if len(fields) != width:
+            raise CsvLoopError(
+                f"{path}, line {line}: expected {width} columns, got {len(fields)}"
+            )
+        out.append([_float_loop(f, path, line) for f in fields])
+    return np.array(out)
+
+
+def read_values_loop(path):
+    values = []
+    for line, fields in csv_rows_loop(path):
+        if len(fields) != 1:
+            raise CsvLoopError(
+                f"{path}, line {line}: expected a single value, got {len(fields)} fields"
+            )
+        values.append(_float_loop(fields[0], path, line))
+    return np.array(values)
+
+
+def read_matching_loop(path):
+    """(flows, singles_x, singles_y) of an x,y,count table."""
+    entries = {}
+    for line, fields in csv_rows_loop(path):
+        if len(fields) != 3:
+            raise CsvLoopError(
+                f"{path}, line {line}: expected x,y,count, got {len(fields)} fields"
+            )
+        x = _int_loop(fields[0], path, line)
+        y = _int_loop(fields[1], path, line)
+        count = _float_loop(fields[2], path, line)
+        if x < 0 or y < 0:
+            raise CsvLoopError(f"{path}, line {line}: labels must be nonnegative")
+        if x == 0 and y == 0:
+            raise CsvLoopError(f"{path}, line {line}: x and y cannot both be 0")
+        if (x, y) in entries:
+            raise CsvLoopError(f"{path}, line {line}: duplicate entry for x={x}, y={y}")
+        entries[(x, y)] = count
+    nx = max(x for x, _ in entries)
+    ny = max(y for _, y in entries)
+    if nx == 0 or ny == 0:
+        raise CsvLoopError(f"{path}: no matched pairs present")
+    flows = np.zeros((nx, ny))
+    singles_x = np.zeros(nx)
+    singles_y = np.zeros(ny)
+    for (x, y), count in entries.items():
+        if x == 0:
+            singles_y[y - 1] = count
+        elif y == 0:
+            singles_x[x - 1] = count
+        else:
+            flows[x - 1, y - 1] = count
+    for arr, what in ((flows, "pair"), (singles_x, "x-single"), (singles_y, "y-single")):
+        if np.any(arr <= 0):
+            idx = np.argwhere(arr <= 0)[0]
+            raise CsvLoopError(
+                f"{path}: missing or nonpositive {what} count at index"
+                f" {tuple(int(i) + 1 for i in idx)}"
+            )
+    return flows, singles_x, singles_y
+
+
+def read_basis_loop(path, shape=None):
+    entries = {}
+    for line, fields in csv_rows_loop(path):
+        if len(fields) != 4:
+            raise CsvLoopError(
+                f"{path}, line {line}: expected x,y,k,value, got {len(fields)} fields"
+            )
+        x = _int_loop(fields[0], path, line)
+        y = _int_loop(fields[1], path, line)
+        k = _int_loop(fields[2], path, line)
+        value = _float_loop(fields[3], path, line)
+        if x < 1 or y < 1 or k < 1:
+            raise CsvLoopError(f"{path}, line {line}: indices are 1-based")
+        if shape is not None and (x > shape[0] or y > shape[1]):
+            raise CsvLoopError(
+                f"{path}, line {line}: cell ({x}, {y}) outside table"
+                f" {shape[0]} x {shape[1]}"
+            )
+        if (x, y, k) in entries:
+            raise CsvLoopError(
+                f"{path}, line {line}: duplicate entry for x={x}, y={y}, k={k}"
+            )
+        entries[(x, y, k)] = value
+    nx = max(x for x, _, _ in entries)
+    ny = max(y for _, y, _ in entries)
+    nk = max(k for _, _, k in entries)
+    if shape is not None:
+        nx, ny = shape
+    basis = np.zeros((nx, ny, nk))
+    for (x, y, k), value in entries.items():
+        basis[x - 1, y - 1, k - 1] = value
+    return basis
+
+
+def to_json_loop(value, indent=0):
+    """The command line's JSON text: %.17g floats, two-space indentation."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f'{inner}"{key}": {to_json_loop(val, indent + 1)}'
+            for key, val in value.items()
+        )
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):
+        return to_json_loop(value.tolist(), indent)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (f"{inner}{to_json_loop(val, indent + 1)}" for val in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {float(value)!r}")
+        return "%.17g" % float(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

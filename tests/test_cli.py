@@ -12,9 +12,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from oracles import to_json_loop
 
 from otecon import (
+    DomainError,
     __version__,
+    cli,
     cs_equilibrium,
     moment_matching,
     semidiscrete_solve,
@@ -373,6 +376,61 @@ class TestFailureModes:
              "--a", "0.5", "--b", "0.5", "--out", str(tmp_path / "o.json")]
         )
         assert code == 2
+
+    def test_overflowing_result_exits_2(self, tmp_path, capsys):
+        # finite input whose squared distance overflows to inf
+        x = tmp_path / "huge.csv"
+        x.write_text("1e308\n-1e308\n")
+        code, payload = run_cli(["w1d", "--x", str(x), "--y", "xs.csv"], tmp_path)
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err == "otecon w1d: cannot serialize non-finite float inf\n"
+
+
+class TestWriterParity:
+    """Whole-array formatting against the element-by-element writer."""
+
+    INVOCATIONS = (
+        [COMMANDS[name] for name in sorted(COMMANDS)]
+        + [TestFailureModes.CAPPED[name] for name in sorted(TestFailureModes.CAPPED)]
+        + [TestFailureModes.CAPPED[name] + ["--max-iter", "1"]
+           for name in sorted(TestFailureModes.CAPPED)]
+    )
+
+    @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+    def test_documents_byte_identical(self, argv, tmp_path, monkeypatch):
+        code, payload = run_cli(argv, tmp_path)
+        monkeypatch.setattr(cli, "_to_json", to_json_loop)
+        assert run_cli(argv, tmp_path) == (code, payload)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.zeros(0),
+            np.zeros((0, 3)),
+            np.zeros((2, 0)),
+            np.zeros((2, 0, 3)),
+            np.array(2.5),
+            np.array([-0.0, 1e-320, 1.7976931348623157e308, 0.1]),
+            np.arange(24.0).reshape(2, 3, 4) / 7,
+            np.arange(6, dtype=np.float32).reshape(3, 2) / 3,
+            np.array([3, 1, 2]),
+            np.array([True, False]),
+            [np.float64(0.5), 1, None, True, "s\u00e9", (2.0,), []],
+            {"a": {}, "b": {"c": np.ones((1, 1))}, "d": np.float32(0.1)},
+        ],
+        ids=repr,
+    )
+    def test_values_byte_identical(self, value):
+        document = {"result": value}
+        assert cli._to_json(document) == to_json_loop(document)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        for value in (bad, np.array([[0.0, bad]]), [1.0, bad]):
+            with pytest.raises(DomainError, match="non-finite"):
+                cli._to_json({"result": value})
 
 
 class TestMaxIterEnv:

@@ -295,13 +295,32 @@ class TestSista:
         beta = sista(plan, mu, nu, basis, eps=1.0, l1=1e6)
         assert np.all(beta == 0.0)
 
-    def test_null_basis_returns_start(self):
+    def test_null_basis_not_identified(self):
         basis = SurplusBasis(np.zeros((2, 2, 1)), params=np.array([0.7]))
         pi = np.full((2, 2), 0.25)
         mu = np.array([0.5, 0.5])
         nu = np.array([0.5, 0.5])
-        beta = sista(pi, mu, nu, basis, eps=1.0)
-        assert beta[0] == 0.7
+        with pytest.raises(NonIdentificationError):
+            sista(pi, mu, nu, basis, eps=1.0)
+
+    @pytest.mark.parametrize("column", ["constant", "additive"])
+    def test_absorbed_column_not_identified(self, column):
+        # the potentials absorb a column of ones or of x_i, so beta has a free direction
+        x = np.arange(3.0)
+        extra = np.ones((3, 3)) if column == "constant" else np.repeat(x[:, None], 3, axis=1)
+        basis = SurplusBasis(np.stack([np.outer(x, x), extra], axis=2))
+        plan = np.exp(0.3 * np.outer(x, x))
+        plan /= plan.sum()
+        with pytest.raises(NonIdentificationError):
+            sista(plan, plan.sum(axis=1), plan.sum(axis=0), basis, eps=1.0)
+
+    def test_identification_ignores_column_units(self):
+        x = np.arange(3.0)
+        basis = SurplusBasis(np.stack([np.outer(x, x), 1e-15 * np.outer(x**2, x)], axis=2))
+        plan = np.exp(0.3 * np.outer(x, x))
+        plan /= plan.sum()
+        beta, info = sista(plan, plan.sum(axis=1), plan.sum(axis=0), basis, eps=1.0, log=True)
+        assert info["converged"]
 
     def test_composite_objective_monotone(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng)
