@@ -9,7 +9,8 @@ invocation runs as ``python -m otecon.cli`` once per tree, with
 ``PYTHONPATH=<tree>/src``, the fixtures of CHANGE_TREE's ``tests/data`` and
 the same ``--out`` path, so that the echoed config is the same.  Prints a
 Markdown table saying, per invocation, whether the exit code, the stderr
-and the document bytes match, and how many of each differ.
+and the document bytes match, and how many of each differ.  Exits 1 when
+any exit code, stderr or document differs, else 0.
 """
 
 import argparse
@@ -77,7 +78,7 @@ def main() -> int:
             print(f"| `{' '.join(argv)}` | " + " | ".join(cells) + " |")
     print()
     print(", ".join(f"{key}: {n} differ" for key, n in differing.items()))
-    return 0
+    return 1 if any(differing.values()) else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Exponents above this are refused before calling exp, so failures are loud
@@ -36,6 +38,17 @@ def as_float_array(x, name: str, ndim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must contain only finite values")
     return arr
+
+
+def check_budget(tol: float, max_iter: int) -> None:
+    """Reject a stopping tolerance that is not finite and positive, or a cap
+    below one iteration."""
+    from .errors import DomainError
+
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

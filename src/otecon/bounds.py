@@ -241,6 +241,8 @@ def dro_expectation_bound(
         raise DomainError("delta must be nonnegative")
     if rho < 0:
         raise DomainError(f"radius rho must be nonnegative, got {rho!r}")
+    if mu.total_mass <= 0:
+        raise DomainError("mu must have positive total mass")
     w = mu.weights / mu.total_mass
 
     def dual(lam: float) -> float:

@@ -521,6 +521,8 @@ def _cmd_match_sista(args):
     return result, diagnostics
 
 
+# a non-finite result is reported once, by the serializer, not as warnings
+@np.errstate(all="ignore")
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:

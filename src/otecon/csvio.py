@@ -69,6 +69,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise CsvError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise CsvError(f"{path}: not UTF-8 text") from None
 
 
 def _rows(path: str, text: str) -> list[tuple[int, list[str]]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import frozen, logsumexp
+from ._util import check_budget, frozen, logsumexp
 from .errors import DomainError
 from .measures import CostMatrix, DiscreteMeasure
 
@@ -100,10 +100,7 @@ def _scaling_loop(
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_budget(tol, max_iter)
     c = cost.entries
     if c.shape != (w_mu.size, w_nu.size):
         raise DomainError(

@@ -11,7 +11,8 @@ returning raise instead: ``solve_discrete_ot`` raises
 :class:`NonIdentificationError` at its step budget.  The command line maps
 both ways to exit code 3 and still writes its JSON document, with
 ``converged: false`` and an empty ``result`` when the solver raised.  An
-iteration cap below 1 is malformed input (:class:`DomainError`).
+iteration cap below 1, or a ``tol`` that is not finite and positive, is
+malformed input (:class:`DomainError`).
 """
 
 

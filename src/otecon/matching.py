@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EXP_CAP, as_float_array, frozen
+from ._util import EXP_CAP, as_float_array, check_budget, frozen
 from .discrete import _check_balanced
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
 from .measures import CostMatrix, DiscreteMeasure
@@ -138,10 +138,11 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
     damps the step.  Returns (theta, the objective at the start and after
     each step, converged, residual), converged once the largest of those
     residuals and |beta - soft(beta - grad_beta, l1)| is below tol, within
-    max_iter steps of at most 60 halvings each.
+    max_iter steps of at most 60 halvings each.  The loop also ends
+    unconverged when backtracking finds no decrease or the Hessian block of
+    theta[k:] is singular (its cells underflowed to 0).
     """
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_budget(tol, max_iter)
     history = []
     for steps in range(max_iter + 1):
         value, grad, hess, pot_res, change = state(theta)
@@ -153,9 +154,12 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
         res = float(np.max(np.abs(np.concatenate([prox_res, pot_res]))))
         if res < tol or steps == max_iter:
             return theta, history, res < tol, res
-        solved = np.linalg.solve(
-            hess[k:, k:], np.column_stack([grad[k:], hess[k:, :k]])
-        )
+        try:
+            solved = np.linalg.solve(
+                hess[k:, k:], np.column_stack([grad[k:], hess[k:, :k]])
+            )
+        except np.linalg.LinAlgError:
+            break
         schur = hess[:k, :k] - hess[:k, k:] @ solved[:, 1:]
         reduced = grad[:k] - hess[:k, k:] @ solved[:, 0]
         z = beta - np.linalg.pinv(schur) @ reduced
@@ -215,8 +219,7 @@ def cs_equilibrium(
             f"surplus shape {p.shape} does not match populations"
             f" ({mu.size}, {nu.size})"
         )
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_budget(tol, max_iter)
     k = _guard_exp(p, "surplus")
     v = np.sqrt(nu)
     u = np.sqrt(mu)

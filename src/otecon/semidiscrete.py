@@ -5,7 +5,8 @@ onto finitely many weighted sites is described by a Laguerre diagram: site j
 collects all x with ||x - y_j||^2 - psi_j minimal.  The site weights psi
 solve a concave maximization whose gradient is the mismatch between target
 masses and current cell masses; the continuum is discretized by a midpoint
-grid.  Composing the resulting assignment with a Halton point set gives
+grid, scored in one pass per ascent trial for both objective and masses.
+Composing the resulting assignment with a Halton point set gives
 multivariate quantiles; matching a sample against Halton points through the
 exact discrete solver gives multivariate ranks, whose law is
 distribution-free for samples with ties-free cost structure.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_float_array, frozen
+from ._util import as_float_array, check_budget, frozen
 from .errors import DomainError, ResourceError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, halton
 from .discrete import extract_assignment, solve_discrete_ot
@@ -89,6 +90,11 @@ class RankAssignment:
         return self.reference.points[self.permutation]
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and those of b."""
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
 def laguerre_assign(x: np.ndarray, diagram: LaguerreDiagram) -> np.ndarray:
     """Index of the Laguerre cell containing each query point.
 
@@ -101,9 +107,7 @@ def laguerre_assign(x: np.ndarray, diagram: LaguerreDiagram) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != diagram.dim:
         raise DomainError(f"points must have dimension {diagram.dim}")
-    d2 = np.sum((x[:, None, :] - diagram.sites[None, :, :]) ** 2, axis=2)
-    scores = d2 - diagram.weights[None, :]
-    idx = np.argmin(scores, axis=1)
+    idx = np.argmin(_sq_dists(x, diagram.sites) - diagram.weights, axis=1)
     return int(idx[0]) if single else idx
 
 
@@ -117,18 +121,16 @@ def _midpoint_grid(d: int, res: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _sq_dists(grid: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    return np.sum((grid[:, None, :] - sites[None, :, :]) ** 2, axis=2)
+def _score(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> tuple:
+    """Semidual objective and grid cell masses at weights psi, in one pass.
 
-
-def _cell_masses(d2: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    idx = np.argmin(d2 - psi[None, :], axis=1)
-    return np.bincount(idx, minlength=d2.shape[1]) / d2.shape[0]
-
-
-def _semidual(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> float:
-    best = np.min(d2 - psi[None, :], axis=1)
-    return float(best.mean() + psi @ q)
+    The best score gathered at each argmin equals the row minimum exactly.
+    """
+    scores = d2 - psi
+    idx = np.argmin(scores, axis=1)
+    best = np.take_along_axis(scores, idx[:, None], axis=1)[:, 0]
+    masses = np.bincount(idx, minlength=d2.shape[1]) / d2.shape[0]
+    return float(best.mean() + psi @ q), masses
 
 
 def semidiscrete_solve(
@@ -144,8 +146,10 @@ def semidiscrete_solve(
     weights, with the continuum replaced by a midpoint grid of grid_res
     cells per axis (defaults 512, 256, 64 for d = 1, 2, 3).  Steps use
     backtracking halving from 1.0 until the objective does not decrease;
-    accepted objectives are nondecreasing.  Converged means the largest
-    mismatch between grid cell masses and target masses fell below tol.
+    accepted objectives are nondecreasing.  One argmin of the grid scores
+    per trial gives its objective and cell masses; the accepted trial's
+    masses are the next gradient.  Converged means the largest mismatch
+    between grid cell masses and target masses fell below tol.
     """
     if nu.points is None:
         raise DomainError("nu must carry site locations")
@@ -160,38 +164,31 @@ def semidiscrete_solve(
         grid_res = DEFAULT_GRID_RES[d]
     if grid_res < 2:
         raise DomainError(f"grid resolution must be at least 2, got {grid_res}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_budget(tol, max_iter)
     sites = nu.points
     grid = _midpoint_grid(d, grid_res)
     d2 = _sq_dists(grid, sites)
     psi = np.zeros(sites.shape[0])
-    objectives: list[float] = []
-    converged = False
+    current, masses = _score(d2, psi, q)
+    objectives = [current]
     it = 0
-    current = _semidual(d2, psi, q)
-    objectives.append(current)
     for it in range(1, max_iter + 1):
-        grad = q - _cell_masses(d2, psi)
+        grad = q - masses
         if float(np.max(np.abs(grad))) < tol:
-            converged = True
             break
         step = 1.0
-        accepted = False
         while step > 1e-14:
             trial = psi + step * grad
-            value = _semidual(d2, trial, q)
+            value, trial_masses = _score(d2, trial, q)
             if value >= current - 1e-14 * max(1.0, abs(current)):
-                psi = trial
-                current = value
+                psi, current, masses = trial, value, trial_masses
                 objectives.append(current)
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    if not converged:
-        converged = float(np.max(np.abs(q - _cell_masses(d2, psi)))) < tol
+    # masses are those of the final psi, however the loop ended
+    converged = float(np.max(np.abs(q - masses))) < tol
     psi = psi - psi[-1]
     return LaguerreDiagram(
         sites=sites,
@@ -241,7 +238,7 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
             ref.points[:, 0], kind="stable"
         )
         return RankAssignment(perm, ref)
-    cost = np.sum((y[:, None, :] - ref.points[None, :, :]) ** 2, axis=2)
+    cost = _sq_dists(y, ref.points)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
     plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost))
     return RankAssignment(extract_assignment(plan), ref)

@@ -9,10 +9,12 @@ rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations, and run the Sinkhorn
 loops that build the plan on every sweep to measure their residual.  The
 sista loop is the proximal-gradient method the package ran before its
-Newton solver.  The CSV readers and the JSON writer at the end are the
-row-by-row csv-module readers and the element-by-element serializer the
-command line used before it parsed and formatted whole arrays; the readers
-stop where the package builds its measure and table objects, and raise
+Newton solver, and the Laguerre loop is the two-pass weight ascent that
+recounted the cell masses apart from the objective on every step.  The
+CSV readers and the JSON writer at the end are the row-by-row csv-module
+readers and the element-by-element serializer the command line used
+before it parsed and formatted whole arrays; the readers stop where the
+package builds its measure and table objects, and raise
 :class:`CsvLoopError` with the message the package's ``CsvError`` carries.
 """
 
@@ -359,6 +361,56 @@ def sista_loop(pi_hat, mu, nu, basis, eps, l1=0.0, beta=None, tol=1e-12,
         if delta < tol:
             return beta, plan, it, True
     return beta, plan, it, False
+
+
+def laguerre_two_pass_loop(sites, q, grid_res, tol=1e-3, max_iter=2000):
+    """Semidual gradient ascent that counts cell masses and objective apart.
+
+    The uniform cube is the midpoint grid of grid_res cells per axis.  Each
+    step recounts the masses at psi for the gradient, halves from a unit
+    step until the semidual min_j(d2 - psi) mean + psi . q does not
+    decrease, and stops below tol or when 47 halvings fail.  Returns
+    (psi with its last entry 0, iterations, objectives, converged).
+    """
+    d = sites.shape[1]
+    axis = (np.arange(grid_res) + 0.5) / grid_res
+    grid = np.stack(
+        [g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1
+    )
+    d2 = np.sum((grid[:, None, :] - sites[None, :, :]) ** 2, axis=2)
+
+    def masses(psi):
+        idx = np.argmin(d2 - psi[None, :], axis=1)
+        return np.bincount(idx, minlength=len(q)) / len(grid)
+
+    def semidual(psi):
+        return float(np.min(d2 - psi[None, :], axis=1).mean() + psi @ q)
+
+    psi = np.zeros(len(q))
+    current = semidual(psi)
+    objectives = [current]
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = q - masses(psi)
+        if float(np.max(np.abs(grad))) < tol:
+            converged = True
+            break
+        step = 1.0
+        accepted = False
+        while step > 1e-14:
+            trial = psi + step * grad
+            value = semidual(trial)
+            if value >= current - 1e-14 * max(1.0, abs(current)):
+                psi, current, accepted = trial, value, True
+                objectives.append(current)
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    if not converged:
+        converged = float(np.max(np.abs(q - masses(psi)))) < tol
+    return psi - psi[-1], it, objectives, converged
 
 
 class CsvLoopError(ValueError):

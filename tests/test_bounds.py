@@ -328,6 +328,11 @@ class TestDro:
         with pytest.raises(DomainError):
             dro_expectation_bound(f, delta, mu, rho=-0.1)
 
+    def test_zero_mass_rejected(self, rng):
+        f, delta, _ = self.grid_instance(rng)
+        with pytest.raises(DomainError, match="total mass"):
+            dro_expectation_bound(f, delta, DiscreteMeasure(np.zeros(4)), rho=0.5)
+
     def test_diagonal_validation(self):
         mu = DiscreteMeasure([0.5, 0.5])
         with pytest.raises(DomainError):

@@ -360,6 +360,47 @@ class TestFailureModes:
         assert code == 2
         assert payload is None
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("name", sorted(set(CAPPED) - {"ot"}))
+    def test_bad_tol_rejected(self, name, tol, tmp_path, capsys):
+        code, payload = run_cli(self.CAPPED[name] + ["--tol", tol], tmp_path)
+        assert code == 2
+        assert payload is None
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_sista_singular_potentials_block(self, tmp_path):
+        # pi's margins are far from mu and nu: plan cells underflow to 0
+        code, payload = run_cli(
+            ["match-sista", "--pi", "pi_prod.csv", "--mu", "mu_half.csv",
+             "--nu", "nu_half.csv", "--basis", "basis_2x2.csv", "--eps", "1.0"],
+            tmp_path,
+        )
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["diagnostics"]["converged"] is False
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        x = tmp_path / "latin1.csv"
+        x.write_bytes("a\u00f1o\n1\n2\n".encode("latin-1"))
+        code, payload = run_cli(["w1d", "--x", str(x), "--y", "xs.csv"], tmp_path)
+        assert code == 2
+        assert payload is None
+        assert capsys.readouterr().err == f"otecon w1d: {x}: not UTF-8 text\n"
+
+    def test_zero_mass_dro_exits_2(self, tmp_path, capsys):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("0\n0\n0\n0\n")
+        code, payload = run_cli(
+            ["dro", "--f", "f_four.csv", "--delta", "delta_4x4.csv",
+             "--mu", str(zeros), "--rho", "0.5"],
+            tmp_path,
+        )
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err == "otecon dro: mu must have positive total mass\n"
+
     def test_sista_unequal_totals_rejected(self, tmp_path, capsys):
         code, payload = run_cli(
             ["match-sista", "--pi", "pi_tilted.csv", "--mu", "mu_46.csv",
@@ -386,6 +427,19 @@ class TestFailureModes:
         assert payload is None
         err = capsys.readouterr().err
         assert err == "otecon w1d: cannot serialize non-finite float inf\n"
+
+    def test_overflow_one_stderr_line_in_subprocess(self, tmp_path):
+        # numpy's RuntimeWarnings reach stderr only outside pytest's capture
+        x = tmp_path / "huge.csv"
+        x.write_text("1e308\n-1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "otecon.cli", "w1d", "--x", str(x),
+             "--y", data("xs.csv"), "--out", str(tmp_path / "o.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "otecon w1d: cannot serialize non-finite float inf\n"
 
 
 class TestWriterParity:

@@ -165,3 +165,10 @@ def test_byte_order_mark_is_not_a_header(tmp_path):
     out = tmp_path / "w1d.json"
     assert main(["w1d", "--x", str(marked), "--y", str(plain), "--out", str(out)]) == 0
     assert '"value": 0\n' in out.read_text()
+
+
+def test_non_utf8_file_named(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("año\n1\n2\n".encode("latin-1"))
+    with pytest.raises(CsvError, match="latin1.csv: not UTF-8"):
+        read_values_csv(str(path))

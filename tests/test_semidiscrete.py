@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import laguerre_two_pass_loop
 from scipy.optimize import linear_sum_assignment
 
 from otecon import (
@@ -165,6 +166,56 @@ class TestSolve:
         nu = DiscreteMeasure([1.0], points=np.array([[0.5, 0.5]]))
         with pytest.raises(DomainError):
             semidiscrete_solve(nu, d=1)
+
+
+def jittered_lattice(rng, side, d):
+    centres = (np.arange(side) + 0.5) / side
+    grids = np.meshgrid(*([centres] * d), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    return points + rng.uniform(-0.25 / side, 0.25 / side, points.shape)
+
+
+class TestTwoPassParity:
+    """The one-pass ascent against the loop that recounted masses apart."""
+
+    # (sites, grid_res, tol, max_iter) from a seed; the last stops at its cap
+    CASES = {
+        "1d-uniform": lambda rng: (rng.uniform(0, 1, (5, 1)), 512, 1e-3, 2000),
+        "2d-uniform": lambda rng: (rng.uniform(0, 1, (7, 2)), 64, 1e-3, 2000),
+        "2d-lattice": lambda rng: (jittered_lattice(rng, 4, 2), 96, 1e-3, 2000),
+        "3d-uniform": lambda rng: (rng.uniform(0, 1, (5, 3)), 16, 1e-3, 2000),
+        "3d-lattice": lambda rng: (jittered_lattice(rng, 2, 3), 20, 1e-3, 2000),
+        "2d-capped": lambda rng: (rng.uniform(0, 1, (6, 2)), 48, 1e-12, 25),
+    }
+
+    @staticmethod
+    def assert_same(nu, d, grid_res, tol, max_iter):
+        diag = semidiscrete_solve(nu, d, grid_res=grid_res, tol=tol, max_iter=max_iter)
+        psi, iterations, objectives, converged = laguerre_two_pass_loop(
+            nu.points, nu.weights / nu.total_mass, grid_res, tol, max_iter
+        )
+        assert diag.weights.tobytes() == psi.tobytes()
+        assert diag.iterations == iterations
+        assert np.array(diag.objectives).tobytes() == np.array(objectives).tobytes()
+        assert diag.converged is converged
+        return diag
+
+    # seed 2 of 1d-uniform runs its 2000-step cap like the instance below
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical(self, case, seed):
+        rng = np.random.default_rng(seed)
+        sites, grid_res, tol, max_iter = self.CASES[case](rng)
+        nu = DiscreteMeasure(rng.uniform(0.5, 1.5, len(sites)), points=sites)
+        diag = self.assert_same(nu, sites.shape[1], grid_res, tol, max_iter)
+        if case.endswith("capped"):
+            assert not diag.converged and diag.iterations == max_iter
+
+    def test_objective_nondecreasing_instance(self, rng):
+        # the instance of TestSolve.test_objective_nondecreasing
+        pts = rng.uniform(0.0, 1.0, size=(3, 1))
+        w = rng.uniform(0.5, 1.5, size=3)
+        self.assert_same(DiscreteMeasure(w / w.sum(), points=pts), 1, 512, 1e-3, 2000)
 
 
 class TestVectorQuantile:
