@@ -9,12 +9,15 @@ invocation runs as ``python -m otecon.cli`` once per tree, with
 ``PYTHONPATH=<tree>/src``, the fixtures of CHANGE_TREE's ``tests/data`` and
 the same ``--out`` path, so that the echoed config is the same.  Prints a
 Markdown table saying, per invocation, whether the exit code, the stderr
-and the document bytes match, and how many of each differ.  Exits 1 when
-any exit code, stderr or document differs, else 0.
+and the document bytes match, and how many of each differ.  Where two
+documents differ but parse to the same structure, the cell gives the
+largest absolute and relative difference over their numeric leaves.
+Exits 1 when any exit code, stderr or document differs, else 0.
 """
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +56,45 @@ def run(tree: Path, argv: list[str], data: Path, out: Path) -> tuple:
     return proc.returncode, proc.stderr, document
 
 
+def numeric_leaves(a, b, path: str, out: list) -> bool:
+    """Collect (path, a, b) for each numeric leaf; False if the structures differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(
+            numeric_leaves(a[k], b[k], f"{path}.{k}".lstrip("."), out) for k in a
+        )
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(
+            numeric_leaves(x, y, f"{path}[]", out) for x, y in zip(a, b)
+        )
+    if type(a) in (int, float) and type(b) in (int, float):
+        out.append((path, a, b))
+        return True
+    return a == b
+
+
+def document_difference(before: bytes, after: bytes) -> str:
+    """Largest absolute and relative difference over numeric leaves, or "differs"."""
+    try:
+        a, b = json.loads(before), json.loads(after)
+    except (TypeError, ValueError):
+        return "differs"
+    leaves: list = []
+    if not numeric_leaves(a, b, "", leaves) or not leaves:
+        return "differs"
+
+    def gap(leaf):
+        return abs(leaf[1] - leaf[2])
+
+    def relative(leaf):
+        return gap(leaf) / max(abs(leaf[1]), abs(leaf[2])) if gap(leaf) else 0.0
+
+    by_gap, by_relative = max(leaves, key=gap), max(leaves, key=relative)
+    return (
+        f"max abs {gap(by_gap):.3g} (`{by_gap[0]}`), "
+        f"max rel {relative(by_relative):.3g} (`{by_relative[0]}`)"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -74,7 +116,12 @@ def main() -> int:
                     cells.append("same" if key != "exit" else f"same ({a})")
                 else:
                     differing[key] += 1
-                    cells.append(f"{a} -> {b}" if key == "exit" else "differs")
+                    if key == "exit":
+                        cells.append(f"{a} -> {b}")
+                    elif key == "document":
+                        cells.append(document_difference(a, b))
+                    else:
+                        cells.append("differs")
             print(f"| `{' '.join(argv)}` | " + " | ".join(cells) + " |")
     print()
     print(", ".join(f"{key}: {n} differ" for key, n in differing.items()))

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True, help="cost matrix CSV")
     iterative(p, solve_discrete_ot, cap_help="pivot cap")
 
-    p = cmd("sinkhorn", "entropic transport, log-domain Sinkhorn", _cmd_sinkhorn)
+    p = cmd("sinkhorn", "entropic transport, Sinkhorn by kernel scaling", _cmd_sinkhorn)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)

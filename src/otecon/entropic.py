@@ -5,14 +5,19 @@ of the plan against the product measure,
 
     min  <C, pi> + eps * KL(pi | mu x nu)   s.t.  pi has marginals mu, nu,
 
-and is solved by alternating dual updates.  All updates run in the log
-domain with max-subtracted log-sum-exp, so small eps is safe.  The
-unbalanced variant replaces the hard marginal constraints by generalized
-Kullback-Leibler penalties with weights lam_mu, lam_nu; its dual updates
-are the balanced ones damped by lam / (lam + eps), followed by a
+and is solved by alternating dual updates.  The updates run as stabilized
+kernel scaling (Schmitzer 2019): log potentials are held in a Gibbs kernel
+and each half-sweep is one matrix-vector product with it; scalings that
+grow past a threshold are absorbed into the log potentials, which rebuilds
+the kernel, so small eps is safe.  The first row half-sweep runs in the log
+domain with max-subtracted log-sum-exp, and so does any half-sweep whose
+product under- or overflows.  The unbalanced variant replaces the hard
+marginal constraints by generalized Kullback-Leibler penalties with weights
+lam_mu, lam_nu; its updates are the balanced ones raised to the power
+lam / (lam + eps) (Chizat, Peyre, Schmitzer & Vialard 2018), followed by a
 translation step (translation invariant Sinkhorn, Sejourne, Vialard & Peyre
-2022).  Both run one loop, which reads its stop residual off the
-log-sum-exps the updates compute anyway and builds the plan once, at the end.
+2022).  Both run one loop, which reads its stop residual off the products
+the updates compute anyway and builds the plan once, at the end.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ def _check_positive(m: DiscreteMeasure, name: str) -> np.ndarray:
     return w
 
 
+# A scaling that leaves [1 / TAU, TAU] is absorbed into the log potentials.
+TAU = 1e3
+_TINY = np.finfo(float).tiny
+
+
 def _half_sweep_lse(
     log_w: np.ndarray, pot: np.ndarray, c: np.ndarray, eps: float, axis: int
 ) -> np.ndarray:
@@ -80,6 +90,49 @@ def _half_sweep_lse(
     """
     k = (None, slice(None)) if axis == 1 else (slice(None), None)
     return logsumexp(log_w[k] + (pot[k] - c) / eps, axis=axis)
+
+
+def _gibbs(
+    log_mu: np.ndarray, log_nu: np.ndarray, f: np.ndarray, g: np.ndarray,
+    c: np.ndarray, eps: float,
+) -> np.ndarray:
+    """mu_i nu_j exp((f_i + g_j - C_ij) / eps), the plan of potentials (f, g)."""
+    return np.exp(log_mu[:, None] + log_nu[None, :] + (f[:, None] + g[None, :] - c) / eps)
+
+
+def _kernel(
+    log_mu: np.ndarray, log_nu: np.ndarray, f: np.ndarray, g: np.ndarray,
+    c: np.ndarray, eps: float,
+) -> np.ndarray:
+    """The Gibbs kernel of (f, g) with subnormal entries set to zero.
+
+    With scalings in [1 / TAU, TAU] that moves a product by less than
+    m n TAU 2^-1022, far below the rounding of sums near the marginals;
+    left in, subnormal entries make every product several times slower.
+    """
+    k = _gibbs(log_mu, log_nu, f, g, c, eps)
+    k[k < _TINY] = 0.0
+    return k
+
+
+def _scaling(
+    s: np.ndarray, w: np.ndarray, pot: np.ndarray, damp: float, eps: float
+) -> tuple[np.ndarray | None, bool]:
+    """Half-sweep scaling against the kernel product s, and whether it is in range.
+
+    Balanced the scaling is w / s, which makes that marginal exact; damped it
+    is exp((damp - 1) pot / eps) (w / s)^damp, pot being the log potential
+    the kernel holds.  None when it is zero or not finite, which happens
+    when s has a zero or non-finite entry or the power over- or underflows;
+    the flag says whether it lies in [1 / TAU, TAU].
+    """
+    x = w / s
+    if damp != 1.0:
+        x = np.exp(damp * np.log(x) + (damp - 1.0) / eps * pot)
+    lo, hi = x.min(), x.max()
+    if not (0.0 < lo and hi < np.inf):
+        return None, False
+    return x, 1.0 / TAU <= lo and hi <= TAU
 
 
 def _scaling_loop(
@@ -93,10 +146,18 @@ def _scaling_loop(
 ) -> EntropicSolution:
     """Damped alternating dual updates; ``lam=None`` is the balanced problem.
 
-    The residual of (phi, psi) comes from d = phi - phi_next, the change the
-    next row half-sweep makes: the balanced plan's row sums are
-    mu exp(d / eps), and its column sums come from the column log-sum-exp
-    just computed.
+    Stabilized kernel scaling (Schmitzer 2019, section 3): the potentials are
+    phi = f + eps log u and psi = g + eps log v, with log potentials (f, g)
+    held in the kernel K = mu x nu exp((f + g - C) / eps), so that each
+    half-sweep is one product with K and a scaling update.  A scaling that
+    leaves [1 / TAU, TAU] is absorbed into (f, g), which rebuilds K with one
+    exp.  f starts from the log-domain row half-sweep, and a half-sweep whose
+    scaling is zero or not finite is absorbed and redone in the log domain.
+    The translation steps add to (f, g) only at an absorption, so that K
+    stays the kernel of f + g to the last bit.  The balanced residual is the
+    largest violation of the true marginals, u (K v) - mu and v (K' u) - nu;
+    the unbalanced one comes from d = phi - phi_next, the change the next row
+    half-sweep makes, here eps log(u / u_next).
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -114,43 +175,79 @@ def _scaling_loop(
         damp_mu = lam_mu / (lam_mu + eps)
         damp_nu = lam_nu / (lam_nu + eps)
         shift = 1.0 / (1.0 / lam_mu + 1.0 / lam_nu)
-    phi_next = -eps * damp_mu * _half_sweep_lse(log_nu, np.zeros(w_nu.size), c, eps, 1)
+    m, n = w_mu.size, w_nu.size
+    f = -eps * damp_mu * _half_sweep_lse(log_nu, np.zeros(n), c, eps, 1)
+    g = np.zeros(n)
+    kernel = _kernel(log_mu, log_nu, f, g, c, eps)
+    u_next, v = np.ones(m), np.ones(n)
+    # t_sum: translation not yet added to (f, g); f_next: a log-domain row
+    # half-sweep's phi_next, which becomes f at the next sweep
+    t_sum, f_next = 0.0, None
+    in_range = True
     errors: list[float] = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        phi = phi_next
-        lse_col = _half_sweep_lse(log_mu, phi, c, eps, 0)
-        psi = -eps * damp_nu * lse_col
-        if lam is not None:
-            t = shift * (
-                np.logaddexp.reduce(log_mu - phi / lam_mu)
-                - np.logaddexp.reduce(log_nu - psi / lam_nu)
-            )
-            phi = phi + t
-            psi = psi - t
-        phi_next = -eps * damp_mu * _half_sweep_lse(log_nu, psi, c, eps, 1)
-        d = phi - phi_next
-        if lam is None:
-            row_error = np.max(np.abs(w_mu * np.expm1(d / eps)))
-            col_error = np.max(np.abs(w_nu * np.expm1(psi / eps + lse_col)))
-        else:
-            # phi + lam_mu log(row / mu) = (lam_mu + eps) / eps * d, and psi
-            # met its condition before the shift, so it is off by t after it.
-            # d and psi are known to one spacing of the potentials; without
-            # it a float fixed point would read as a zero residual.
-            ulp_phi = np.spacing(np.max(np.abs(phi)))
-            row_error = (lam_mu + eps) / eps * (np.max(np.abs(d)) + ulp_phi)
-            col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.max(np.abs(psi)))
-        errors.append(float(max(row_error, col_error)))
-        if errors[-1] < tol:
-            converged = True
-            break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if f_next is not None or not in_range:
+                if f_next is None:
+                    f_next = f + t_sum + eps * np.log(u_next)
+                f, g = f_next, g - t_sum + eps * np.log(v)
+                kernel = _kernel(log_mu, log_nu, f, g, c, eps)
+                u_next, v = np.ones(m), np.ones(n)
+                t_sum, f_next = 0.0, None
+            u = u_next
+            ktu = kernel.T @ u
+            v, in_range = _scaling(ktu, w_nu, g - t_sum, damp_nu, eps)
+            if v is None:
+                f = f + t_sum + eps * np.log(u)
+                g = -eps * damp_nu * _half_sweep_lse(log_mu, f, c, eps, 0)
+                kernel = _kernel(log_mu, log_nu, f, g, c, eps)
+                u, v = np.ones(m), np.ones(n)
+                t_sum, in_range = 0.0, True
+                ktu = kernel.sum(axis=0)
+            if lam is not None:
+                phi = f + t_sum + eps * np.log(u)
+                psi = g - t_sum + eps * np.log(v)
+                t = shift * (
+                    np.logaddexp.reduce(log_mu - phi / lam_mu)
+                    - np.logaddexp.reduce(log_nu - psi / lam_nu)
+                )
+                t_sum += t
+                phi, psi = phi + t, psi - t
+            kv = kernel @ v
+            u_next, u_in_range = _scaling(kv, w_mu, f + t_sum, damp_mu, eps)
+            in_range = in_range and u_in_range
+            if u_next is None:
+                phi = f + t_sum + eps * np.log(u)
+                psi = g - t_sum + eps * np.log(v)
+                f_next = -eps * damp_mu * _half_sweep_lse(log_nu, psi, c, eps, 1)
+                d = phi - f_next
+                row = w_mu * np.exp(d / eps)
+            elif lam is None:
+                row = u * kv
+            else:
+                d = eps * np.log(u / u_next)
+            if lam is None:
+                row_error = np.abs(row - w_mu).max()
+                col_error = np.abs(v * ktu - w_nu).max()
+            else:
+                # phi + lam_mu log(row / mu) = (lam_mu + eps) / eps * d, and psi
+                # met its condition before the shift, so it is off by t after it.
+                # d and psi are known to one spacing of the potentials; without
+                # it a float fixed point would read as a zero residual.
+                ulp_phi = np.spacing(np.abs(phi).max())
+                row_error = (lam_mu + eps) / eps * (np.abs(d).max() + ulp_phi)
+                col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.abs(psi).max())
+            errors.append(float(max(row_error, col_error)))
+            if errors[-1] < tol:
+                converged = True
+                break
+    phi = f + t_sum + eps * np.log(u)
+    psi = g - t_sum + eps * np.log(v)
     if lam is None:
         phi, psi = phi - phi[0], psi + phi[0]
-    plan = np.exp(
-        log_mu[:, None] + log_nu[None, :] + (phi[:, None] + psi[None, :] - c) / eps
-    )
+    plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
     marginal_error = errors[-1] if lam is None else max(
         float(np.max(np.abs(plan.sum(axis=1) - w_mu))),
         float(np.max(np.abs(plan.sum(axis=0) - w_nu))),
@@ -177,14 +274,15 @@ def sinkhorn(
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> EntropicSolution:
-    """Balanced entropic transport by log-domain Sinkhorn iteration.
+    """Balanced entropic transport by Sinkhorn iteration with kernel scaling.
 
     Each sweep sets phi to match the row marginals exactly and then psi to
     match the column marginals exactly; the reported residual is the largest
     remaining violation of either marginal constraint, which is nonincreasing
-    across sweeps.  It is read off the next sweep's row log-sum-exp and the
-    column log-sum-exp just computed.  Terminates once the residual drops
-    below tol, else after max_iter sweeps with ``converged=False``.
+    across sweeps.  It is read off the true marginals u (K v) and v (K' u),
+    from the kernel products the two half-sweeps compute.  Terminates once
+    the residual drops below tol, else after max_iter sweeps with
+    ``converged=False``.
     """
     w_mu = _check_probability(mu, "mu")
     w_nu = _check_probability(nu, "nu")
@@ -228,11 +326,12 @@ def unbalanced_sinkhorn(
                  + lam_mu KL(pi 1 | mu) + lam_nu KL(pi' 1 | nu)
     over all nonnegative pi, with generalized (unnormalized) KL divergences.
     The dual updates are the balanced Sinkhorn updates multiplied by
-    lam / (lam + eps).  Each sweep ends with the shift (phi + t, psi - t),
+    lam / (lam + eps), that is the balanced kernel scalings raised to that
+    power.  Each sweep ends with the shift (phi + t, psi - t),
     t = lam_mu lam_nu / (lam_mu + lam_nu) * (LSE(log mu - phi / lam_mu)
-    - LSE(log nu - psi / lam_nu)), which keeps the plan and maximizes the
-    dual along that direction; without it the updates creep along it at a
-    rate near 1 - eps / lam per sweep.  Convergence is measured on the
+    - LSE(log nu - psi / lam_nu)), which keeps the plan and the kernel and
+    maximizes the dual along that direction; without it the updates creep
+    along it at a rate near 1 - eps / lam per sweep.  Convergence is measured on the
     residual of the first-order conditions phi = -lam_mu log(pi 1 / mu) and
     psi = -lam_nu log(pi' 1 / nu): for the rows (lam_mu + eps) / eps times
     the change the next row half-sweep makes to phi, for the columns |t|.

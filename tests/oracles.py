@@ -7,7 +7,8 @@ scratch, and the robust-expectation oracle solves the primal ball program
 as an explicit LP.  The loop references at the end walk the quantile grids,
 rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations, and run the Sinkhorn
-loops that build the plan on every sweep to measure their residual.  The
+loops that build the plan on every sweep to measure their residual, and
+the log-sum-exp loop the package ran before its kernel scaling.  The
 sista loop is the proximal-gradient method the package ran before its
 Newton solver, and the Laguerre loop is the two-pass weight ascent that
 recounted the cell masses apart from the objective on every step.  The
@@ -320,6 +321,58 @@ def unbalanced_loop(w_mu, w_nu, c, eps, lam_mu, lam_nu, tol=1e-9, max_iter=10000
         if residual < tol:
             return plan, it, True
     return plan, it, False
+
+
+def lse_scaling_loop(w_mu, w_nu, c, eps, lam=None, tol=1e-9, max_iter=10000):
+    """Damped log-domain Sinkhorn with a translation step; ``lam=None`` is balanced.
+
+    Every half-sweep is a full log-sum-exp over the cost matrix, and the
+    stop residual is read off the next row half-sweep: for the balanced
+    problem the largest marginal violation, for the unbalanced one (lam_mu
+    + eps) / eps times the change d = phi - phi_next plus one spacing of the
+    potentials, and |t| for the columns.  Returns (plan, phi, psi,
+    iterations, errors, converged), the balanced potentials with phi[0] == 0.
+    """
+    log_mu, log_nu = np.log(w_mu), np.log(w_nu)
+    damp_mu = damp_nu = 1.0
+    if lam is not None:
+        lam_mu, lam_nu = lam
+        damp_mu = lam_mu / (lam_mu + eps)
+        damp_nu = lam_nu / (lam_nu + eps)
+        shift = 1.0 / (1.0 / lam_mu + 1.0 / lam_nu)
+
+    def row_lse(psi):
+        return _lse(log_nu[None, :] + (psi[None, :] - c) / eps, axis=1)
+
+    phi_next = -eps * damp_mu * row_lse(np.zeros(len(w_nu)))
+    errors = []
+    for it in range(1, max_iter + 1):
+        phi = phi_next
+        lse_col = _lse(log_mu[:, None] + (phi[:, None] - c) / eps, axis=0)
+        psi = -eps * damp_nu * lse_col
+        if lam is not None:
+            t = shift * (
+                np.logaddexp.reduce(log_mu - phi / lam_mu)
+                - np.logaddexp.reduce(log_nu - psi / lam_nu)
+            )
+            phi = phi + t
+            psi = psi - t
+        phi_next = -eps * damp_mu * row_lse(psi)
+        d = phi - phi_next
+        if lam is None:
+            row_error = np.max(np.abs(w_mu * np.expm1(d / eps)))
+            col_error = np.max(np.abs(w_nu * np.expm1(psi / eps + lse_col)))
+        else:
+            ulp_phi = np.spacing(np.max(np.abs(phi)))
+            row_error = (lam_mu + eps) / eps * (np.max(np.abs(d)) + ulp_phi)
+            col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.max(np.abs(psi)))
+        errors.append(float(max(row_error, col_error)))
+        if errors[-1] < tol:
+            break
+    if lam is None:
+        phi, psi = phi - phi[0], psi + phi[0]
+    plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
+    return plan, phi, psi, it, errors, errors[-1] < tol
 
 
 def sista_loop(pi_hat, mu, nu, basis, eps, l1=0.0, beta=None, tol=1e-12,

@@ -1,10 +1,10 @@
-"""Log-domain Sinkhorn, entropic values, and the unbalanced variant."""
+"""Kernel-scaling Sinkhorn, entropic values, and the unbalanced variant."""
 
 import numpy as np
 import pytest
 
 from conftest import random_transport_instance
-from oracles import sinkhorn_loop, unbalanced_loop
+from oracles import lse_scaling_loop, sinkhorn_loop, unbalanced_loop
 from otecon import (
     CostMatrix,
     DiscreteMeasure,
@@ -114,6 +114,27 @@ class TestSinkhorn:
             assert np.allclose(capped.phi, phi, rtol=0.0, atol=1e-12)
             assert np.allclose(capped.psi, psi, rtol=0.0, atol=1e-12)
 
+    def test_underflowing_start_kernel_column(self):
+        # the start kernel's column 2 is exp(-800) = 0, so the first column
+        # half-sweep has to run in the log domain
+        cost = np.random.default_rng(0).random((5, 5))
+        cost[:, 2] += 40.0
+        w = np.full(5, 0.2)
+        eps = 0.05
+        f = -eps * np.log(np.exp(-cost / eps) @ w)
+        assert np.all(np.exp((f - cost[:, 2]) / eps) == 0.0)
+        sol = sinkhorn(DiscreteMeasure(w), DiscreteMeasure(w), CostMatrix(cost), eps=eps)
+        plan, _, _, iterations, _, converged = lse_scaling_loop(w, w, cost, eps)
+        assert sol.converged and converged
+        assert sol.iterations == iterations
+        assert np.all(np.isfinite(sol.plan))
+        assert np.max(np.abs(sol.plan - plan)) <= 1e-12 * plan.max()
+        scaled = sinkhorn(
+            DiscreteMeasure(w), DiscreteMeasure(w), CostMatrix(cost * 1e6), eps=eps * 1e6
+        )
+        assert scaled.converged and scaled.iterations == sol.iterations
+        assert np.allclose(scaled.plan, sol.plan, rtol=1e-12, atol=0.0)
+
     def test_cost_monotone_in_eps_with_gap_bound(self, rng):
         for _ in range(5):
             mu, nu, cost = random_transport_instance(rng, 4, 4)
@@ -126,6 +147,80 @@ class TestSinkhorn:
                 assert abs(transport - lp_value) <= eps * np.log(16.0) + 1e-8
                 costs.append(transport)
             assert costs[0] <= costs[1] + 1e-12 and costs[1] <= costs[2] + 1e-12
+
+
+class TestLseLoopParity:
+    """Kernel scaling against the log-sum-exp loop it replaced, step for step.
+
+    Both loops run the same updates, so they take the same sweeps and stop
+    at the same one.  Plans agree to 1e-12 of their largest entry: entries
+    are exponents of size C / eps rounded differently.  The balanced
+    residuals are marginal masses rounded in sums of such entries, known to
+    about 1e-15 * max(1, max C / eps).  The unbalanced residual is
+    (lam + eps) / eps times a change in the potentials that the log-sum-exp
+    loop resolves to a few spacings of them; where the residual reaches tol
+    within that resolution, rounding decides the sweep it crosses.
+    """
+
+    @pytest.mark.parametrize("eps", [0.5, 0.05, 0.01, 0.003, 0.001])
+    @pytest.mark.parametrize("lam", [None, 1e-2, 1.0, 5.0, 1e2, 1e6])
+    def test_matches_lse_loop(self, lam, eps):
+        rng = np.random.default_rng(3)
+        w_mu, w_nu = rng.random(5) + 0.1, rng.random(6) + 0.1
+        w_mu, w_nu = w_mu / w_mu.sum(), w_nu / w_nu.sum()
+        cost = rng.random((5, 6))
+        mu, nu, c = DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), CostMatrix(cost)
+        tol, cap = 1e-9, 3000
+        if lam is None:
+            sol = sinkhorn(mu, nu, c, eps=eps, tol=tol, max_iter=cap)
+        else:
+            sol = unbalanced_sinkhorn(
+                mu, nu, c, eps=eps, lam_mu=lam, lam_nu=lam, tol=tol, max_iter=cap
+            )
+        plan, phi, _, iterations, errors, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, eps, None if lam is None else (lam, lam), tol, cap
+        )
+        assert np.max(np.abs(sol.plan - plan)) <= 1e-12 * plan.max()
+        assert sol.converged == converged
+        if lam is None:
+            resolution = 1e-15 * max(1.0, cost.max() / eps)
+            recomputed = max(
+                np.max(np.abs(sol.plan.sum(axis=1) - w_mu)),
+                np.max(np.abs(sol.plan.sum(axis=0) - w_nu)),
+            )
+            assert abs(sol.marginal_errors[-1] - recomputed) <= resolution
+        else:
+            resolution = 8 * (lam + eps) / eps * np.spacing(max(np.abs(phi).max(), cost.max()))
+        assert abs(sol.marginal_errors[-1] - errors[-1]) <= resolution
+        if converged and sol.iterations != iterations:
+            first = min(sol.iterations, iterations) - 1
+            later = sol.marginal_errors if sol.iterations > iterations else errors
+            assert later[first] - tol <= resolution
+        elif converged:
+            assert sol.iterations == iterations
+
+    @pytest.mark.parametrize("eps", [0.01, 0.001])
+    @pytest.mark.parametrize("lam", [1.0, 5.0])
+    def test_unequal_masses_match_lse_loop(self, lam, eps):
+        # the potentials carry lam log of the mass ratio and the translation
+        # steps move them by as much; added to (f, g) every sweep, their
+        # rounding drifts f + g off the kernel by about 1e-12 of the plan.
+        # At lam >= 1e2 and eps = 1e-3 the log-sum-exp loop's residual floor
+        # lies above tol, so it never stops there.
+        rng = np.random.default_rng(3)
+        w_mu, w_nu = rng.random(5) + 0.1, rng.random(6) + 0.1
+        w_mu, w_nu = w_mu / w_mu.sum(), 1.5 * w_nu / w_nu.sum()
+        cost = rng.random((5, 6))
+        sol = unbalanced_sinkhorn(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), CostMatrix(cost),
+            eps=eps, lam_mu=lam, lam_nu=lam, max_iter=3000,
+        )
+        plan, _, _, iterations, _, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, eps, (lam, lam), 1e-9, 3000
+        )
+        assert np.max(np.abs(sol.plan - plan)) <= 1e-12 * plan.max()
+        assert sol.converged == converged
+        assert sol.iterations == iterations
 
 
 class TestEotValue:
