@@ -11,7 +11,13 @@ is merged into the JSON file ``--out`` under ``workloads[WORKLOAD]``: every
 run's metrics and operation counts, each side's median and quartiles per
 end-to-end metric, how many pairs the change wins (the direction comes from
 ``BENCHMARK.json``), and whether the median gain exceeds the interquartile
-range of the parent's runs.  A run that exits non-zero stops the script.
+range of the parent's runs.  Each metric also gets its relative median
+change (positive is worse), the bound ``BENCHMARK.json`` fixes for it,
+``within_bound`` when the change is worse by no more than that bound, and
+``unresolved`` when the parent's interquartile range, relative to its
+median, is wider than the bound, unless every run of the change reads
+better than every run of the parent.  A run that exits non-zero stops the
+script.
 """
 
 import argparse
@@ -57,7 +63,7 @@ def main() -> None:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.first_seed + k
@@ -69,11 +75,14 @@ def main() -> None:
                   file=sys.stderr, flush=True)
 
     metrics = {}
-    for name, direction in better.items():
+    for name, spec_metric in end_to_end.items():
+        direction, bound = spec_metric["better"], spec_metric["bound"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         sign = 1.0 if direction == "lower" else -1.0
         p, c = summary(parent), summary(change)
+        worse_by = sign * (c["median"] - p["median"]) / abs(p["median"])
+        all_better = max(sign * b for b in change) < min(sign * a for a in parent)
         metrics[name] = {
             "better": direction,
             "parent": p,
@@ -81,6 +90,11 @@ def main() -> None:
             "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
             "median_gain_exceeds_parent_iqr": sign * (p["median"] - c["median"])
             > p["q3"] - p["q1"],
+            "relative_median_change": worse_by,
+            "bound": bound,
+            "within_bound": worse_by <= bound,
+            "unresolved": (p["q3"] - p["q1"]) / abs(p["median"]) > bound
+            and not all_better,
         }
     record = {
         "run_seconds": seconds,

@@ -10,8 +10,10 @@ did before those paths became array operations, and run the Sinkhorn
 loops that build the plan on every sweep to measure their residual, and
 the log-sum-exp loop the package ran before its kernel scaling.  The
 sista loop is the proximal-gradient method the package ran before its
-Newton solver, and the Laguerre loop is the two-pass weight ascent that
-recounted the cell masses apart from the objective on every step.  The
+Newton solver, and the Laguerre loop is the two-pass gradient ascent on
+the weights that recounted the cell masses apart from the objective on
+every step; the grid masses and semidual after it recount a Laguerre
+diagram on their own grid, to certify the package's Newton weights.  The
 CSV readers and the JSON writer at the end are the row-by-row csv-module
 readers and the element-by-element serializer the command line used
 before it parsed and formatted whole arrays; the readers stop where the
@@ -464,6 +466,31 @@ def laguerre_two_pass_loop(sites, q, grid_res, tol=1e-3, max_iter=2000):
     if not converged:
         converged = float(np.max(np.abs(q - masses(psi)))) < tol
     return psi - psi[-1], it, objectives, converged
+
+
+def _laguerre_grid_scores(sites, weights, grid_res):
+    d = sites.shape[1]
+    axis = (np.arange(grid_res) + 0.5) / grid_res
+    grid = np.stack(
+        [g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1
+    )
+    return np.sum((grid[:, None, :] - sites[None, :, :]) ** 2, axis=2) - weights
+
+
+def laguerre_grid_masses(sites, weights, grid_res):
+    """Share of the midpoint grid of grid_res cells per axis won by each site.
+
+    A point goes to the site minimizing ||x - y_j||^2 - weights_j, the
+    lowest index on ties.
+    """
+    won = np.argmin(_laguerre_grid_scores(sites, weights, grid_res), axis=1)
+    return np.bincount(won, minlength=len(weights)) / won.size
+
+
+def laguerre_grid_semidual(sites, q, weights, grid_res):
+    """Grid semidual mean_x min_j (||x - y_j||^2 - weights_j) + weights . q."""
+    scores = _laguerre_grid_scores(sites, weights, grid_res)
+    return float(np.min(scores, axis=1).mean() + weights @ q)
 
 
 class CsvLoopError(ValueError):

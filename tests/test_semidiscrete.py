@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import laguerre_two_pass_loop
+from oracles import (
+    laguerre_grid_masses,
+    laguerre_grid_semidual,
+    laguerre_two_pass_loop,
+)
 from scipy.optimize import linear_sum_assignment
 
 from otecon import (
@@ -18,6 +22,7 @@ from otecon import (
     vector_quantile,
     vector_rank,
 )
+from otecon.semidiscrete import _band_laplacian, _midpoint_grid, _score, _sq_dists
 
 
 SAMPLE_KINDS = {
@@ -176,7 +181,14 @@ def jittered_lattice(rng, side, d):
 
 
 class TestTwoPassParity:
-    """The one-pass ascent against the loop that recounted masses apart."""
+    """The Newton weights against the two-pass gradient ascent, by certificate.
+
+    The two solvers return different iterates, so each case checks what
+    makes either endpoint an answer: the same convergence verdict, cell
+    masses recounted on the oracle's own grid within tol, and the
+    supergradient inequality of the concave grid semidual between the two
+    endpoints, in both directions.
+    """
 
     # (sites, grid_res, tol, max_iter) from a seed; the last stops at its cap
     CASES = {
@@ -189,15 +201,24 @@ class TestTwoPassParity:
     }
 
     @staticmethod
-    def assert_same(nu, d, grid_res, tol, max_iter):
+    def assert_certified(nu, d, grid_res, tol, max_iter):
         diag = semidiscrete_solve(nu, d, grid_res=grid_res, tol=tol, max_iter=max_iter)
-        psi, iterations, objectives, converged = laguerre_two_pass_loop(
-            nu.points, nu.weights / nu.total_mass, grid_res, tol, max_iter
+        q = nu.weights / nu.total_mass
+        psi, _, _, converged = laguerre_two_pass_loop(
+            nu.points, q, grid_res, tol, max_iter
         )
-        assert diag.weights.tobytes() == psi.tobytes()
-        assert diag.iterations == iterations
-        assert np.array(diag.objectives).tobytes() == np.array(objectives).tobytes()
         assert diag.converged is converged
+        masses = laguerre_grid_masses(nu.points, diag.weights, grid_res)
+        if converged:
+            assert np.max(np.abs(masses - q)) < tol
+        # the semidual is concave with supergradient q - masses, so neither
+        # endpoint lies above the other's tangent plane
+        value = laguerre_grid_semidual(nu.points, q, diag.weights, grid_res)
+        other = laguerre_grid_semidual(nu.points, q, psi, grid_res)
+        other_masses = laguerre_grid_masses(nu.points, psi, grid_res)
+        slack = 1e-12 * max(1.0, abs(value), abs(other))
+        assert other <= value + (q - masses) @ (psi - diag.weights) + slack
+        assert value <= other + (q - other_masses) @ (diag.weights - psi) + slack
         return diag
 
     # seed 2 of 1d-uniform runs its 2000-step cap like the instance below
@@ -207,7 +228,7 @@ class TestTwoPassParity:
         rng = np.random.default_rng(seed)
         sites, grid_res, tol, max_iter = self.CASES[case](rng)
         nu = DiscreteMeasure(rng.uniform(0.5, 1.5, len(sites)), points=sites)
-        diag = self.assert_same(nu, sites.shape[1], grid_res, tol, max_iter)
+        diag = self.assert_certified(nu, sites.shape[1], grid_res, tol, max_iter)
         if case.endswith("capped"):
             assert not diag.converged and diag.iterations == max_iter
 
@@ -215,7 +236,87 @@ class TestTwoPassParity:
         # the instance of TestSolve.test_objective_nondecreasing
         pts = rng.uniform(0.0, 1.0, size=(3, 1))
         w = rng.uniform(0.5, 1.5, size=3)
-        self.assert_same(DiscreteMeasure(w / w.sum(), points=pts), 1, 512, 1e-3, 2000)
+        nu = DiscreteMeasure(w / w.sum(), points=pts)
+        self.assert_certified(nu, 1, 512, 1e-3, 2000)
+
+
+class TestNewton:
+    def test_sq_dists_bit_identical_to_broadcast_sum(self, rng):
+        for d in (1, 2, 3):
+            grid = _midpoint_grid(d, {1: 512, 2: 96, 3: 20}[d])
+            sites = rng.uniform(0, 1, (16, d))
+            sample = rng.standard_normal((40, d)) * 1e3
+            for a, b in ((grid, sites), (sample, halton(40, d).points)):
+                broadcast = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+                assert _sq_dists(a, b).tobytes() == broadcast.tobytes()
+
+    @pytest.mark.parametrize("res", [64, 512, 4096])
+    def test_band_laplacian_two_sites_on_a_line(self, res):
+        # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
+        sites = np.array([[0.2], [0.7]])
+        psi = np.array([0.013, 0.0])
+        grid = _midpoint_grid(1, res)
+        _, _, idx, runner, gap = _score(_sq_dists(grid, sites), psi, np.full(2, 0.5))
+        band = 4.0 / res * np.sqrt(_sq_dists(sites, sites))
+        lap = _band_laplacian(idx, runner, gap, band)
+        weight = 1.0 / (2.0 * 0.5)
+        assert np.allclose(lap.sum(axis=1), 0.0)
+        assert lap[0, 0] == pytest.approx(weight, abs=4.0 / res)
+        assert lap[0, 1] == pytest.approx(-weight, abs=4.0 / res)
+
+    @staticmethod
+    def assert_converges_within(sites, grid_res, steps):
+        n, d = sites.shape
+        nu = DiscreteMeasure(np.ones(n), points=sites)
+        diag = semidiscrete_solve(nu, d=d, grid_res=grid_res)
+        assert diag.converged and diag.iterations <= steps
+        masses = laguerre_grid_masses(sites, diag.weights, grid_res)
+        assert np.max(np.abs(masses - diag.target_masses)) < 1e-3
+
+    def test_forty_uniform_sites_converge_in_few_steps(self):
+        # laguerre_two_pass_loop's gradient ascent takes 101 steps here
+        sites = np.random.default_rng(0).uniform(0, 1, (40, 2))
+        self.assert_converges_within(sites, 128, 15)
+
+    def test_site_outside_cube(self):
+        # the site outside the cube wins no grid point at zero weights;
+        # laguerre_two_pass_loop's gradient ascent takes 166 steps here
+        sites = np.vstack(
+            [np.random.default_rng(0).uniform(0, 1, (7, 2)), [[2.5, 2.5]]]
+        )
+        assert laguerre_grid_masses(sites, np.zeros(8), 64)[-1] == 0.0
+        self.assert_converges_within(sites, 64, 20)
+
+    def test_empty_start_cell_fills(self):
+        # the centre site's start cell, a triangle inside its ring, holds no
+        # grid point; laguerre_two_pass_loop's ascent runs its 2000-step cap
+        angles = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
+        ring = 0.5 + 0.01 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        corners = np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]])
+        sites = np.vstack([[[0.5, 0.5]], ring, corners])
+        assert laguerre_grid_masses(sites, np.zeros(8), 64)[0] == 0.0
+        self.assert_converges_within(sites, 64, 20)
+
+    def test_duplicate_site_falls_back_to_gradient(self):
+        # the copy ties its original everywhere, so its cell stays empty and
+        # outside the band graph: only the ridge keeps the Newton system
+        # solvable, and every Newton step empties a cell, so the gradient
+        # step carries the loop to its cap
+        sites = np.random.default_rng(0).uniform(0, 1, (5, 2))
+        sites = np.vstack([sites, sites[:1]])
+        nu = DiscreteMeasure(np.ones(6), points=sites)
+        diag = semidiscrete_solve(nu, d=2, grid_res=64, max_iter=30)
+        assert not diag.converged and diag.iterations == 30
+        assert len(diag.objectives) == 31
+        assert np.all(np.diff(diag.objectives) >= -1e-12)
+
+    def test_normal_sites_converge_in_few_steps(self, rng):
+        # most of the 60 sites lie outside the cube, and at zero weights more
+        # than half of their cells are empty; laguerre_two_pass_loop's
+        # gradient ascent takes 693 steps here
+        sites = rng.standard_normal((60, 2))
+        assert np.sum(laguerre_grid_masses(sites, np.zeros(60), 128) == 0) > 30
+        self.assert_converges_within(sites, 128, 20)
 
 
 class TestVectorQuantile:
