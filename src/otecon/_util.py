@@ -10,6 +10,10 @@ import numpy as np
 # rather than silent inf propagation.
 EXP_CAP = 700.0
 
+# Largest number of entries one call may build from a size option: grid
+# points of the semidiscrete grid, projected values of the sliced distance.
+GRID_LIMIT = 10_000_000
+
 # First 20 primes, enough for every supported low-discrepancy dimension.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -40,13 +44,22 @@ def as_float_array(x, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def check_scalar(value: float, name: str, low: float, strict: bool = False) -> None:
+    """Reject a scalar parameter that is nan, infinite or below low, with a
+    message naming it; strict (used with low = 0) also rejects low itself."""
+    from .errors import DomainError
+
+    if not (low < value < math.inf if strict else low <= value < math.inf):
+        bound = "positive" if strict else f"at least {low:g}" if low else "nonnegative"
+        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def check_budget(tol: float, max_iter: int) -> None:
     """Reject a stopping tolerance that is not finite and positive, or a cap
     below one iteration."""
     from .errors import DomainError
 
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    check_scalar(tol, "tol", 0.0, strict=True)
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
 

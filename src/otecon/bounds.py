@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_float_array, frozen
+from ._util import as_float_array, check_scalar, frozen
 from .errors import DomainError
 from .measures import CostMatrix, DiscreteMeasure, Sample1D
 from .discrete import solve_discrete_ot
@@ -239,8 +239,7 @@ def dro_expectation_bound(
         raise DomainError("delta must vanish on the diagonal")
     if np.any(d < 0):
         raise DomainError("delta must be nonnegative")
-    if rho < 0:
-        raise DomainError(f"radius rho must be nonnegative, got {rho!r}")
+    check_scalar(rho, "rho", 0.0)
     if mu.total_mass <= 0:
         raise DomainError("mu must have positive total mass")
     w = mu.weights / mu.total_mass

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_float_array, frozen
-from .errors import DomainError, NotInvertibleError
+from ._util import GRID_LIMIT, as_float_array, check_scalar, frozen
+from .errors import DomainError, NotInvertibleError, ResourceError
 from .measures import GaussianMeasure, Sample1D, spd_sqrt
 
 
@@ -89,8 +89,7 @@ def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:
 
     Equals the p-th root of the merged-grid integral of |Q_x - Q_y|^p.
     """
-    if p < 1:
-        raise DomainError(f"order p must be at least 1, got {p!r}")
+    check_scalar(p, "p", 1.0)
     lengths, ix, iy = _merged_grid(x.n, y.n)
     total = np.sum(lengths * np.abs(x.values[ix] - y.values[iy]) ** p)
     return float(total ** (1.0 / p))
@@ -146,12 +145,13 @@ def sliced_wasserstein(
     projections of x and y over n_dir random directions (normalized Gaussian
     draws from a counter-based Philox generator under the given seed), then
     takes the p-th root.  In dimension 1 this reduces exactly to the
-    one-dimensional distance.
+    one-dimensional distance.  The n_dir projections of all m + n points
+    are held at once, so n_dir (m + n) may not exceed GRID_LIMIT.
     """
-    if p < 1:
-        raise DomainError(f"order p must be at least 1, got {p!r}")
+    check_scalar(p, "p", 1.0)
     if n_dir < 1:
-        raise DomainError(f"need at least one direction, got {n_dir}")
+        raise DomainError(f"n_dir must be at least 1, got {n_dir}")
+    check_scalar(seed, "seed", 0)
     x = as_float_array(x, "x")
     y = as_float_array(y, "y")
     if x.ndim == 1:
@@ -163,6 +163,12 @@ def sliced_wasserstein(
     d = x.shape[1]
     if d == 0:
         raise DomainError("points must have at least one coordinate")
+    points = x.shape[0] + y.shape[0]
+    if n_dir * points > GRID_LIMIT:
+        raise ResourceError(
+            f"n_dir {n_dir} times {points} points exceeds the {GRID_LIMIT:,}"
+            " projected-value limit"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.standard_normal((n_dir, d))
     norms = np.linalg.norm(dirs, axis=1)

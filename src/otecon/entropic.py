@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_budget, frozen, logsumexp
+from ._util import check_budget, check_scalar, frozen, logsumexp
 from .errors import DomainError
 from .measures import CostMatrix, DiscreteMeasure
 
@@ -52,12 +52,10 @@ class EntropicSolution:
     iterations: int
     marginal_error: float
     converged: bool
-    mu: np.ndarray = field(repr=False)
-    nu: np.ndarray = field(repr=False)
     marginal_errors: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("plan", "phi", "psi", "mu", "nu"):
+        for name in ("plan", "phi", "psi"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
 
 
@@ -159,8 +157,7 @@ def _scaling_loop(
     the unbalanced one comes from d = phi - phi_next, the change the next row
     half-sweep makes, here eps log(u / u_next).
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    check_scalar(eps, "eps", 0.0, strict=True)
     check_budget(tol, max_iter)
     c = cost.entries
     if c.shape != (w_mu.size, w_nu.size):
@@ -260,8 +257,6 @@ def _scaling_loop(
         iterations=it,
         marginal_error=marginal_error,
         converged=converged,
-        mu=w_mu,
-        nu=w_nu,
         marginal_errors=tuple(errors),
     )
 
@@ -338,8 +333,8 @@ def unbalanced_sinkhorn(
     As lam_mu, lam_nu grow the solution approaches the balanced one.  Unlike
     the balanced solver, mu and nu may have arbitrary positive total masses.
     """
-    if lam_mu <= 0 or lam_nu <= 0:
-        raise DomainError("marginal penalties lam_mu, lam_nu must be positive")
+    check_scalar(lam_mu, "lam_mu", 0.0, strict=True)
+    check_scalar(lam_nu, "lam_nu", 0.0, strict=True)
     w_mu = _check_positive(mu, "mu")
     w_nu = _check_positive(nu, "nu")
     return _scaling_loop(w_mu, w_nu, cost, eps, (lam_mu, lam_nu), tol, max_iter)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EXP_CAP, as_float_array, check_budget, frozen
+from ._util import EXP_CAP, as_float_array, check_budget, check_scalar, frozen
 from .discrete import _check_balanced
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
 from .measures import CostMatrix, DiscreteMeasure
@@ -429,10 +429,8 @@ def sista(
         )
     if basis.basis.shape[:2] != pi_hat.shape:
         raise DomainError("basis shape does not match pi_hat")
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    if l1 < 0:
-        raise DomainError(f"l1 penalty must be nonnegative, got {l1!r}")
+    check_scalar(eps, "eps", 0.0, strict=True)
+    check_scalar(l1, "l1", 0.0)
     _check_balanced(DiscreteMeasure(mu), DiscreteMeasure(nu))
 
     nx, ny, k = basis.basis.shape

@@ -14,8 +14,6 @@ import numpy as np
 from ._util import PRIMES, as_float_array, frozen
 from .errors import DomainError, NotPSDError
 
-MASS_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -27,13 +25,10 @@ class DiscreteMeasure:
         Nonnegative atom masses.
     points : array of shape (n, d), optional
         Atom locations.  May be omitted when only weights matter.
-    probability : bool
-        When True the weights must sum to 1 within ``MASS_TOL``.
     """
 
     weights: np.ndarray
     points: np.ndarray | None = None
-    probability: bool = False
 
     def __post_init__(self) -> None:
         w = as_float_array(self.weights, "weights", ndim=1)
@@ -41,10 +36,6 @@ class DiscreteMeasure:
             raise DomainError("a measure needs at least one atom")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        if self.probability and abs(w.sum() - 1.0) > MASS_TOL:
-            raise DomainError(
-                f"probability weights must sum to 1, got {w.sum()!r}"
-            )
         object.__setattr__(self, "weights", frozen(w))
         if self.points is not None:
             p = as_float_array(self.points, "points")

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_float_array, check_budget, frozen
+from ._util import GRID_LIMIT, as_float_array, check_budget, frozen
 from .errors import DomainError, ResourceError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, halton
 from .discrete import extract_assignment, solve_discrete_ot
-
-GRID_LIMIT = 10_000_000
 
 DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
 
@@ -35,9 +33,10 @@ DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
 class LaguerreDiagram:
     """Sites, additive weights, and target masses of a Laguerre partition.
 
-    Weights are gauge-normalized so the last one is zero.  ``converged``
-    and ``objectives`` are solver diagnostics and do not affect the
-    partition itself.
+    Weights are gauge-normalized so the last one is zero.  ``converged``,
+    ``iterations`` (accepted steps, ``len(objectives) - 1``) and
+    ``objectives`` are solver diagnostics and do not affect the partition
+    itself.
     """
 
     sites: np.ndarray
@@ -174,31 +173,6 @@ def _band_laplacian(
     return np.diag(weights.sum(axis=1)) - weights
 
 
-def _ascend(
-    d2: np.ndarray,
-    psi: np.ndarray,
-    q: np.ndarray,
-    direction: np.ndarray,
-    current: float,
-    keep: np.ndarray | None = None,
-) -> tuple | None:
-    """Halve from a unit step until the objective does not decrease.
-
-    With keep, a trial must also leave some mass in every cell it marks.
-    Returns the accepted weights and their _score, or None when all 47
-    trials fail.
-    """
-    floor = current - 1e-14 * max(1.0, abs(current))
-    step = 1.0
-    while step > 1e-14:
-        trial = psi + step * direction
-        scored = _score(d2, trial, q)
-        if scored[0] >= floor and (keep is None or scored[1][keep].all()):
-            return trial, scored
-        step *= 0.5
-    return None
-
-
 def semidiscrete_solve(
     nu: DiscreteMeasure,
     d: int,
@@ -218,14 +192,13 @@ def semidiscrete_solve(
     adding 1 / (2 b N) for N grid points.  The step solves the Laplacian
     system with the last weight fixed and a small ridge for a band graph
     that falls apart.  Its length halves from 1.0 until the objective does
-    not decrease and no nonempty cell empties; if none qualifies, the
-    gradient step is tried under the first rule alone, and the loop ends
-    when both fail.  Accepted objectives are nondecreasing.  One pass over
-    the grid scores per trial gives its objective, cell masses and band.
-    The start weights make the cells those of the Voronoi diagram of the
-    sites shrunk into the cube (zero weights when the sites lie in it).
-    Converged means the largest mismatch between grid cell masses and
-    target masses fell below tol.
+    not decrease and no nonempty cell empties; if no length down to 2^-46
+    qualifies, the loop ends unconverged.  Accepted objectives are
+    nondecreasing.  One pass over the grid scores per trial gives its
+    objective, cell masses and band.  The start weights make the cells
+    those of the Voronoi diagram of the sites shrunk into the cube (zero
+    weights when the sites lie in it).  Converged means the largest
+    mismatch between grid cell masses and target masses fell below tol.
     """
     if nu.points is None:
         raise DomainError("nu must carry site locations")
@@ -252,8 +225,7 @@ def semidiscrete_solve(
     psi = (1.0 - shrink) * np.sum((sites - 0.5) ** 2, axis=1)
     current, masses, *top_two = _score(d2, psi, q)
     objectives = [current]
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         grad = q - masses
         if float(np.max(np.abs(grad))) < tol:
             break
@@ -261,12 +233,15 @@ def semidiscrete_solve(
         ridge = 1e-9 * max(1.0, float(lap.diagonal().max()))
         lap[np.diag_indices_from(lap)] += ridge
         newton = np.append(np.linalg.solve(lap, grad[:-1]), 0.0)
-        accepted = _ascend(d2, psi, q, newton, current, masses > 0) or _ascend(
-            d2, psi, q, grad, current
-        )
-        if accepted is None:
-            break
-        psi, (current, masses, *top_two) = accepted
+        floor = current - 1e-14 * max(1.0, abs(current))
+        for halvings in range(47):
+            trial = psi + 0.5**halvings * newton
+            scored = _score(d2, trial, q)
+            if scored[0] >= floor and scored[1][masses > 0].all():
+                break
+        else:
+            break  # no step down to 2^-46 ascends and keeps every nonempty cell
+        psi, (current, masses, *top_two) = trial, scored
         objectives.append(current)
     # masses are those of the final psi, however the loop ended
     converged = float(np.max(np.abs(q - masses))) < tol
@@ -276,7 +251,7 @@ def semidiscrete_solve(
         weights=psi,
         target_masses=q,
         converged=converged,
-        iterations=it,
+        iterations=len(objectives) - 1,
         objectives=tuple(objectives),
     )
 

@@ -1,17 +1,22 @@
 """End-to-end command line checks: JSON shape, determinism, exit codes."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import to_json_loop
 
 from otecon import (
@@ -539,3 +544,185 @@ class TestProcessEntryPoint:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+class TestRepeatedSite:
+    def test_duplicate_site_stops_early(self, tmp_path):
+        # the copy of the first site can never win a grid point, so no Newton
+        # step keeps every nonempty cell nonempty and the loop ends at once
+        code, payload = run_cli(
+            ["semidiscrete", "--nu", "sites_repeated.csv", "--grid-res", "64",
+             "--max-iter", "50"],
+            tmp_path,
+        )
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["iterations"] < 50
+
+
+class TestScalarOptions:
+    BAD = {
+        "sliced --seed -1": (["sliced", "--x", "points_a.csv", "--y", "points_b.csv",
+                              "--seed=-1"], "seed"),
+        "sliced --n-dir": (["sliced", "--x", "points_a.csv", "--y", "points_b.csv",
+                            "--n-dir", "1250001"], "n_dir"),
+        "sliced --p nan": (COMMANDS["sliced"] + ["--p", "nan"], "p"),
+        "sinkhorn --eps nan": (COMMANDS["sinkhorn"] + ["--eps", "nan"], "eps"),
+        "sinkhorn --eps inf": (COMMANDS["sinkhorn"] + ["--eps", "inf"], "eps"),
+        "uot --lam-mu nan": (COMMANDS["uot"] + ["--lam-mu", "nan"], "lam_mu"),
+        "uot --lam-nu inf": (COMMANDS["uot"] + ["--lam-nu", "inf"], "lam_nu"),
+        "w1d --p nan": (COMMANDS["w1d"] + ["--p", "nan"], "p"),
+        "w1d --p inf": (COMMANDS["w1d"] + ["--p", "inf"], "p"),
+        "dro --rho nan": (COMMANDS["dro"] + ["--rho", "nan"], "rho"),
+        "dro --rho inf": (COMMANDS["dro"] + ["--rho", "inf"], "rho"),
+        "match-sista --eps nan": (COMMANDS["match-sista"] + ["--eps", "nan"], "eps"),
+        "match-sista --l1 nan": (COMMANDS["match-sista"] + ["--l1", "nan"], "l1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejected_with_one_line(self, case, tmp_path, capsys):
+        argv, name = self.BAD[case]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert f"{name} " in err
+
+
+# ------------------------------------------------------------------ property
+
+SUBPARSERS = next(
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+# ranges of the integer options, always given, so that every draw stays cheap
+INT_RANGES = {
+    "grid_res": (-1, 32), "n_dir": (-1, 64), "max_iter": (-1, 50), "seed": (-3, 9),
+}
+SPECIAL = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"]
+
+
+def _fmt(value):
+    return "%.4g" % value
+
+
+NUMBERS = st.one_of(
+    st.integers(0, 3).map(str),
+    st.floats(0.01, 5.0).map(_fmt),
+    st.floats(-1e3, 1e3).map(_fmt),
+)
+TOKENS = st.one_of(NUMBERS, st.sampled_from(SPECIAL + ["", "x", " 1", "1;2"]))
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV text of at most 8 rows, clean or with bad tokens, ragged rows, a
+    header, a byte-order mark or a byte that is not UTF-8."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    dirty = draw(st.booleans())
+    token = TOKENS if dirty else NUMBERS
+    lines = []
+    for _ in range(rows):
+        width = draw(st.integers(max(1, cols - 1), cols + 1)) if dirty else cols
+        lines.append(",".join(draw(token) for _ in range(width)))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join("abcd"[:cols]))
+    data = ("\n".join(lines) + "\n").encode()
+    if dirty and draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if dirty and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def _base_values(command):
+    """Option values of the command's representative invocation."""
+    argv = COMMANDS[command]
+    return dict(zip(argv[1::2], argv[2::2]))
+
+
+@st.composite
+def invocations(draw):
+    """A command and its options: (command, ((flag, is_file, value), ...)).
+
+    A file option holds either the representative fixture or generated CSV
+    text; a float option its representative value, a generated number or
+    one of nan, inf and the like.
+    """
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    base = _base_values(command)
+    options = []
+    for action in SUBPARSERS[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        flag = action.option_strings[0]
+        if action.dest in INT_RANGES:
+            options.append((flag, False, str(draw(st.integers(*INT_RANGES[action.dest])))))
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        if action.choices:
+            options.append((flag, False, draw(st.sampled_from(sorted(action.choices)))))
+        elif action.type is float:
+            # half of the draws keep the representative value, if there is one
+            kind = draw(st.integers(0, 3 if flag in base else 1))
+            value = (draw(st.sampled_from(SPECIAL)) if kind == 0
+                     else draw(st.floats(-1.0, 4.0).map(_fmt)) if kind == 1
+                     else base[flag])
+            options.append((flag, False, value))
+        elif flag in base and draw(st.integers(0, 3)):
+            # three in four file draws keep the representative fixture
+            options.append((flag, True, (DATA / base[flag]).read_bytes()))
+        else:
+            options.append((flag, True, draw(csv_bytes())))
+    return command, tuple(options)
+
+
+def _run_in(directory, spec):
+    """Write the spec's files into directory and run main once on it."""
+    command, options = spec
+    argv = [command]
+    for k, (flag, is_file, value) in enumerate(options):
+        if is_file:
+            path = directory / f"in{k}.csv"
+            path.write_bytes(value)
+            value = str(path)
+        argv.append(f"{flag}={value}")
+    out = directory / "out.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(invocations())
+    # a negative seed and a nan eps reach numpy (Philox, the SVD in sista's
+    # Newton step) and end in a traceback unless the scalar checks stop them
+    @example(("sliced", (
+        ("--x", True, b"0,0\n1,0\n"), ("--y", True, b"0,1\n2,2\n"),
+        ("--n-dir", False, "4"), ("--seed", False, "-1"))))
+    @example(("match-sista", (
+        ("--pi", True, (DATA / "pi_prod.csv").read_bytes()),
+        ("--mu", True, (DATA / "mu_46.csv").read_bytes()),
+        ("--nu", True, (DATA / "nu_37.csv").read_bytes()),
+        ("--basis", True, (DATA / "basis_2x2.csv").read_bytes()),
+        ("--eps", False, "nan"), ("--max-iter", False, "5"))))
+    def test_exit_code_and_document(self, spec):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            code, payload, err = _run_in(directory, spec)
+            assert code in (0, 2, 3), err
+            if code == 2:
+                assert payload is None
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+                return
+            VALIDATOR.validate(json.loads(payload))
+            assert _run_in(directory, spec)[:2] == (code, payload)

@@ -13,6 +13,7 @@ from otecon import (
     DomainError,
     GaussianMeasure,
     NotInvertibleError,
+    ResourceError,
     Sample1D,
     barycenter_1d,
     gaussian_ot_map,
@@ -247,6 +248,18 @@ class TestSliced:
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
             sliced_wasserstein(np.empty((3, 0)), np.empty((3, 0)))
+
+    def test_projection_limit(self):
+        # 1 250 001 directions times 8 points is one entry over the limit
+        x = np.zeros((4, 2))
+        with pytest.raises(ResourceError, match="n_dir"):
+            sliced_wasserstein(x, x, n_dir=1_250_001)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_rejected(self, seed):
+        x = np.zeros((3, 2))
+        with pytest.raises(DomainError, match="seed"):
+            sliced_wasserstein(x, x, seed=seed)
 
     def test_mismatched_dimension_rejected(self, rng):
         with pytest.raises(DomainError):

@@ -26,11 +26,6 @@ class TestDiscreteMeasure:
         with pytest.raises(DomainError):
             DiscreteMeasure([0.5, -0.1])
 
-    def test_probability_flag_enforces_total(self):
-        with pytest.raises(DomainError):
-            DiscreteMeasure([0.5, 0.6], probability=True)
-        DiscreteMeasure([0.5, 0.5], probability=True)
-
     def test_points_length_must_match(self):
         with pytest.raises(DomainError):
             DiscreteMeasure([0.5, 0.5], points=[[0.0]])

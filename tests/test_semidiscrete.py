@@ -297,17 +297,17 @@ class TestNewton:
         assert laguerre_grid_masses(sites, np.zeros(8), 64)[0] == 0.0
         self.assert_converges_within(sites, 64, 20)
 
-    def test_duplicate_site_falls_back_to_gradient(self):
+    def test_duplicate_site_ends_unconverged(self):
         # the copy ties its original everywhere, so its cell stays empty and
         # outside the band graph: only the ridge keeps the Newton system
-        # solvable, and every Newton step empties a cell, so the gradient
-        # step carries the loop to its cap
+        # solvable, and every halved Newton step empties a cell, so the loop
+        # ends long before its cap
         sites = np.random.default_rng(0).uniform(0, 1, (5, 2))
         sites = np.vstack([sites, sites[:1]])
         nu = DiscreteMeasure(np.ones(6), points=sites)
         diag = semidiscrete_solve(nu, d=2, grid_res=64, max_iter=30)
-        assert not diag.converged and diag.iterations == 30
-        assert len(diag.objectives) == 31
+        assert not diag.converged and diag.iterations < 10
+        assert len(diag.objectives) == diag.iterations + 1
         assert np.all(np.diff(diag.objectives) >= -1e-12)
 
     def test_normal_sites_converge_in_few_steps(self, rng):
