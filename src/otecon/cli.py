@@ -23,16 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BinaryRelation,
-    binary_cost_ot,
-    dro_expectation_bound,
-    kaji_subgroup_bounds,
-    rearrangement_bounds,
-    winners_lower_bound,
-)
-from .closed_forms import gaussian_w2, sliced_wasserstein, wasserstein_1d
 from .csvio import (
+    _numeric,
     read_basis_csv,
     read_gaussian_csv,
     read_matching_csv,
@@ -41,8 +33,6 @@ from .csvio import (
     read_sample_csv,
     read_values_csv,
 )
-from .discrete import solve_discrete_ot, verify_optimality
-from .entropic import eot_value, sinkhorn, unbalanced_sinkhorn
 from .errors import (
     DomainError,
     ExpOverflowError,
@@ -51,15 +41,27 @@ from .errors import (
     ResourceError,
     SolverStallError,
 )
-from .matching import (
-    SurplusBasis,
-    cs_equilibrium,
-    cs_identify,
-    moment_matching,
-    sista,
-)
 from .measures import CostMatrix
-from .semidiscrete import semidiscrete_solve, vector_rank
+
+
+def __getattr__(name: str):
+    """The package's public names, bound here on their first lookup, so that
+    a command imports only the solver modules its handler uses."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
+
+def _bind(handler) -> None:
+    """Bind the package names the handler refers to, since a global lookup
+    inside a function does not reach __getattr__.  A name already bound, by
+    an earlier lookup or by a caller wrapping it, is kept."""
+    module, package = sys.modules[__name__], sys.modules[__package__]
+    for name in set(handler.__code__.co_names).intersection(package.__all__):
+        getattr(module, name)
+
 
 _TE_FUNCTIONALS = {
     "diff": (lambda a, b: b - a, "submodular"),
@@ -129,9 +131,44 @@ def _to_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--flag -1e-3`` as ``--flag=-1e-3`` for a numeric option.
+
+    argparse takes a word that starts with '-' for an option unless it looks
+    like -12 or -1.5, so a negative value with an exponent, or -inf, would
+    end the option without its value.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.numeric: dict[str, bool] = {}  # option string: takes a number
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *flags, **kwargs):
+        self.numeric.update(dict.fromkeys(flags, kwargs.get("type") in (int, float)))
+        return super().add_argument(*flags, **kwargs)
+
+    def _takes_number(self, word: str) -> bool:
+        """Whether word names a numeric option, in full or, as argparse
+        accepts, by a prefix of exactly one long option."""
+        if word in self.numeric or not word.startswith("--"):
+            return self.numeric.get(word, False)
+        matches = [flag for flag in self.numeric if flag.startswith(word)]
+        return len(matches) == 1 and self.numeric[matches[0]]
+
+    def parse_known_args(self, args=None, namespace=None):
+        words: list[str] = []
+        for word in sys.argv[1:] if args is None else args:
+            if (words and word.startswith("-") and _numeric(word)
+                    and self._takes_number(words[-1])):
+                words[-1] += "=" + word
+            else:
+                words.append(word)
+        return super().parse_known_args(words, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Subcommands; a handler returns result, or (result, diagnostics) if iterative."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="otecon",
         description="Optimal transport solvers and econometric bounds.",
     )
@@ -145,26 +182,25 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     # The cap when neither --max-iter nor OTECON_MAX_ITER is given is the
-    # solver's own max_iter default; None defers to its size-dependent one.
-    def iterative(p, solver, tol=None, cap_help=None) -> None:
+    # named solver's own max_iter default, read when the command runs.
+    def iterative(p, solver: str, tol=None, cap_help=None) -> None:
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--max-iter", type=int, help=cap_help)
-        cap = inspect.signature(solver).parameters["max_iter"].default
-        p.set_defaults(default_max_iter=cap)
+        p.set_defaults(capped_solver=solver)
 
     p = cmd("ot", "exact discrete transport by network simplex", _cmd_ot)
     p.add_argument("--mu", required=True, help="source measure CSV (w,x1..xd)")
     p.add_argument("--nu", required=True, help="target measure CSV")
     p.add_argument("--cost", required=True, help="cost matrix CSV")
-    iterative(p, solve_discrete_ot, cap_help="pivot cap")
+    iterative(p, "solve_discrete_ot", cap_help="pivot cap")
 
     p = cmd("sinkhorn", "entropic transport, Sinkhorn by kernel scaling", _cmd_sinkhorn)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--eps", type=float, required=True, help="regularization strength")
-    iterative(p, sinkhorn, tol=1e-9)
+    iterative(p, "sinkhorn", tol=1e-9)
 
     p = cmd("uot", "unbalanced entropic transport with soft marginals", _cmd_uot)
     p.add_argument("--mu", required=True)
@@ -173,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lam-mu", type=float, required=True, help="source KL penalty")
     p.add_argument("--lam-nu", type=float, required=True, help="target KL penalty")
-    iterative(p, unbalanced_sinkhorn, tol=1e-9)
+    iterative(p, "unbalanced_sinkhorn", tol=1e-9)
 
     p = cmd("w1d", "p-Wasserstein distance between scalar samples", _cmd_w1d)
     p.add_argument("--x", required=True, help="sample CSV, one value per row")
@@ -195,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_semidiscrete)
     p.add_argument("--nu", required=True, help="sites measure CSV (w,x1..xd)")
     p.add_argument("--grid-res", type=int, help="grid cells per axis")
-    iterative(p, semidiscrete_solve, tol=1e-3)
+    iterative(p, "semidiscrete_solve", tol=1e-3)
 
     p = cmd("ranks", "assignment-based vector ranks onto a Halton set", _cmd_ranks)
     p.add_argument("--sample", required=True, help="points CSV")
@@ -252,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="surplus matrix CSV")
     p.add_argument("--mu", required=True, help="x-side masses CSV (w)")
     p.add_argument("--nu", required=True, help="y-side masses CSV (w)")
-    iterative(p, cs_equilibrium, tol=1e-12)
+    iterative(p, "cs_equilibrium", tol=1e-12)
 
     p = cmd("match-fit", "surplus coefficients by moment matching", _cmd_match_fit)
     p.add_argument("--table", required=True, help="matching CSV (x,y,count)")
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
-    iterative(p, moment_matching, tol=1e-9)
+    iterative(p, "moment_matching", tol=1e-9)
 
     p = cmd("match-sista", "sparse surplus coefficients from an observed plan",
             _cmd_match_sista)
@@ -267,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--l1", type=float, default=0.0, help="soft-threshold penalty")
-    iterative(p, sista, tol=1e-10)
+    iterative(p, "sista", tol=1e-10)
 
     return parser
 
@@ -286,7 +322,10 @@ def _resolve_max_iter(args: argparse.Namespace) -> None:
             raise DomainError(f"OTECON_MAX_ITER must be at least 1, got {cap}")
         args.max_iter = cap
     else:
-        args.max_iter = args.default_max_iter
+        # the solver as defined, not a wrapper bound in its place here;
+        # None defers to its size-dependent cap
+        solver = getattr(sys.modules[__package__], args.capped_solver)
+        args.max_iter = inspect.signature(solver).parameters["max_iter"].default
 
 
 def _cmd_ot(args):
@@ -527,6 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_max_iter(args)
+        _bind(args.run)
         try:
             out = args.run(args)
         except (SolverStallError, NonIdentificationError, NonAssignmentError) as exc:
@@ -539,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         config = {
             key: value
             for key, value in sorted(vars(args).items())
-            if key not in ("command", "run", "default_max_iter")
+            if key not in ("command", "run", "capped_solver")
         }
         document = {
             "command": args.command,

@@ -30,7 +30,6 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DomainError
-from .matching import MatchingTable
 from .measures import DiscreteMeasure, GaussianMeasure, Sample1D
 
 
@@ -115,6 +114,8 @@ def _fields(text: str) -> tuple[list[str], int] | None:
         del rows[0]
     if not rows:
         return None
+    if "," not in text:  # one column: the rows already are the tokens
+        return rows, 1
     width = rows[0].count(",") + 1
     tokens = ",".join(rows).split(",")
     # with one field in the first row, the token count alone rules out ragged rows
@@ -165,7 +166,10 @@ def _records(text: str, width: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _distinct(labels: np.ndarray) -> bool:
-    return np.unique(labels, axis=1).shape[1] == labels.shape[1]
+    """Whether the label columns are pairwise distinct; sorted by lexsort, a
+    repeated column sits next to its twin."""
+    ordered = labels[:, np.lexsort(labels)]
+    return not (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any()
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -260,6 +264,8 @@ def read_matching_csv(path: str) -> MatchingTable:
     Labels are 1-based; every flow cell and every single count must be
     present (equilibrium tables have full support).
     """
+    from .matching import MatchingTable  # the other readers need no solver module
+
     text = _read(path)
     records = _records(text, 3)
     # whatever the row-by-row reader rejects goes to it for its message

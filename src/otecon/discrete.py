@@ -30,11 +30,10 @@ import numpy as np
 from ._util import frozen
 from .errors import (
     DomainError,
-    InfeasibleError,
     NonAssignmentError,
     SolverStallError,
 )
-from .measures import CostMatrix, DiscreteMeasure
+from .measures import CostMatrix, DiscreteMeasure, _check_balanced
 
 # Dual violations below PIVOT_TOL * max(1, max|C|) are treated as zero when
 # searching for an entering edge; well under the certificate tolerance but
@@ -125,14 +124,6 @@ def _is_spanning_tree(edges, rows: int, cols: int) -> bool:
         parent[ra] = rb
         merged += 1
     return merged == n_nodes - 1
-
-
-def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    gap = abs(mu.total_mass - nu.total_mass)
-    if gap > 1e-10 * max(1.0, mu.total_mass):
-        raise InfeasibleError(
-            f"total masses differ by {gap!r}; transport is infeasible"
-        )
 
 
 def northwest_corner(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import EXP_CAP, as_float_array, check_budget, check_scalar, frozen
-from .discrete import _check_balanced
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
-from .measures import CostMatrix, DiscreteMeasure
+from .measures import CostMatrix, DiscreteMeasure, _check_balanced
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import PRIMES, as_float_array, frozen
-from .errors import DomainError, NotPSDError
+from .errors import DomainError, InfeasibleError, NotPSDError
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,14 @@ class DiscreteMeasure:
         if self.points is None:
             raise DomainError("measure carries no atom locations")
         return self.points.shape[1]
+
+
+def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    gap = abs(mu.total_mass - nu.total_mass)
+    if gap > 1e-10 * max(1.0, mu.total_mass):
+        raise InfeasibleError(
+            f"total masses differ by {gap!r}; transport is infeasible"
+        )
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,8 @@ def semidiscrete_solve(
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
     if d not in DEFAULT_GRID_RES:
         raise DomainError(f"dimension must be 1, 2 or 3, got {d}")
-    q = nu.weights / nu.total_mass
+    # all-zero weights have total mass 0, and would give q = nan
+    q = nu.weights / nu.total_mass if nu.total_mass > 0 else nu.weights
     if np.any(q <= 0):
         raise DomainError("site masses must be strictly positive")
     if grid_res is None:

@@ -1,6 +1,7 @@
 """End-to-end command line checks: JSON shape, determinism, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import inspect
 import io
@@ -9,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import to_json_loop
 
+import otecon
 from otecon import (
     DomainError,
     __version__,
@@ -546,6 +548,106 @@ class TestProcessEntryPoint:
         assert __version__ in proc.stdout
 
 
+# the otecon modules every command loads: the CLI, CSV reading and the
+# measure types it builds
+BASE_MODULES = {"otecon._util", "otecon.cli", "otecon.csvio", "otecon.errors",
+                "otecon.measures"}
+LOADED = """
+import sys
+from otecon.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("otecon")))
+"""
+
+
+def _loaded_modules(*args):
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestModulesPerCommand:
+    # the solver modules each command loads, and no other
+    SOLVER_MODULES = {
+        "w1d": {"otecon.closed_forms"},
+        "sinkhorn": {"otecon.entropic"},
+        "match-identify": {"otecon.matching"},
+        "ot": {"otecon.discrete"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_MODULES))
+    def test_command_loads_only_its_solvers(self, name, tmp_path):
+        argv = resolve(COMMANDS[name]) + ["--out", str(tmp_path / "o.json")]
+        loaded = _loaded_modules("-c", LOADED, *argv)
+        assert loaded == {"0", "otecon"} | BASE_MODULES | self.SOLVER_MODULES[name]
+
+    def test_bare_package_import_loads_no_submodule(self):
+        code = "import sys, otecon; print(*(m for m in sys.modules if m.startswith('otecon')))"
+        assert _loaded_modules("-c", code) == {"otecon"}
+
+    def test_cli_import_loads_no_solver(self):
+        code = "import sys, otecon.cli; print(*(m for m in sys.modules if m.startswith('otecon')))"
+        assert _loaded_modules("-c", code) == {"otecon"} | BASE_MODULES
+
+
+def _traced_names():
+    """CLI_READERS and CLI_SOLVERS of otbench/run.py: the names of otecon.cli
+    that its traced run wraps, to time the readers and solvers main calls."""
+    tree = ast.parse((Path(__file__).parent.parent / "otbench" / "run.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("CLI_READERS", "CLI_SOLVERS"):
+                names[node.targets[0].id] = ast.literal_eval(node.value)
+    return names["CLI_READERS"] + names["CLI_SOLVERS"]
+
+
+class TestNamespace:
+    # a command whose handler calls each traced name
+    TRACED = {
+        "read_measure_csv": "sinkhorn",
+        "read_matrix_csv": "sinkhorn",
+        "read_sample_csv": "w1d",
+        "read_matching_csv": "match-identify",
+        "read_gaussian_csv": "gaussian-w2",
+        "sinkhorn": "sinkhorn",
+        "eot_value": "sinkhorn",
+        "cs_identify": "match-identify",
+        "wasserstein_1d": "w1d",
+        "rearrangement_bounds": "bounds-te",
+        "gaussian_w2": "gaussian-w2",
+    }
+
+    @pytest.mark.parametrize("name", otecon.__all__)
+    def test_export_is_the_submodules_object(self, name):
+        value = getattr(otecon, name)
+        assert getattr(import_module(value.__module__), name) is value
+        assert name in dir(otecon)
+
+    @pytest.mark.parametrize("module", [otecon, cli])
+    def test_unknown_name_raises_attribute_error(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "no_such_name")
+
+    def test_traced_names_listed(self):
+        assert sorted(_traced_names()) == sorted(self.TRACED)
+
+    @pytest.mark.parametrize("name", sorted(TRACED))
+    def test_main_calls_the_bound_object(self, name, tmp_path, monkeypatch):
+        original = getattr(cli, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _ = run_cli(COMMANDS[self.TRACED[name]], tmp_path)
+        assert code == 0
+        assert calls
+
+
 class TestRepeatedSite:
     def test_duplicate_site_stops_early(self, tmp_path):
         # the copy of the first site can never win a grid point, so no Newton
@@ -579,6 +681,11 @@ class TestScalarOptions:
         "dro --rho inf": (COMMANDS["dro"] + ["--rho", "inf"], "rho"),
         "match-sista --eps nan": (COMMANDS["match-sista"] + ["--eps", "nan"], "eps"),
         "match-sista --l1 nan": (COMMANDS["match-sista"] + ["--l1", "nan"], "l1"),
+        # a negative value argparse alone would take for an option
+        "sinkhorn --eps -1e-3": (COMMANDS["sinkhorn"] + ["--eps", "-1e-3"], "eps"),
+        "sinkhorn --eps -inf": (COMMANDS["sinkhorn"] + ["--eps", "-inf"], "eps"),
+        "dro --rho -1E2": (COMMANDS["dro"] + ["--rho", "-1E2"], "rho"),
+        "uot --lam-n -1e3": (COMMANDS["uot"] + ["--lam-n", "-1e3"], "lam_nu"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
@@ -590,6 +697,16 @@ class TestScalarOptions:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.endswith("\n")
         assert f"{name} " in err
+
+    @pytest.mark.parametrize(
+        "case", ["sinkhorn --eps -1e-3", "sinkhorn --eps -inf", "dro --rho -1E2",
+                 "uot --lam-n -1e3"]
+    )
+    def test_value_as_its_own_word_reads_as_joined(self, case, tmp_path, capsys):
+        argv, _ = self.BAD[case]
+        split = run_cli(argv, tmp_path), capsys.readouterr().err
+        joined = run_cli(argv[:-2] + ["=".join(argv[-2:])], tmp_path), capsys.readouterr().err
+        assert split == joined
 
 
 # ------------------------------------------------------------------ property
@@ -648,11 +765,13 @@ def _base_values(command):
 
 @st.composite
 def invocations(draw):
-    """A command and its options: (command, ((flag, is_file, value), ...)).
+    """A command, its options and their spelling:
+    (command, ((flag, is_file, value), ...), split).
 
     A file option holds either the representative fixture or generated CSV
     text; a float option its representative value, a generated number or
-    one of nan, inf and the like.
+    one of nan, inf and the like.  With split, every option that is not a
+    file is written as two words, ``--flag value``, else as ``--flag=value``.
     """
     command = draw(st.sampled_from(sorted(SUBPARSERS)))
     base = _base_values(command)
@@ -680,19 +799,19 @@ def invocations(draw):
             options.append((flag, True, (DATA / base[flag]).read_bytes()))
         else:
             options.append((flag, True, draw(csv_bytes())))
-    return command, tuple(options)
+    return command, tuple(options), draw(st.booleans())
 
 
 def _run_in(directory, spec):
     """Write the spec's files into directory and run main once on it."""
-    command, options = spec
+    command, options, split = spec
     argv = [command]
     for k, (flag, is_file, value) in enumerate(options):
         if is_file:
             path = directory / f"in{k}.csv"
             path.write_bytes(value)
             value = str(path)
-        argv.append(f"{flag}={value}")
+        argv += [flag, value] if split and not is_file else [f"{flag}={value}"]
     out = directory / "out.json"
     out.unlink(missing_ok=True)
     err = io.StringIO()
@@ -708,13 +827,24 @@ class TestExitCodeProperty:
     # Newton step) and end in a traceback unless the scalar checks stop them
     @example(("sliced", (
         ("--x", True, b"0,0\n1,0\n"), ("--y", True, b"0,1\n2,2\n"),
-        ("--n-dir", False, "4"), ("--seed", False, "-1"))))
+        ("--n-dir", False, "4"), ("--seed", False, "-1")), False))
     @example(("match-sista", (
         ("--pi", True, (DATA / "pi_prod.csv").read_bytes()),
         ("--mu", True, (DATA / "mu_46.csv").read_bytes()),
         ("--nu", True, (DATA / "nu_37.csv").read_bytes()),
         ("--basis", True, (DATA / "basis_2x2.csv").read_bytes()),
-        ("--eps", False, "nan"), ("--max-iter", False, "5"))))
+        ("--eps", False, "nan"), ("--max-iter", False, "5")), False))
+    # sites of total mass 0 once passed the positive-mass check as nan
+    @example(("semidiscrete", (
+        ("--nu", True, b"0,0\n"), ("--grid-res", False, "2"),
+        ("--max-iter", False, "1")), False))
+    # argparse alone takes a negative value with an exponent for an option
+    @example(("uot", (
+        ("--mu", True, (DATA / "mu_half.csv").read_bytes()),
+        ("--nu", True, (DATA / "nu_half.csv").read_bytes()),
+        ("--cost", True, (DATA / "cost_2x2.csv").read_bytes()),
+        ("--eps", False, "-1e-05"), ("--lam-mu", False, "-inf"),
+        ("--lam-nu", False, "5"), ("--max-iter", False, "5")), True))
     def test_exit_code_and_document(self, spec):
         with tempfile.TemporaryDirectory() as name:
             directory = Path(name)

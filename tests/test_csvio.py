@@ -172,3 +172,20 @@ def test_non_utf8_file_named(tmp_path):
     path.write_bytes("año\n1\n2\n".encode("latin-1"))
     with pytest.raises(CsvError, match="latin1.csv: not UTF-8"):
         read_values_csv(str(path))
+
+
+def test_distinct_labels_as_unique_finds_them(rng):
+    # np.unique over columns, the check _distinct replaced, is the reference;
+    # labels at the ends of int64 would overflow a key built from both rows
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    cases = [
+        np.array([[top, bottom, top], [0, 0, 0]]),
+        np.array([[top, top], [bottom, top]]),
+        np.array([[1], [2], [3]]),
+    ]
+    for _ in range(50):
+        k, n = rng.integers(1, 4), rng.integers(1, 30)
+        cases.append(rng.integers(0, 4, size=(k, n)))
+    for labels in cases:
+        expected = np.unique(labels, axis=1).shape[1] == labels.shape[1]
+        assert csvio._distinct(labels) == expected, labels
