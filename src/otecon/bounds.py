@@ -23,7 +23,6 @@ import numpy as np
 from ._util import as_float_array, check_scalar, frozen
 from .errors import DomainError
 from .measures import CostMatrix, DiscreteMeasure, Sample1D
-from .discrete import solve_discrete_ot
 
 # Plan masses below WITNESS_TOL * total mass are rounding noise to the
 # binary-cost witness search.
@@ -193,6 +192,8 @@ def binary_cost_ot(
         raise DomainError(
             f"relation shape {g.shape} does not match measures ({mu.size}, {nu.size})"
         )
+    from .discrete import solve_discrete_ot  # the other bounds need no solver
+
     plan, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
     if not witness:
         return value, None
@@ -223,10 +224,12 @@ def dro_expectation_bound(
 
         inf over lam >= 0 of  lam rho + sum_i mu_i max_j (f_j - lam delta_ji).
 
-    The inner maxima are exact finite maxima; the outer convex problem is
-    bracketed on [0, lam_max] (beyond lam_max every inner max stays at its
-    own support point, so the dual grows linearly) and refined by golden
-    section search to 1e-9 in lam.
+    The dual is convex and piecewise linear, so its minimum is at a kink.
+    Each evaluation also gives the right slope, taking the least delta among
+    tied maximizers.  If the slope at 0 is negative, the bracket [0, 2 lam_max]
+    (lam_max = range(f) / least positive delta) is cut where its ends' lines
+    meet, until that point lies on an end's piece (equal slopes) or rounds
+    out of the bracket.  The search needs no tolerance.
     """
     f = as_float_array(f, "f", ndim=1)
     d = delta.entries
@@ -244,30 +247,26 @@ def dro_expectation_bound(
         raise DomainError("mu must have positive total mass")
     w = mu.weights / mu.total_mass
 
-    def dual(lam: float) -> float:
+    def dual(lam: float) -> tuple[float, float]:
         # delta[j, i]: discrepancy of moving reference mass at i to point j.
-        inner = np.max(f[:, None] - lam * d, axis=0)
-        return lam * rho + float(w @ inner)
+        inner = f[:, None] - lam * d
+        best = inner.max(axis=0)
+        moved = np.where(inner == best, d, np.inf).min(axis=0)
+        return lam * rho + float(w @ best), rho - float(w @ moved)
 
-    off = d[~np.eye(n, dtype=bool)]
-    positive = off[off > 0]
-    if positive.size == 0:
-        return dual(0.0)
-    lam_max = (float(f.max()) - float(f.min())) / float(positive.min())
-    if lam_max <= 0:
-        return dual(0.0)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, lam_max
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = dual(x1), dual(x2)
-    while hi - lo > 1e-9:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = dual(x1)
+    v_lo, s_lo = dual(0.0)
+    if s_lo >= 0:
+        return v_lo
+    lo, hi = 0.0, 2.0 * float(np.ptp(f)) / float(d[d > 0].min())
+    v_hi, s_hi = dual(hi)
+    while True:
+        lam = lo + (v_hi - v_lo - s_hi * (hi - lo)) / (s_lo - s_hi)
+        if not lo < lam < hi:
+            return min(v_lo, v_hi)
+        v, s = dual(lam)
+        if s in (s_lo, s_hi):
+            return min(v, v_lo, v_hi)
+        if s < 0:
+            lo, v_lo, s_lo = lam, v, s
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = dual(x2)
-    return min(dual(0.0), dual(lam_max), f1, f2, dual(0.5 * (lo + hi)))
+            hi, v_hi, s_hi = lam, v, s

@@ -24,7 +24,6 @@ import numpy as np
 from ._util import GRID_LIMIT, as_float_array, check_budget, frozen
 from .errors import DomainError, ResourceError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, halton
-from .discrete import extract_assignment, solve_discrete_ot
 
 DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
 
@@ -295,6 +294,8 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
             ref.points[:, 0], kind="stable"
         )
         return RankAssignment(perm, ref)
+    from .discrete import extract_assignment, solve_discrete_ot  # only ranks need them
+
     cost = _sq_dists(y, ref.points)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
     plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost))

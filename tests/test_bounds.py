@@ -315,13 +315,42 @@ class TestDro:
         values = [dro_expectation_bound(f, delta, mu, rho=r) for r in radii]
         assert np.all(np.diff(values) >= -1e-8)
 
+    # (f scale, delta and rho scale): the bound scales with f and is unmoved
+    # by a common scale of delta and rho
+    SCALES = [(1.0, 1.0), (1e7, 1.0), (1e-7, 1.0), (1.0, 1e6), (1.0, 1e-6)]
+
     def test_matches_primal_lp(self, rng):
+        # every scaling is checked against the LP at scale 1, since the LP
+        # solver's absolute tolerances do not scale with the data
         for _ in range(10):
             f, delta, mu = self.grid_instance(rng)
             rho = float(rng.uniform(0.0, 0.6) * delta.entries.max())
-            dual = dro_expectation_bound(f, delta, mu, rho)
             primal = dro_primal_value(f, delta.entries, mu.weights, rho)
-            assert dual == pytest.approx(primal, abs=1e-6)
+            for f_scale, d_scale in self.SCALES:
+                dual = dro_expectation_bound(
+                    f * f_scale, CostMatrix(delta.entries * d_scale), mu, rho * d_scale
+                )
+                assert dual == pytest.approx(f_scale * primal, rel=1e-12)
+
+    def test_large_multiplier_returns(self):
+        # the minimizing multiplier is 1e7, where float spacing exceeds 1e-9
+        f = np.array([0.0, 1e7])
+        delta = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
+        mu = DiscreteMeasure([0.5, 0.5])
+        assert dro_expectation_bound(f, delta, mu, rho=0.1) == 6e6
+        assert dro_primal_value(f, delta.entries, mu.weights, 0.1) == pytest.approx(6e6)
+
+    def test_no_off_diagonal_discrepancy_is_maximum(self, rng):
+        # moving mass is free, so all of it goes to the best point
+        f, _, mu = self.grid_instance(rng)
+        bound = dro_expectation_bound(f, CostMatrix(np.zeros((4, 4))), mu, rho=0.3)
+        assert bound == pytest.approx(float(f.max()), rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.2, 5.0])
+    def test_constant_f_is_that_constant(self, rng, rho):
+        _, delta, mu = self.grid_instance(rng)
+        bound = dro_expectation_bound(np.full(4, -1.5), delta, mu, rho)
+        assert bound == pytest.approx(-1.5, rel=1e-14)
 
     def test_negative_radius_rejected(self, rng):
         f, delta, mu = self.grid_instance(rng)

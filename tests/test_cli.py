@@ -538,6 +538,23 @@ class TestProcessEntryPoint:
         assert proc.returncode == 0, proc.stderr
         VALIDATOR.validate(json.loads(out.read_bytes()))
 
+    def test_dro_large_multiplier_returns(self, tmp_path):
+        # the minimizing multiplier is 1e7; the timeout turns a hang into a failure
+        (tmp_path / "f.csv").write_text("0\n1e7\n")
+        (tmp_path / "delta.csv").write_text("0,1\n1,0\n")
+        (tmp_path / "w.csv").write_text("0.5\n0.5\n")
+        out = tmp_path / "o.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "otecon.cli", "dro",
+             "--f", str(tmp_path / "f.csv"), "--delta", str(tmp_path / "delta.csv"),
+             "--mu", str(tmp_path / "w.csv"), "--rho", "0.1", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_bytes())["result"]["value"] == 6e6
+
     def test_version_flag(self):
         proc = subprocess.run(
             [sys.executable, "-m", "otecon.cli", "--version"],
@@ -573,6 +590,9 @@ class TestModulesPerCommand:
         "sinkhorn": {"otecon.entropic"},
         "match-identify": {"otecon.matching"},
         "ot": {"otecon.discrete"},
+        "bounds-te": {"otecon.bounds"},
+        "dro": {"otecon.bounds"},
+        "semidiscrete": {"otecon.semidiscrete"},
     }
 
     @pytest.mark.parametrize("name", sorted(SOLVER_MODULES))
