@@ -190,16 +190,20 @@ def halton(n: int, d: int) -> HaltonSet:
         raise DomainError(f"need n >= 1 points, got {n}")
     if not 1 <= d <= len(PRIMES):
         raise DomainError(f"dimension must be in [1, {len(PRIMES)}], got {d}")
-    pts = np.zeros((n, d))
+    pts = np.empty((n, d))
     for j, base in enumerate(PRIMES[:d]):
-        # Van der Corput radical inverse of every index at once, one digit
-        # per sweep.
-        idx = np.arange(1, n + 1)
+        # Van der Corput radical inverse of the indices 0..n by digit
+        # doubling: the indices below base^(k+1) are those below base^k with
+        # each digit appended at place k, and the digits are added from the
+        # lowest place up, as in the one-index-at-a-time expansion.  The
+        # last level appends only the digits needed to reach index n.
+        inv = np.zeros(1)
         denom = 1.0
-        while idx.any():
-            idx, digit = np.divmod(idx, base)
+        while inv.size <= n:
             denom *= base
-            pts[:, j] += digit / denom
+            digits = np.arange(min(base, -(-(n + 1) // inv.size)))
+            inv = (inv + (digits / denom)[:, None]).ravel()
+        pts[:, j] = inv[1 : n + 1]
     return HaltonSet(pts)
 
 

@@ -9,11 +9,14 @@ rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations, and run the Sinkhorn
 loops that build the plan on every sweep to measure their residual, and
 the log-sum-exp loop the package ran before its kernel scaling.  The
-sista loop is the proximal-gradient method the package ran before its
-Newton solver, and the Laguerre loop is the two-pass gradient ascent on
-the weights that recounted the cell masses apart from the objective on
-every step; the grid masses and semidual after it recount a Laguerre
-diagram on their own grid, to certify the package's Newton weights.  The
+one-shot sliced distance holds the projections of all directions at once
+and merges the quantile grids by a sorted union, as the package did
+before it took the directions in blocks.  The sista loop is the
+proximal-gradient method the package ran before its Newton solver, and
+the Laguerre loop is the two-pass gradient ascent on the weights that
+recounted the cell masses apart from the objective on every step; the
+grid masses and semidual after it recount a Laguerre diagram on their own
+grid, to certify the package's Newton weights.  The
 CSV readers and the JSON writer at the end are the row-by-row csv-module
 readers and the element-by-element serializer the command line used
 before it parsed and formatted whole arrays; the readers stop where the
@@ -264,6 +267,29 @@ def halton_loop(n, bases):
                 inv += digit / denom
             points[row, col] = inv
     return points
+
+
+def sliced_one_shot(x, y, p, n_dir, seed):
+    """Sliced distance with every direction projected, sorted and gathered at once.
+
+    Same Philox directions as the package; the merged quantile grid is the
+    sorted union of the two breakpoint progressions, located in each by
+    binary search.
+    """
+    dirs = np.random.Generator(np.random.Philox(seed)).standard_normal((n_dir, x.shape[1]))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms < 1e-12] = 1.0
+    dirs /= norms[:, None]
+    bx = np.arange(1, x.shape[0] + 1) / x.shape[0]
+    by = np.arange(1, y.shape[0] + 1) / y.shape[0]
+    ends = np.union1d(bx, by)
+    lengths = np.diff(ends, prepend=0.0)
+    ix = np.searchsorted(bx, ends, side="left")
+    iy = np.searchsorted(by, ends, side="left")
+    proj_x = np.sort((x @ dirs.T).T, axis=1)
+    proj_y = np.sort((y @ dirs.T).T, axis=1)
+    gap = np.abs(proj_x[:, ix] - proj_y[:, iy]) ** p * lengths
+    return float((np.sum(gap) / n_dir) ** (1.0 / p))
 
 
 def _lse(a, axis):

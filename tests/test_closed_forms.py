@@ -1,10 +1,11 @@
 """Closed-form values on the line, Gaussian maps, sliced distance, barycenters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otecon import (
@@ -23,8 +24,9 @@ from otecon import (
     solve_discrete_ot,
     wasserstein_1d,
 )
+from otecon import closed_forms
 from otecon.closed_forms import _merged_grid
-from oracles import lp_transport_value, merged_segments_loop
+from oracles import lp_transport_value, merged_segments_loop, sliced_one_shot
 
 abs_cost = lambda a, b: abs(a - b)
 sq_cost = lambda a, b: (a - b) ** 2
@@ -124,6 +126,18 @@ class TestMergedGrid:
 
     @pytest.mark.parametrize("m, n", SIZES + [(1, 1), (49, 70), (2000, 1900)])
     def test_matches_segment_loop(self, m, n):
+        lengths, ix, iy = _merged_grid(m, n)
+        ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
+        assert lengths.tolist() == ref_lengths
+        assert ix.tolist() == ref_ix and iy.tolist() == ref_iy
+
+    @given(st.integers(1, 3000), st.integers(1, 3000))
+    @example(3000, 2999)
+    @example(1, 3000)
+    @example(3000, 1)
+    @example(2048, 3000)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_segment_loop_any_sizes(self, m, n):
         lengths, ix, iy = _merged_grid(m, n)
         ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
         assert lengths.tolist() == ref_lengths
@@ -248,6 +262,33 @@ class TestSliced:
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
             sliced_wasserstein(np.empty((3, 0)), np.empty((3, 0)))
+
+    # 300 + 250 points: directions are taken in blocks of 119.
+    BLOCK = 119
+
+    def test_block_size(self):
+        assert closed_forms.SLICED_BLOCK_VALUES // 550 == self.BLOCK
+
+    @pytest.mark.parametrize("n_dir", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_block_boundaries_match_one_shot(self, rng, n_dir, p):
+        x = rng.normal(size=(300, 3))
+        y = 0.4 + 1.3 * rng.normal(size=(250, 3))
+        value = sliced_wasserstein(x, y, p=p, n_dir=n_dir, seed=n_dir)
+        assert value == pytest.approx(sliced_one_shot(x, y, p, n_dir, n_dir), rel=1e-14)
+
+    def test_memory_bounded_at_projection_limit(self, rng):
+        # 2 500 directions times 4 000 points is the limit itself; holding
+        # every projection at once peaked at about 160 MB.
+        x = rng.normal(size=(2000, 3))
+        y = rng.normal(size=(2000, 3))
+        tracemalloc.start()
+        try:
+            sliced_wasserstein(x, y, n_dir=2500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_projection_limit(self):
         # 1 250 001 directions times 8 points is one entry over the limit

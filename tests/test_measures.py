@@ -17,6 +17,7 @@ from otecon import (
     halton,
     spd_sqrt,
 )
+from otecon._util import PRIMES
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -135,6 +136,18 @@ class TestHalton:
     def test_matches_digit_loop(self):
         bases = [2, 3, 5, 7, 11, 13]
         assert np.array_equal(halton(3000, 6).points, halton_loop(3000, bases))
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_digit_loop_at_powers_of_base(self, d):
+        # n = b^k - 1, b^k and b^k + 1 for every b^k up to 5 041 = 71^2,
+        # where the last level of digits is cut short or just full.
+        base = PRIMES[d - 1]
+        powers = [base**k for k in range(1, 13) if base**k <= 5041]
+        ref = halton_loop(powers[-1] + 1, [base])[:, 0]
+        for power in powers:
+            for n in (power - 1, power, power + 1):
+                if n >= 1:
+                    assert np.array_equal(halton(n, d).points[:, d - 1], ref[:n])
 
 
 class TestSpdSqrt:
