@@ -31,7 +31,12 @@ WITNESS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed real interval [lower, upper]."""
+    """Closed real interval [lower, upper].
+
+    The endpoints must be in order.  Membership allows a slack of 1e-12
+    times the larger endpoint magnitude, so a value summed in another order
+    than an endpoint still lies inside.
+    """
 
     lower: float
     upper: float
@@ -39,7 +44,7 @@ class Interval:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise DomainError("interval endpoints must be finite")
-        if self.lower > self.upper + 1e-12:
+        if self.lower > self.upper:
             raise DomainError(
                 f"lower endpoint {self.lower!r} exceeds upper {self.upper!r}"
             )
@@ -49,7 +54,8 @@ class Interval:
         return self.upper - self.lower
 
     def __contains__(self, x: float) -> bool:
-        return self.lower - 1e-12 <= x <= self.upper + 1e-12
+        slack = 1e-12 * max(abs(self.lower), abs(self.upper))
+        return self.lower - slack <= x <= self.upper + slack
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,11 @@ def rearrangement_bounds(
 
     The comonotone coupling pairs equal ranks, the antitone coupling pairs
     opposite ranks; for a submodular h these give the minimum and maximum,
-    for a supermodular h the reverse.  Requires equal sample sizes.  h is
-    called once per coupling, on two arrays of paired values, and must act
-    elementwise.
+    for a supermodular h the reverse.  The two are returned in order, so
+    means that cross by rounding (a modular h, or a constant sample, makes
+    them one sum taken in two orders) still form an interval.  Requires
+    equal sample sizes.  h is called once per coupling, on two arrays of
+    paired values, and must act elementwise.
     """
     if modularity not in ("submodular", "supermodular"):
         raise DomainError(
@@ -95,9 +103,7 @@ def rearrangement_bounds(
     v0, v1 = y0.values, y1.values
     comonotone = float(np.mean(h(v0, v1)))
     antitone = float(np.mean(h(v0, v1[::-1])))
-    if modularity == "submodular":
-        return Interval(comonotone, antitone)
-    return Interval(antitone, comonotone)
+    return Interval(*sorted((comonotone, antitone)))
 
 
 def _integrate_quantile(sample: Sample1D, lo: float, hi: float) -> float:
@@ -127,7 +133,9 @@ def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Inte
         upper = mean over u in (a,b) of Q1(1 - u + a) - Q0(u)
 
     Both integrals are evaluated exactly on the quantile step grids.
-    At (a, b) = (0, 1) both endpoints collapse to the difference in means.
+    At (a, b) = (0, 1), or for a constant y1, both endpoints collapse to one
+    value; they are returned in order, so endpoints that cross by rounding
+    there still form an interval.
     """
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"need 0 <= a < b <= 1, got a={a!r}, b={b!r}")
@@ -135,7 +143,7 @@ def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Inte
     base = _integrate_quantile(y0, a, b)
     lower = (_integrate_quantile(y1, 0.0, width) - base) / width
     upper = (_integrate_quantile(y1, 1.0 - width, 1.0) - base) / width
-    return Interval(lower, upper)
+    return Interval(*sorted((lower, upper)))
 
 
 def winners_lower_bound(a: float, b: float, y0: Sample1D, y1: Sample1D) -> float:

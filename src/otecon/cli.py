@@ -396,7 +396,7 @@ def _cmd_uot(args):
     diagnostics = {
         "converged": sol.converged,
         "iterations": sol.iterations,
-        "residual": sol.marginal_errors[-1] if sol.marginal_errors else None,
+        "residual": sol.marginal_errors[-1],
     }
     return result, diagnostics
 

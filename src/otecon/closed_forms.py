@@ -40,10 +40,10 @@ class AffineMap:
         b = as_float_array(self.shift, "shift", ndim=1)
         if a.shape != (b.size, b.size):
             raise DomainError(f"linear must be {b.size} x {b.size}, got {a.shape}")
-        if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+        if np.max(np.abs(a - a.T)) > 1e-10 * np.max(np.abs(a)):
             raise DomainError("linear part must be symmetric")
         eig = np.linalg.eigvalsh(0.5 * (a + a.T))
-        if eig[0] < -1e-10 * max(eig[-1], 1.0):
+        if eig[0] < -1e-10 * max(eig[-1], 0.0):
             raise DomainError("linear part must be positive semidefinite")
         object.__setattr__(self, "linear", frozen(a))
         object.__setattr__(self, "shift", frozen(b))
@@ -133,7 +133,7 @@ def gaussian_ot_map(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     vals, vecs = np.linalg.eigh(g1.cov)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
+    if vals[0] <= 1e-12 * vals[-1]:
         raise NotInvertibleError("cov1 is singular; no transport map exists")
     half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     inv_half = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T

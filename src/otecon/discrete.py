@@ -11,8 +11,12 @@ propagated along the tree, the edge with the most negative reduced cost
 enters the basis (Dantzig's rule), mass shifts around the unique cycle it
 creates, and a binding edge leaves, chosen by Cunningham's rule (1976, "A
 network simplex method"), which keeps the tree strongly feasible and so
-cannot cycle under any entering rule.  In floating point the pivot
-tolerance, scaled by ``max(1, max|C|)``, keeps rounding noise in the reduced
+cannot cycle under any entering rule.  Adding a constant to C changes no
+optimal plan, so the pivots run on C - min C, and the pivot and certificate
+tolerances are relative constants times the cost range max C - min C: the
+same rule holds for costs of 1e-12, of 1e12 and at an offset of 1e10.  The
+certificate adds only a few ulps of max|C|, the rounding of min C in the
+column potentials.  The pivot tolerance keeps rounding noise in the reduced
 costs from reading as a violation.  The iteration cap is a safety net and
 raises :class:`SolverStallError` when hit.
 
@@ -35,13 +39,13 @@ from .errors import (
 )
 from .measures import CostMatrix, DiscreteMeasure, _check_balanced
 
-# Dual violations below PIVOT_TOL * max(1, max|C|) are treated as zero when
-# searching for an entering edge; well under the certificate tolerance but
-# well above accumulated rounding noise at the supported problem sizes.
+# Dual violations below PIVOT_TOL times the cost range are treated as zero
+# when searching for an entering edge; well under the certificate tolerance
+# but well above accumulated rounding noise at the supported problem sizes.
 PIVOT_TOL = 1e-11
 
-# Certificate tolerance: reduced costs are held to CERT_TOL * max(1, max|C|)
-# by default, plan masses (probabilities) to CERT_TOL itself.
+# Certificate tolerance: reduced costs are held to CERT_TOL times the cost
+# range by default, plan entries to CERT_TOL times the plan's total mass.
 CERT_TOL = 1e-9
 
 
@@ -61,7 +65,8 @@ class TransportPlan:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 2:
             raise DomainError(f"mass must be a matrix, got shape {m.shape}")
-        if np.any(m < -CERT_TOL):
+        tol = CERT_TOL * m.sum()
+        if np.any(m < -tol):
             raise DomainError("mass entries must be nonnegative")
         rows, cols = m.shape
         edges = frozenset((int(i), int(j)) for i, j in self.basis_edges)
@@ -71,7 +76,7 @@ class TransportPlan:
             )
         if not _is_spanning_tree(edges, rows, cols):
             raise DomainError("basis edges must form a spanning tree")
-        support = {(int(i), int(j)) for i, j in zip(*np.nonzero(m > CERT_TOL))}
+        support = {(int(i), int(j)) for i, j in zip(*np.nonzero(m > tol))}
         if not support <= edges:
             raise DomainError("plan support must be contained in the basis")
         object.__setattr__(self, "mass", frozen(m))
@@ -167,11 +172,6 @@ def northwest_corner(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     return TransportPlan(mass, frozenset(edges))
 
 
-def _cost_scale(c: np.ndarray) -> float:
-    """Scale the pivot and certificate tolerances are measured against."""
-    return max(1.0, float(np.max(np.abs(c))))
-
-
 def solve_discrete_ot(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -182,12 +182,15 @@ def solve_discrete_ot(
 
     The edge with the most negative reduced cost enters (Dantzig's rule,
     ties to the row-major first); the search stops when no reduced cost is
-    below ``-PIVOT_TOL * max(1, max|C|)``, a tolerance above the rounding
-    noise in the reduced costs.  Among the edges on the induced cycle that
-    lose mass and carry the least of it, the last one met when the cycle is
-    walked from its apex in the entering edge's direction leaves
-    (Cunningham's rule).  Zero-mass basic edges are retained so the basis
-    stays a spanning tree under degeneracy.
+    below ``-PIVOT_TOL * (max C - min C)``, a tolerance above the rounding
+    noise in the reduced costs.  The pivots run on C - min C, which has the
+    same optimal plans, so the offset min C adds no rounding noise to the
+    pivots; it is added back to the column potentials, which round it to
+    its ulps, and the value is the plan's cost on C itself.  Among the edges
+    on the induced cycle that lose mass and carry the least of it, the last
+    one met when the cycle is walked from its apex in the entering edge's
+    direction leaves (Cunningham's rule).  Zero-mass basic edges are
+    retained so the basis stays a spanning tree under degeneracy.
 
     Rooted at row 0, a basis is strongly feasible when every zero-mass edge
     has its row end as the child, so that some flow can move from every
@@ -217,7 +220,9 @@ def solve_discrete_ot(
         max_iter = 200 * rows * cols + 1000
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    tol = PIVOT_TOL * _cost_scale(c)
+    low = c.min()
+    c = c - low
+    tol = PIVOT_TOL * c.max()
     cl = c.tolist()
     mass = start.mass.tolist()
     n_nodes = rows + cols
@@ -273,8 +278,8 @@ def solve_discrete_ot(
         if reduced.flat[flat] >= -tol:
             basis = frozenset(edge(node) for node in range(1, n_nodes))
             plan = TransportPlan(np.array(mass), basis)
-            pots = DualPotentials(p[:rows], p[rows:])
-            return plan, pots, float(np.sum(plan.mass * c))
+            pots = DualPotentials(p[:rows], p[rows:] + low)
+            return plan, pots, float(np.sum(plan.mass * cost.entries))
         enter = divmod(flat, cols)
 
         # Climb from both ends to their common ancestor.  The cycle runs
@@ -339,7 +344,12 @@ def verify_optimality(
 
     Independent of how plan and potentials were computed; a True result
     proves optimality of the plan for the given cost up to tol, which
-    defaults to ``CERT_TOL * max(1, max|C|)``.
+    defaults to ``CERT_TOL * (max C - min C)`` plus 8 ulps of max|C|: column
+    potentials that carry an offset in the costs are rounded to the ulps of
+    that offset, which can exceed any fraction of a small cost range.  The
+    slack is evaluated as (C - min C) - phi - (psi - min C), so that the
+    offset cancels before the slack is summed.  Plan entries above 1e-12
+    times the plan's total mass must be binding.
     """
     c = cost.entries
     if plan.shape != c.shape:
@@ -349,13 +359,15 @@ def verify_optimality(
     phi, psi = potentials.phi, potentials.psi
     if phi.size != c.shape[0] or psi.size != c.shape[1]:
         raise DomainError("potential lengths do not match cost shape")
+    low = c.min()
     if tol is None:
-        tol = CERT_TOL * _cost_scale(c)
-    slack = c - phi[:, None] - psi[None, :]
+        ulp = np.finfo(float).eps * np.abs(c).max()
+        tol = CERT_TOL * (c.max() - low) + 8 * ulp
+    slack = (c - low) - phi[:, None] - (psi - low)[None, :]
     if np.min(slack) < -tol:
         return False
     binding = np.abs(slack) <= tol
-    return bool(np.all(binding[plan.mass > 1e-12]))
+    return bool(np.all(binding[plan.mass > 1e-12 * plan.mass.sum()]))
 
 
 def extract_assignment(plan: TransportPlan) -> np.ndarray:

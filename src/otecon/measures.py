@@ -64,7 +64,7 @@ class DiscreteMeasure:
 
 def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     gap = abs(mu.total_mass - nu.total_mass)
-    if gap > 1e-10 * max(1.0, mu.total_mass):
+    if gap > 1e-10 * max(mu.total_mass, nu.total_mass):
         raise InfeasibleError(
             f"total masses differ by {gap!r}; transport is infeasible"
         )
@@ -124,8 +124,8 @@ class GaussianMeasure:
         c = as_float_array(self.cov, "cov", ndim=2)
         if c.shape != (m.size, m.size):
             raise DomainError(f"cov must be {m.size} x {m.size}, got {c.shape}")
-        if np.max(np.abs(c - c.T)) > 1e-12:
-            raise DomainError("cov must be symmetric within 1e-12")
+        if np.max(np.abs(c - c.T)) > 1e-12 * np.max(np.abs(c)):
+            raise DomainError("cov must be symmetric")
         c = 0.5 * (c + c.T)
         eig = np.linalg.eigvalsh(c)
         if eig[0] < -1e-12 * max(eig[-1], 0.0):
@@ -210,13 +210,14 @@ def halton(n: int, d: int) -> HaltonSet:
 def spd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
+    The matrix must be symmetric within 1e-10 times its largest entry.
     Eigenvalues in [-1e-12 * lambda_max, 0) are clamped to zero; anything
     more negative raises :class:`NotPSDError`.
     """
     a = as_float_array(a, "matrix", ndim=2)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+    if np.max(np.abs(a - a.T)) > 1e-10 * np.max(np.abs(a)):
         raise DomainError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     top = max(vals[-1], 0.0)

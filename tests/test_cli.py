@@ -418,6 +418,49 @@ class TestFailureModes:
         assert payload is None
         assert "infeasible" in capsys.readouterr().err
 
+    def test_tiny_unequal_masses_rejected(self, tmp_path, capsys):
+        # totals 1e-9 and 9.5e-10: a plan 10 % off a row mass was certified
+        mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
+        mu.write_text("5e-10\n5e-10\n")
+        nu.write_text("4.5e-10\n5e-10\n")
+        code, payload = run_cli(
+            ["ot", "--mu", str(mu), "--nu", str(nu), "--cost", "cost_2x2.csv"], tmp_path
+        )
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "infeasible" in err
+
+    def test_product_bounds_at_large_magnitudes(self, tmp_path):
+        # both endpoints are one sum taken in two orders; at 5e16 they
+        # cross by an ulp, which an absolute slack of 1e-12 rejected
+        y0, y1 = tmp_path / "y0.csv", tmp_path / "y1.csv"
+        y0.write_text("3.3e7\n" * 500)
+        draws = 1e9 * (1.0 + np.random.default_rng(10).random(500))
+        y1.write_text("".join(f"{v!r}\n" for v in draws.tolist()))
+        code, payload = run_cli(
+            ["bounds-te", "--y0", str(y0), "--y1", str(y1), "--functional", "product"],
+            tmp_path,
+        )
+        assert code == 0
+        result = json.loads(payload)["result"]
+        assert result["lower"] <= result["upper"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_placebo_diff_bounds_in_order(self, tmp_path, seed):
+        # y1 = y0: the comonotone mean is exactly 0 and the antitone one is
+        # the same zero summed in another order, about -1e-17 at seeds 1, 2, 4, 5
+        y = tmp_path / "y.csv"
+        draws = np.random.default_rng(seed).normal(size=100)
+        y.write_text("".join(f"{v!r}\n" for v in draws.tolist()))
+        code, payload = run_cli(
+            ["bounds-te", "--y0", str(y), "--y1", str(y), "--functional", "diff"],
+            tmp_path,
+        )
+        assert code == 0
+        result = json.loads(payload)["result"]
+        assert result["lower"] <= result["upper"]
+
     def test_bad_window_rejected(self, tmp_path):
         code = main(
             ["bounds-subgroup", "--y0", data("y0_six.csv"), "--y1", data("y1_six.csv"),
