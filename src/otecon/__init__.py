@@ -25,7 +25,7 @@ _SUBMODULES = {
     ),
     "discrete": (
         "DualPotentials", "TransportPlan", "extract_assignment",
-        "northwest_corner", "solve_discrete_ot", "verify_optimality",
+        "matrix_minimum", "solve_discrete_ot", "verify_optimality",
     ),
     "entropic": (
         "EntropicSolution", "eot_value", "sinkhorn", "unbalanced_sinkhorn",

@@ -338,7 +338,7 @@ def _cmd_ot(args):
         "plan": plan.mass,
         "phi": pots.phi,
         "psi": pots.psi,
-        "certified": verify_optimality(plan, pots, cost),
+        "certified": verify_optimality(plan, pots, mu, nu, cost),
     }
     diagnostics = {
         "converged": True,

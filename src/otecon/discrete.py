@@ -6,7 +6,13 @@ The linear program
     s.t. sum_j pi_ij = mu_i,  sum_i pi_ij = nu_j,  pi >= 0
 
 is solved by maintaining a basic feasible solution whose basis edges form a
-spanning tree of the bipartite supply/demand graph.  Dual potentials are
+spanning tree of the bipartite supply/demand graph.  The start is the
+matrix-minimum plan, which reads C and so leaves fewer pivots than a start
+that ignores it: cells are filled greedily by increasing cost, and the
+components of that forest are joined into a tree by zero-mass edges, each
+from a component's first row to the cheapest column already in the tree.
+Rooted at row 0, every zero-mass edge then has its row as the child, so
+with positive weights the start is strongly feasible.  Dual potentials are
 propagated along the tree, the edge with the most negative reduced cost
 enters the basis (Dantzig's rule), mass shifts around the unique cycle it
 creates, and a binding edge leaves, chosen by Cunningham's rule (1976, "A
@@ -20,8 +26,8 @@ column potentials.  The pivot tolerance keeps rounding noise in the reduced
 costs from reading as a violation.  The iteration cap is a safety net and
 raises :class:`SolverStallError` when hit.
 
-The returned plan and potentials form an optimality certificate: dual
-feasibility plus complementary slackness, checkable by
+The returned plan and potentials form an optimality certificate: primal
+and dual feasibility plus complementary slackness, checkable by
 :func:`verify_optimality` without trusting the solver.
 """
 
@@ -131,44 +137,76 @@ def _is_spanning_tree(edges, rows: int, cols: int) -> bool:
     return merged == n_nodes - 1
 
 
-def northwest_corner(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    """North-west corner starting plan with exactly M + N - 1 basis edges.
+def matrix_minimum(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix
+) -> TransportPlan:
+    """Matrix-minimum starting plan with exactly M + N - 1 basis edges.
 
-    Walks the matrix from the top-left cell, each step exhausting the current
-    row or column capacity.  When both vanish at once only the row advances
-    (the column instead on the last row), so the visited cells always form a
-    spanning tree even on degenerate inputs; the extra cells carry zero mass.
+    The cells are visited by increasing cost (ties row-major), and each
+    cell whose row and column are both open gets the smaller of their
+    remaining masses; a line closes when its remainder is <= 0.  Every
+    allocation closes a line that takes no later edge, so the allocated
+    edges form a forest.  The forest is joined into a tree rooted at row 0:
+    visiting rows in index order, each component not yet reached hangs by a
+    zero-mass edge from its first row to the cheapest column already in the
+    tree.  A column still unreached, one with no row in its component,
+    hangs from row 0.
     """
+    c = cost.entries
+    if c.shape != (mu.size, nu.size):
+        raise DomainError(
+            f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
+        )
     _check_balanced(mu, nu)
-    m_rows, n_cols = mu.size, nu.size
-    mass = np.zeros((m_rows, n_cols))
+    rows, cols = c.shape
+    # Nodes 0..M-1 are rows and M..M+N-1 columns, as in the solver.
+    left = mu.weights.tolist() + nu.weights.tolist()
+    is_open = [w > 0.0 for w in left]
+    open_rows, open_cols = sum(is_open[:rows]), sum(is_open[rows:])
+    label = list(range(rows + cols))  # union-find over the forest
+
+    def find(a: int) -> int:
+        while label[a] != a:
+            label[a] = label[label[a]]
+            a = label[a]
+        return a
+
+    mass = np.zeros((rows, cols))
     edges = []
-    i = j = 0
-    r = float(mu.weights[0])
-    c = float(nu.weights[0])
-    while i < m_rows and j < n_cols:
-        step = min(r, c)
+    order_i, order_j = np.divmod(np.argsort(c, axis=None, kind="stable"), cols)
+    for i, j in zip(order_i.tolist(), order_j.tolist()):
+        col = rows + j
+        if not (is_open[i] and is_open[col]):
+            continue
+        step = min(left[i], left[col])
         mass[i, j] = step
         edges.append((i, j))
-        r -= step
-        c -= step
-        # Advance the exhausted index, but never leave the last row while
-        # columns remain (or vice versa): rounding dust in the running
-        # capacities must not strand unvisited nodes outside the basis tree.
-        if r <= 0.0:
-            if i < m_rows - 1:
-                i += 1
-                r = float(mu.weights[i])
-            else:
-                j += 1
-                c = float(nu.weights[j]) if j < n_cols else 0.0
-        else:
-            if j < n_cols - 1:
-                j += 1
-                c = float(nu.weights[j])
-            else:
-                i += 1
-                r = float(mu.weights[i]) if i < m_rows else 0.0
+        label[find(i)] = find(col)
+        left[i] -= step
+        left[col] -= step
+        if left[i] <= 0.0:
+            is_open[i] = False
+            open_rows -= 1
+        if left[col] <= 0.0:
+            is_open[col] = False
+            open_cols -= 1
+        if not (open_rows and open_cols):
+            break
+
+    root = np.array([find(node) for node in range(rows + cols)])
+    in_tree = root == root[0]
+    if not in_tree[rows:].any():
+        # A zero-weight row 0 took no edge: hang it on its cheapest column.
+        j = int(c[0].argmin())
+        edges.append((0, j))
+        in_tree |= root == root[rows + j]
+    for i in range(1, rows):
+        if not in_tree[i]:
+            j = int(np.where(in_tree[rows:], c[i], np.inf).argmin())
+            edges.append((i, j))
+            in_tree |= root == root[i]
+    # Each column still out of the tree took no edge.
+    edges += [(0, j) for j in np.flatnonzero(~in_tree[rows:]).tolist()]
     return TransportPlan(mass, frozenset(edges))
 
 
@@ -196,10 +234,13 @@ def solve_discrete_ot(
     has its row end as the child, so that some flow can move from every
     node to the root.  Cunningham's rule keeps that property, and a strongly
     feasible basis never repeats, so degenerate pivots cannot cycle.  The
-    north-west corner start is strongly feasible when all weights are
-    positive.  A zero-weight atom makes it impossible: no tree rooted at row
-    0 is strongly feasible, since a zero-weight column can send no flow
-    toward the root.  There the rule carries no guarantee, and
+    start is :func:`matrix_minimum` on C - min C.  When all weights are
+    positive, each of its allocations is positive, and each zero-mass edge
+    that joins its forest hangs a component from that component's first
+    row, which is then the edge's child: the start is strongly feasible.  A
+    zero-weight atom makes that impossible: no tree rooted at row 0 is
+    strongly feasible, since a zero-weight column can send no flow toward
+    the root.  There the rule carries no guarantee, and
     ``max_iter`` (default ``200 * M * N + 1000``, at least 1) is the safety
     net: when pivots run to it, :class:`SolverStallError` is raised.
 
@@ -209,19 +250,15 @@ def solve_discrete_ot(
     leaving edge is re-hung under the entering edge, and only its
     potentials are recomputed, each from its tree parent.
     """
-    c = cost.entries
-    if c.shape != (mu.size, nu.size):
-        raise DomainError(
-            f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
-        )
-    start = northwest_corner(mu, nu)
+    low = cost.entries.min()
+    shifted = CostMatrix(cost.entries - low)
+    start = matrix_minimum(mu, nu, shifted)
+    c = shifted.entries
     rows, cols = c.shape
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    low = c.min()
-    c = c - low
     tol = PIVOT_TOL * c.max()
     cl = c.tolist()
     mass = start.mass.tolist()
@@ -337,10 +374,12 @@ def solve_discrete_ot(
 def verify_optimality(
     plan: TransportPlan,
     potentials: DualPotentials,
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
     cost: CostMatrix,
     tol: float | None = None,
 ) -> bool:
-    """Certificate check: dual feasibility plus complementary slackness.
+    """Certificate check: primal and dual feasibility plus complementary slackness.
 
     Independent of how plan and potentials were computed; a True result
     proves optimality of the plan for the given cost up to tol, which
@@ -348,17 +387,24 @@ def verify_optimality(
     potentials that carry an offset in the costs are rounded to the ulps of
     that offset, which can exceed any fraction of a small cost range.  The
     slack is evaluated as (C - min C) - phi - (psi - min C), so that the
-    offset cancels before the slack is summed.  Plan entries above 1e-12
-    times the plan's total mass must be binding.
+    offset cancels before the slack is summed.  The plan's row and column
+    sums must match mu and nu within ``CERT_TOL`` times the total mass, and
+    its entries above 1e-12 times the plan's total mass must be binding.
     """
     c = cost.entries
     if plan.shape != c.shape:
         raise DomainError(
             f"plan shape {plan.shape} does not match cost shape {c.shape}"
         )
+    if (mu.size, nu.size) != c.shape:
+        raise DomainError(
+            f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
+        )
     phi, psi = potentials.phi, potentials.psi
     if phi.size != c.shape[0] or psi.size != c.shape[1]:
         raise DomainError("potential lengths do not match cost shape")
+    if plan.marginal_residual(mu, nu) > CERT_TOL * max(mu.total_mass, nu.total_mass):
+        return False
     low = c.min()
     if tol is None:
         ulp = np.finfo(float).eps * np.abs(c).max()

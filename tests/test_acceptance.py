@@ -319,6 +319,6 @@ def test_criterion_9_cli_determinism(tmp_path):
             assert code == 0, name
             doc = json.loads(first)
             VALIDATOR.validate(doc)
-            assert doc["command"] == name
+            assert doc["command"] == COMMANDS[name][0]
             _, again = run_cli(COMMANDS[name], tmp_path, f"{name}.json")
             assert first == again, name

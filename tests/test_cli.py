@@ -51,9 +51,14 @@ def data(name):
     return str(DATA / name)
 
 
-# one representative invocation per subcommand, relative to tests/data
+# one representative invocation per subcommand, relative to tests/data,
+# and a degenerate ot case: tied costs, two optimal plans and no unique dual
 COMMANDS = {
     "ot": ["ot", "--mu", "mu_half.csv", "--nu", "nu_half.csv", "--cost", "cost_2x2.csv"],
+    "ot degenerate": [
+        "ot", "--mu", "mu_quarter.csv", "--nu", "mu_quarter.csv",
+        "--cost", "cost_4x4_ties.csv",
+    ],
     "sinkhorn": [
         "sinkhorn", "--mu", "mu_half.csv", "--nu", "nu_half.csv",
         "--cost", "cost_2x2.csv", "--eps", "1.0",
@@ -124,7 +129,7 @@ class TestEveryCommand:
         assert code == 0
         doc = json.loads(payload)
         VALIDATOR.validate(doc)
-        assert doc["command"] == name
+        assert doc["command"] == COMMANDS[name][0]
         assert doc["version"] == __version__
         assert list(doc) == ["command", "version", "config", "result", "diagnostics"]
 
@@ -141,7 +146,7 @@ class TestEveryCommand:
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert set(subparsers.choices) == set(SCHEMA["properties"]["command"]["enum"])
-        assert set(subparsers.choices) == set(COMMANDS)
+        assert set(subparsers.choices) == {argv[0] for argv in COMMANDS.values()}
 
 
 class TestValues:
@@ -149,6 +154,12 @@ class TestValues:
         _, payload = run_cli(COMMANDS["ot"], tmp_path)
         doc = json.loads(payload)
         assert doc["result"]["value"] == 1.0
+        assert doc["result"]["certified"] is True
+
+    def test_ot_degenerate_certified(self, tmp_path):
+        _, payload = run_cli(COMMANDS["ot degenerate"], tmp_path)
+        doc = json.loads(payload)
+        assert doc["result"]["value"] == 0.0
         assert doc["result"]["certified"] is True
 
     def test_w1d_identical_samples(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Exact transport LP solver: NW corner, simplex pivots, certificates."""
+"""Exact transport LP solver: matrix-minimum start, simplex pivots, certificates."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from otecon import (
     SolverStallError,
     TransportPlan,
     extract_assignment,
-    northwest_corner,
+    matrix_minimum,
     solve_discrete_ot,
     verify_optimality,
 )
@@ -30,31 +30,90 @@ def measures(mu, nu):
     return DiscreteMeasure(mu), DiscreteMeasure(nu)
 
 
-class TestNorthwestCorner:
+class TestMatrixMinimum:
     def test_single_pair(self):
-        plan = northwest_corner(*measures([1.0], [1.0]))
+        plan = matrix_minimum(*measures([1.0], [1.0]), CostMatrix([[3.0]]))
         assert plan.mass.tolist() == [[1.0]]
 
     def test_hand_trace_2x2(self):
-        plan = northwest_corner(*measures([0.7, 0.3], [0.4, 0.6]))
-        assert np.allclose(plan.mass, [[0.4, 0.3], [0.0, 0.3]], atol=1e-15)
+        # cells by cost: (1, 0), (0, 1), (0, 0); then every row is closed
+        cost = CostMatrix([[2.0, 1.0], [0.0, 3.0]])
+        plan = matrix_minimum(*measures([0.7, 0.3], [0.4, 0.6]), cost)
+        assert np.allclose(plan.mass, [[0.1, 0.6], [0.3, 0.0]], atol=1e-15)
+        assert plan.basis_edges == {(1, 0), (0, 1), (0, 0)}
 
     def test_hand_trace_2x3(self):
-        plan = northwest_corner(*measures([0.5, 0.5], [0.25, 0.25, 0.5]))
-        assert plan.mass.tolist() == [[0.25, 0.25, 0.0], [0.0, 0.0, 0.5]]
+        # tied costs are visited row-major: (0, 1), (1, 0), (1, 2), then (0, 2)
+        cost = CostMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        plan = matrix_minimum(*measures([0.5, 0.5], [0.25, 0.25, 0.5]), cost)
+        assert plan.mass.tolist() == [[0.0, 0.25, 0.25], [0.25, 0.0, 0.25]]
+        assert plan.basis_edges == {(0, 1), (1, 0), (1, 2), (0, 2)}
+
+    def test_join_to_cheapest_tree_column(self):
+        # the greedy pass leaves the three diagonal cells apart; row 1 can
+        # join only column 0, and row 2 joins column 1, the cheaper of the two
+        third = np.full(3, 1.0 / 3.0)
+        cost = CostMatrix([[0.0, 5.0, 5.0], [5.0, 0.0, 9.0], [7.0, 3.0, 0.0]])
+        plan = matrix_minimum(*measures(third, third), cost)
+        assert np.array_equal(plan.mass, np.diag(third))
+        assert plan.basis_edges == {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1)}
 
     def test_mass_mismatch(self):
         with pytest.raises(InfeasibleError):
-            northwest_corner(*measures([0.7, 0.3], [0.4, 0.7]))
+            matrix_minimum(*measures([0.7, 0.3], [0.4, 0.7]), CostMatrix(np.zeros((2, 2))))
 
-    def test_basis_size_under_degeneracy(self, rng):
-        # simultaneous row/column exhaustion must still leave M+N-1 edges
-        for _ in range(50):
-            m, n = rng.integers(1, 6, size=2)
-            mu, nu, _ = random_transport_instance(rng, m, n, rational=True)
-            plan = northwest_corner(mu, nu)
-            assert len(plan.basis_edges) == m + n - 1
+    def test_shape_mismatch(self):
+        with pytest.raises(DomainError):
+            matrix_minimum(*measures([0.5, 0.5], [1.0]), CostMatrix([[0.0, 1.0]]))
+
+    @staticmethod
+    def instances(rng):
+        """Rational weights, then uniform squares with real and 0/1/2 costs."""
+        for _ in range(40):
+            m, n = rng.integers(1, 8, size=2)
+            yield random_transport_instance(rng, m, n, rational=True)
+        for n in range(1, 13):
+            uniform = DiscreteMeasure(np.full(n, 1.0 / n))
+            yield uniform, uniform, CostMatrix(rng.random((n, n)))
+            ties = rng.integers(0, 3, size=(n, n)).astype(float)
+            yield uniform, uniform, CostMatrix(ties)
+
+    def test_spanning_tree(self, rng):
+        # TransportPlan itself rejects edges that do not form a spanning tree
+        for mu, nu, cost in self.instances(rng):
+            plan = matrix_minimum(mu, nu, cost)
+            assert len(plan.basis_edges) == mu.size + nu.size - 1
             assert plan.marginal_residual(mu, nu) < 1e-12
+
+    def test_strongly_feasible(self, rng):
+        for mu, nu, cost in self.instances(rng):
+            assert TestPivotRules.strongly_feasible(matrix_minimum(mu, nu, cost))
+
+    def test_rounding_dust(self, rng):
+        # the remainders round: a row can keep about 3e-17 open after every
+        # column has closed, and the basis must still span every node
+        mu = DiscreteMeasure(np.full(10, 0.1))
+        for weights in ([0.3, 0.3, 0.4], [0.4, 0.3, 0.3]):
+            nu = DiscreteMeasure(weights)
+            for _ in range(20):
+                plan = matrix_minimum(mu, nu, CostMatrix(rng.random((10, 3))))
+                assert len(plan.basis_edges) == 12
+                assert plan.marginal_residual(mu, nu) < 1e-12
+                assert TestPivotRules.strongly_feasible(plan)
+
+    def test_zero_weights(self, rng):
+        # zero-weight lines take no allocation; row 0 among them still roots
+        # the tree, and the solver still reaches the optimum
+        mu, nu = measures([0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5])
+        for _ in range(20):
+            cost = CostMatrix(rng.random((4, 3)))
+            plan = matrix_minimum(mu, nu, cost)
+            assert len(plan.basis_edges) == 6
+            assert plan.marginal_residual(mu, nu) == 0.0
+            _, _, value = solve_discrete_ot(mu, nu, cost)
+            assert value == pytest.approx(
+                lp_transport_value(mu.weights, nu.weights, cost.entries), abs=1e-12
+            )
 
 
 class TestSolve:
@@ -103,7 +162,7 @@ class TestSolve:
             mu, nu, cost = random_transport_instance(rng, m, n, rational=bool(rng.integers(2)))
             plan, pots, value = solve_discrete_ot(mu, nu, cost)
             assert value == pytest.approx(pots.objective(mu, nu), abs=1e-9)
-            assert verify_optimality(plan, pots, cost)
+            assert verify_optimality(plan, pots, mu, nu, cost)
             assert plan.marginal_residual(mu, nu) < 1e-9
 
     def test_support_bounded_by_tree_size(self, rng):
@@ -156,7 +215,7 @@ class TestCostScale:
                 plan, pots, value = solve_discrete_ot(mu, nu, cost)
             except SolverStallError as exc:
                 pytest.fail(f"stalled at cost scale {scale:g}: {exc}")
-            assert verify_optimality(plan, pots, cost)
+            assert verify_optimality(plan, pots, mu, nu, cost)
             # HiGHS's own tolerances are absolute, so it solves at unit
             # scale; the LP value is linear in the cost.
             oracle = scale * lp_transport_value(mu.weights, nu.weights, base.entries)
@@ -167,8 +226,9 @@ class TestCostScale:
         plan = TransportPlan(np.diag([0.5, 0.5]), frozenset({(0, 0), (1, 1), (0, 1)}))
         # a 1e-6 slack violation is rounding noise next to 1e6 costs
         pots = DualPotentials([0.0, 1e-6], [0.0, 0.0])
-        assert verify_optimality(plan, pots, cost)
-        assert not verify_optimality(plan, pots, cost, tol=1e-9)
+        half = DiscreteMeasure([0.5, 0.5])
+        assert verify_optimality(plan, pots, half, half, cost)
+        assert not verify_optimality(plan, pots, half, half, cost, tol=1e-9)
 
 
 class TestIncrementalPotentials:
@@ -195,7 +255,7 @@ class TestIncrementalPotentials:
             cost = CostMatrix(rng.integers(0, 3, size=(m, n)).astype(float))
             plan, pots, _ = solve_discrete_ot(mu, nu, cost)
             self.assert_tree_potentials(plan, pots, cost)
-            assert verify_optimality(plan, pots, cost)
+            assert verify_optimality(plan, pots, mu, nu, cost)
 
     def test_binary_costs(self, rng):
         # the 0/1 relation binary_cost_ot hands to the solver as its cost
@@ -246,7 +306,7 @@ class TestPivotRules:
             cost = CostMatrix(rng.integers(0, 3, size=(m, n)).astype(float))
             plan, pots, _ = solve_discrete_ot(mu, nu, cost)
             assert self.strongly_feasible(plan)
-            assert verify_optimality(plan, pots, cost)
+            assert verify_optimality(plan, pots, mu, nu, cost)
 
     @staticmethod
     def probability(rng, n, zeros):
@@ -269,23 +329,39 @@ class TestPivotRules:
                 mu, nu = self.probability(rng, n, 8), self.probability(rng, n, 8)
                 cost = CostMatrix(rng.random((n, n)))
             plan, pots, value = solve_discrete_ot(mu, nu, cost, max_iter=8 * (n + n))
-            assert verify_optimality(plan, pots, cost)
+            assert verify_optimality(plan, pots, mu, nu, cost)
             assert value == pytest.approx(
                 lp_transport_value(mu.weights, nu.weights, cost.entries), abs=1e-9
             )
 
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("weights", ["random", "uniform"])
+    def test_pivots_from_matrix_minimum(self, rng, n, weights):
+        # a north-west corner start needs 122-144 pivots on these at n = 30
+        # and 314-421 at n = 60; the matrix-minimum start 23-60 and 85-126
+        for _ in range(3):
+            if weights == "random":
+                mu, nu, cost = random_transport_instance(rng, n, n)
+            else:
+                mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
+                cost = CostMatrix(rng.random((n, n)))
+            plan, pots, _ = solve_discrete_ot(mu, nu, cost, max_iter=2 * (n + n))
+            assert verify_optimality(plan, pots, mu, nu, cost)
+
 
 class TestVerify:
+    HALF = DiscreteMeasure([0.5, 0.5])
+
     def test_solver_output_certifies(self, rng):
         mu, nu, cost = random_transport_instance(rng, 3, 4)
         plan, pots, _ = solve_discrete_ot(mu, nu, cost)
-        assert verify_optimality(plan, pots, cost)
+        assert verify_optimality(plan, pots, mu, nu, cost)
 
     def test_zero_potentials_certify_diagonal(self):
         cost = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
         plan = TransportPlan(np.diag([0.5, 0.5]), frozenset({(0, 0), (1, 1), (0, 1)}))
         pots = DualPotentials([0.0, 0.0], [0.0, 0.0])
-        assert verify_optimality(plan, pots, cost)
+        assert verify_optimality(plan, pots, self.HALF, self.HALF, cost)
 
     def test_antidiagonal_has_no_certificate(self):
         cost = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -293,13 +369,29 @@ class TestVerify:
             np.array([[0.0, 0.5], [0.5, 0.0]]), frozenset({(0, 1), (1, 0), (0, 0)})
         )
         pots = DualPotentials([0.0, 0.0], [0.0, 0.0])
-        assert not verify_optimality(plan, pots, cost)
+        assert not verify_optimality(plan, pots, self.HALF, self.HALF, cost)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_marginals_must_match(self, scale):
+        # every slack binds on the diagonal; only the row and column sums,
+        # off by 1e-6 of the total mass, tell the plan from an optimal one
+        cost = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
+        half = DiscreteMeasure([0.5 * scale, 0.5 * scale])
+        edges = frozenset({(0, 0), (1, 1), (0, 1)})
+        pots = DualPotentials([0.0, 0.0], [0.0, 0.0])
+        exact = TransportPlan(np.diag([0.5 * scale, 0.5 * scale]), edges)
+        assert verify_optimality(exact, pots, half, half, cost)
+        off = TransportPlan(np.diag([0.5 * scale, (0.5 + 1e-6) * scale]), edges)
+        assert not verify_optimality(off, pots, half, half, cost)
 
     def test_shape_mismatch(self):
         plan = TransportPlan(np.array([[1.0]]), frozenset({(0, 0)}))
         pots = DualPotentials([0.0], [0.0])
+        one = DiscreteMeasure([1.0])
         with pytest.raises(DomainError):
-            verify_optimality(plan, pots, CostMatrix([[0.0, 1.0]]))
+            verify_optimality(plan, pots, one, one, CostMatrix([[0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            verify_optimality(plan, pots, one, self.HALF, CostMatrix([[1.0]]))
 
 
 class TestExtractAssignment:

@@ -23,7 +23,7 @@ from otecon import (
     Sample1D,
     gaussian_ot_map,
     gaussian_w2,
-    northwest_corner,
+    matrix_minimum,
     rearrangement_bounds,
     solve_discrete_ot,
     verify_optimality,
@@ -79,17 +79,17 @@ class TestExactSolver:
         base = cost.entries - cost.entries.min()
         oracle = lp_value(mu, nu, base, scale)
         assert np.sum(plan.mass * base) == pytest.approx(oracle, rel=1e-9, abs=0.0)
-        assert verify_optimality(plan, pots, cost)
+        assert verify_optimality(plan, pots, mu, nu, cost)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), seed=SEEDS, k=EXPONENTS, offset=OFFSETS)
-    # costs about 1e-12: a suboptimal corner plan read as optimal
+    # costs about 1e-12: a suboptimal start plan was read as optimal
     @example(n=12, seed=0, k=-12, offset=0.0)
     def test_certificate_is_sound(self, n, seed, k, offset):
         mu, nu, _, scale, cost = scaled_instance(n, seed, k, offset)
-        plan = northwest_corner(mu, nu)
+        plan = matrix_minimum(mu, nu, cost)
         pots = DualPotentials(*tree_potentials(plan.basis_edges, cost.entries))
-        if verify_optimality(plan, pots, cost):
+        if verify_optimality(plan, pots, mu, nu, cost):
             base = cost.entries - cost.entries.min()
             oracle = lp_value(mu, nu, base, scale)
             assert np.sum(plan.mass * base) == pytest.approx(oracle, rel=1e-9, abs=0.0)
@@ -107,7 +107,7 @@ class TestExactSolver:
         plan = solve_discrete_ot(mu, nu, cost)[0]
         phi = share * c
         pots = DualPotentials(np.full(2, phi), np.full(3, c - phi))
-        assert verify_optimality(plan, pots, cost)
+        assert verify_optimality(plan, pots, mu, nu, cost)
 
     @settings(max_examples=60, deadline=None)
     @given(k=EXPONENTS, short=st.floats(1e-8, 0.5))
