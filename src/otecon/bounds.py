@@ -22,7 +22,9 @@ import numpy as np
 
 from ._util import as_float_array, check_scalar, frozen
 from .errors import DomainError
-from .measures import CostMatrix, DiscreteMeasure, Sample1D
+from .measures import (
+    CostMatrix, DiscreteMeasure, Sample1D, empirical_cdf, empirical_quantile
+)
 
 # Plan masses below WITNESS_TOL * total mass are rounding noise to the
 # binary-cost witness search.
@@ -159,14 +161,11 @@ def winners_lower_bound(a: float, b: float, y0: Sample1D, y1: Sample1D) -> float
     """
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"need 0 <= a < b <= 1, got a={a!r}, b={b!r}")
-    n0 = y0.n
-    ranks = np.arange(1, n0 + 1, dtype=float) / n0
+    ranks = np.arange(1, y0.n + 1, dtype=float) / y0.n
     candidates = np.concatenate(
         (ranks[(ranks > a) & (ranks <= b)], [b], [a] if a > 0.0 else [])
     )
-    k = np.minimum(np.searchsorted(ranks, candidates, side="left"), n0 - 1)
-    qv = y0.values[k]
-    f1 = np.searchsorted(y1.values, qv, side="right") / y1.n
+    f1 = empirical_cdf(y1, empirical_quantile(y0, candidates))
     best = max(0.0, float(np.max(candidates - a - f1)))
     return best / (b - a)
 

@@ -6,9 +6,10 @@ Every command writes a single JSON document with five fixed keys:
 Floats are serialized with 17 significant digits, so repeated runs of the
 same config are byte-identical and values round-trip exactly.
 
-Exit codes: 0 success, 2 malformed input, 3 solver non-convergence.  Exit 3
-still writes the document, with ``converged: false`` and, when the solver
-raised instead of returning its last iterate, an empty ``result``.
+Exit codes: 0 success, 2 malformed input, 3 solver non-convergence or a
+failed certificate.  Exit 3 still writes the document, with
+``converged: false`` and, when the solver raised instead of returning its
+last iterate, an empty ``result``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     ResourceError,
     SolverStallError,
 )
-from .measures import CostMatrix
+from .measures import CostMatrix, _marginal_gap
 
 
 def __getattr__(name: str):
@@ -268,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True, help="0/1 relation matrix CSV")
     p.add_argument(
         "--witness",
-        choices=["auto", "yes", "no"],
-        default="auto",
-        help="dual witness set (auto and yes: compute it; no: skip it)",
+        choices=["yes", "no"],
+        default="yes",
+        help="compute the dual witness set",
     )
 
     p = cmd("dro", "worst-case expectation over a transport ball", _cmd_dro)
@@ -333,15 +334,16 @@ def _cmd_ot(args):
     nu = read_measure_csv(args.nu)
     cost = CostMatrix(read_matrix_csv(args.cost))
     plan, pots, value = solve_discrete_ot(mu, nu, cost, max_iter=args.max_iter)
+    certified = verify_optimality(plan, pots, mu, nu, cost)
     result = {
         "value": value,
         "plan": plan.mass,
         "phi": pots.phi,
         "psi": pots.psi,
-        "certified": verify_optimality(plan, pots, mu, nu, cost),
+        "certified": certified,
     }
     diagnostics = {
-        "converged": True,
+        "converged": certified,
         "residual": plan.marginal_residual(mu, nu),
     }
     return result, diagnostics
@@ -476,8 +478,7 @@ def _cmd_binary_ot(args):
     mu = read_measure_csv(args.mu)
     nu = read_measure_csv(args.nu)
     rel = BinaryRelation(read_matrix_csv(args.gamma))
-    witness = args.witness != "no"
-    value, witness_set = binary_cost_ot(mu, nu, rel, witness=witness)
+    value, witness_set = binary_cost_ot(mu, nu, rel, witness=args.witness == "yes")
     return {
         "value": value,
         "witness": None if witness_set is None else sorted(witness_set),
@@ -503,10 +504,6 @@ def _cmd_match_equilibrium(args):
     mu = read_measure_csv(args.mu).weights
     nu = read_measure_csv(args.nu).weights
     table = cs_equilibrium(phi, mu, nu, tol=args.tol, max_iter=args.max_iter)
-    residual = max(
-        float(np.max(np.abs(table.flows.sum(axis=1) + table.singles_x - mu))),
-        float(np.max(np.abs(table.flows.sum(axis=0) + table.singles_y - nu))),
-    )
     result = {
         "flows": table.flows,
         "singles_x": table.singles_x,
@@ -515,7 +512,7 @@ def _cmd_match_equilibrium(args):
     diagnostics = {
         "converged": table.converged,
         "iterations": table.iterations,
-        "residual": residual,
+        "residual": _marginal_gap(table.mu, table.nu, mu, nu),
     }
     return result, diagnostics
 
@@ -528,7 +525,7 @@ def _cmd_match_fit(args):
     )
     result = {"lam": lam, "a": a, "b": b}
     diagnostics = {
-        "converged": True,
+        "converged": info["converged"],
         "iterations": len(info["objectives"]) - 1,
         "objective": info["objectives"][-1],
     }

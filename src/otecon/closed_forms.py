@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import GRID_LIMIT, as_float_array, check_scalar, frozen
 from .errors import DomainError, NotInvertibleError, ResourceError
-from .measures import GaussianMeasure, Sample1D, spd_sqrt
+from .measures import GaussianMeasure, Sample1D, _symmetric_eigh, spd_sqrt
 
 # Projected values of all m + n points that the sliced distance holds per
 # block of directions: 512 KB of floats, so a block's projections, sorts and
@@ -40,11 +40,7 @@ class AffineMap:
         b = as_float_array(self.shift, "shift", ndim=1)
         if a.shape != (b.size, b.size):
             raise DomainError(f"linear must be {b.size} x {b.size}, got {a.shape}")
-        if np.max(np.abs(a - a.T)) > 1e-10 * np.max(np.abs(a)):
-            raise DomainError("linear part must be symmetric")
-        eig = np.linalg.eigvalsh(0.5 * (a + a.T))
-        if eig[0] < -1e-10 * max(eig[-1], 0.0):
-            raise DomainError("linear part must be positive semidefinite")
+        _symmetric_eigh(a, "linear part")
         object.__setattr__(self, "linear", frozen(a))
         object.__setattr__(self, "shift", frozen(b))
 
@@ -94,21 +90,16 @@ def _gap_power_sum(
 
 
 def ot_value_1d(
-    x: Sample1D,
-    y: Sample1D,
-    cost: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    submodular: bool = True,
+    x: Sample1D, y: Sample1D, cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> float:
     """Exact transport value between two scalar samples for a submodular cost.
 
     Computes the integral of cost(Q_x(t), Q_y(t)) over t in (0, 1) on the
     merged breakpoint grid, which is the optimal value whenever the cost is
-    submodular.  The caller asserts submodularity via the flag; it cannot be
-    verified pointwise here.  The cost is called once, on the arrays of
+    submodular.  Submodularity cannot be verified pointwise here, so the
+    caller is responsible for it.  The cost is called once, on the arrays of
     quantile values at the grid segments, and must act elementwise.
     """
-    if not submodular:
-        raise DomainError("the quantile formula requires a submodular cost")
     lengths, ix, iy = _merged_grid(x.n, y.n)
     return float(np.sum(lengths * cost(x.values[ix], y.values[iy])))
 

@@ -43,7 +43,9 @@ from .errors import (
     NonAssignmentError,
     SolverStallError,
 )
-from .measures import CostMatrix, DiscreteMeasure, _check_balanced
+from .measures import (
+    CostMatrix, DiscreteMeasure, _check_balanced, _check_cost_shape, _marginal_gap
+)
 
 # Dual violations below PIVOT_TOL times the cost range are treated as zero
 # when searching for an entering edge; well under the certificate tolerance
@@ -94,9 +96,9 @@ class TransportPlan:
 
     def marginal_residual(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """Largest violation of the adding-up constraints against mu, nu."""
-        row = np.max(np.abs(self.mass.sum(axis=1) - mu.weights))
-        col = np.max(np.abs(self.mass.sum(axis=0) - nu.weights))
-        return float(max(row, col))
+        return _marginal_gap(
+            self.mass.sum(axis=1), self.mass.sum(axis=0), mu.weights, nu.weights
+        )
 
 
 @dataclass(frozen=True)
@@ -114,22 +116,23 @@ class DualPotentials:
         return float(mu.weights @ self.phi + nu.weights @ self.psi)
 
 
+def _find(label: list[int], a: int) -> int:
+    """Root of node a in the union-find forest label, halving its path."""
+    while label[a] != a:
+        label[a] = label[label[a]]
+        a = label[a]
+    return a
+
+
 def _is_spanning_tree(edges, rows: int, cols: int) -> bool:
     """Check the bipartite edge set is acyclic and connected."""
     n_nodes = rows + cols
     parent = list(range(n_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     merged = 0
     for i, j in edges:
         if not (0 <= i < rows and 0 <= j < cols):
             return False
-        ra, rb = find(i), find(rows + j)
+        ra, rb = _find(parent, i), _find(parent, rows + j)
         if ra == rb:
             return False
         parent[ra] = rb
@@ -152,25 +155,15 @@ def matrix_minimum(
     tree.  A column still unreached, one with no row in its component,
     hangs from row 0.
     """
-    c = cost.entries
-    if c.shape != (mu.size, nu.size):
-        raise DomainError(
-            f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
-        )
+    _check_cost_shape(cost, mu.size, nu.size)
     _check_balanced(mu, nu)
+    c = cost.entries
     rows, cols = c.shape
     # Nodes 0..M-1 are rows and M..M+N-1 columns, as in the solver.
     left = mu.weights.tolist() + nu.weights.tolist()
     is_open = [w > 0.0 for w in left]
     open_rows, open_cols = sum(is_open[:rows]), sum(is_open[rows:])
     label = list(range(rows + cols))  # union-find over the forest
-
-    def find(a: int) -> int:
-        while label[a] != a:
-            label[a] = label[label[a]]
-            a = label[a]
-        return a
-
     mass = np.zeros((rows, cols))
     edges = []
     order_i, order_j = np.divmod(np.argsort(c, axis=None, kind="stable"), cols)
@@ -181,7 +174,7 @@ def matrix_minimum(
         step = min(left[i], left[col])
         mass[i, j] = step
         edges.append((i, j))
-        label[find(i)] = find(col)
+        label[_find(label, i)] = _find(label, col)
         left[i] -= step
         left[col] -= step
         if left[i] <= 0.0:
@@ -193,7 +186,7 @@ def matrix_minimum(
         if not (open_rows and open_cols):
             break
 
-    root = np.array([find(node) for node in range(rows + cols)])
+    root = np.array([_find(label, node) for node in range(rows + cols)])
     in_tree = root == root[0]
     if not in_tree[rows:].any():
         # A zero-weight row 0 took no edge: hang it on its cheapest column.
@@ -260,7 +253,9 @@ def solve_discrete_ot(
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     tol = PIVOT_TOL * c.max()
-    cl = c.tolist()
+    # The costs of node k's edges: row i's over the columns, then column j's
+    # over the rows at node M + j.
+    cl = c.tolist() + c.T.tolist()
     mass = start.mass.tolist()
     n_nodes = rows + cols
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -284,22 +279,14 @@ def solve_discrete_ot(
             up = parent[node]
             d = depth[node] + 1
             base = pot[node]
-            if node < rows:
-                row = cl[node]
-                for nxt in adj[node]:
-                    if nxt != up:
-                        parent[nxt] = node
-                        depth[nxt] = d
-                        pot[nxt] = row[nxt - rows] - base
-                        stack.append(nxt)
-            else:
-                j = node - rows
-                for nxt in adj[node]:
-                    if nxt != up:
-                        parent[nxt] = node
-                        depth[nxt] = d
-                        pot[nxt] = cl[nxt][j] - base
-                        stack.append(nxt)
+            costs = cl[node]
+            first = rows if node < rows else 0  # node number of costs[0]
+            for nxt in adj[node]:
+                if nxt != up:
+                    parent[nxt] = node
+                    depth[nxt] = d
+                    pot[nxt] = costs[nxt - first] - base
+                    stack.append(nxt)
 
     descend(0)
     # One buffer for the reduced costs: a fresh large array each pivot
@@ -377,13 +364,12 @@ def verify_optimality(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     cost: CostMatrix,
-    tol: float | None = None,
 ) -> bool:
     """Certificate check: primal and dual feasibility plus complementary slackness.
 
     Independent of how plan and potentials were computed; a True result
-    proves optimality of the plan for the given cost up to tol, which
-    defaults to ``CERT_TOL * (max C - min C)`` plus 8 ulps of max|C|: column
+    proves optimality of the plan for the given cost up to a tolerance of
+    ``CERT_TOL * (max C - min C)`` plus 8 ulps of max|C|: column
     potentials that carry an offset in the costs are rounded to the ulps of
     that offset, which can exceed any fraction of a small cost range.  The
     slack is evaluated as (C - min C) - phi - (psi - min C), so that the
@@ -396,19 +382,15 @@ def verify_optimality(
         raise DomainError(
             f"plan shape {plan.shape} does not match cost shape {c.shape}"
         )
-    if (mu.size, nu.size) != c.shape:
-        raise DomainError(
-            f"cost shape {c.shape} does not match measures ({mu.size}, {nu.size})"
-        )
+    _check_cost_shape(cost, mu.size, nu.size)
     phi, psi = potentials.phi, potentials.psi
     if phi.size != c.shape[0] or psi.size != c.shape[1]:
         raise DomainError("potential lengths do not match cost shape")
     if plan.marginal_residual(mu, nu) > CERT_TOL * max(mu.total_mass, nu.total_mass):
         return False
     low = c.min()
-    if tol is None:
-        ulp = np.finfo(float).eps * np.abs(c).max()
-        tol = CERT_TOL * (c.max() - low) + 8 * ulp
+    ulp = np.finfo(float).eps * np.abs(c).max()
+    tol = CERT_TOL * (c.max() - low) + 8 * ulp
     slack = (c - low) - phi[:, None] - (psi - low)[None, :]
     if np.min(slack) < -tol:
         return False

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import check_budget, check_scalar, frozen, logsumexp
 from .errors import DomainError
-from .measures import CostMatrix, DiscreteMeasure
+from .measures import CostMatrix, DiscreteMeasure, _check_cost_shape, _marginal_gap
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,8 @@ def _scaling_loop(
     """
     check_scalar(eps, "eps", 0.0, strict=True)
     check_budget(tol, max_iter)
+    _check_cost_shape(cost, w_mu.size, w_nu.size)
     c = cost.entries
-    if c.shape != (w_mu.size, w_nu.size):
-        raise DomainError(
-            f"cost shape {c.shape} does not match measures ({w_mu.size}, {w_nu.size})"
-        )
     log_mu = np.log(w_mu)
     log_nu = np.log(w_nu)
     damp_mu = damp_nu = 1.0
@@ -226,8 +223,7 @@ def _scaling_loop(
             else:
                 d = eps * np.log(u / u_next)
             if lam is None:
-                row_error = np.abs(row - w_mu).max()
-                col_error = np.abs(v * ktu - w_nu).max()
+                errors.append(_marginal_gap(row, v * ktu, w_mu, w_nu))
             else:
                 # phi + lam_mu log(row / mu) = (lam_mu + eps) / eps * d, and psi
                 # met its condition before the shift, so it is off by t after it.
@@ -236,7 +232,7 @@ def _scaling_loop(
                 ulp_phi = np.spacing(np.abs(phi).max())
                 row_error = (lam_mu + eps) / eps * (np.abs(d).max() + ulp_phi)
                 col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.abs(psi).max())
-            errors.append(float(max(row_error, col_error)))
+                errors.append(float(max(row_error, col_error)))
             if errors[-1] < tol:
                 converged = True
                 break
@@ -245,9 +241,8 @@ def _scaling_loop(
     if lam is None:
         phi, psi = phi - phi[0], psi + phi[0]
     plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
-    marginal_error = errors[-1] if lam is None else max(
-        float(np.max(np.abs(plan.sum(axis=1) - w_mu))),
-        float(np.max(np.abs(plan.sum(axis=0) - w_nu))),
+    marginal_error = errors[-1] if lam is None else _marginal_gap(
+        plan.sum(axis=1), plan.sum(axis=0), w_mu, w_nu
     )
     return EntropicSolution(
         plan=plan,

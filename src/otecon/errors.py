@@ -3,15 +3,15 @@
 Solvers distinguish bad inputs (:class:`DomainError` and subclasses) from
 runtime failures of the algorithm itself (stalls, resource limits,
 overflow guards).  Running out of an iteration budget is reported in one
-of two ways.  The scaling and ascent solvers and ``sista`` (proximal
-Newton) return their last iterate with a ``converged`` flag, also when a
-line search finds no decrease.  Solvers that have no iterate worth
-returning raise instead: ``solve_discrete_ot`` raises
-:class:`SolverStallError` at its pivot cap, and ``moment_matching`` raises
-:class:`NonIdentificationError` at its step budget.  The command line maps
-both ways to exit code 3 and still writes its JSON document, with
-``converged: false`` and an empty ``result`` when the solver raised.  An
-iteration cap below 1, or a ``tol`` that is not finite and positive, is
+of two ways.  The scaling and ascent solvers and the two Newton fits,
+``moment_matching`` and ``sista``, return their last iterate with a
+``converged`` flag, also when a line search finds no decrease.  Only
+``solve_discrete_ot`` raises at its cap, :class:`SolverStallError`.  The
+command line maps both ways to exit code 3 and still writes its JSON
+document, with ``converged: false`` and an empty ``result`` when the
+solver raised.  :class:`NonIdentificationError` is raised only before a
+fit's first step, for a basis that does not identify the coefficients.
+An iteration cap below 1, or a ``tol`` that is not finite and positive, is
 malformed input (:class:`DomainError`).
 """
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import EXP_CAP, as_float_array, check_budget, check_scalar, frozen
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
-from .measures import CostMatrix, DiscreteMeasure, _check_balanced
+from .measures import CostMatrix, DiscreteMeasure, _check_balanced, _marginal_gap
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
     solved by coordinate descent from the Newton step (kept when l1 = 0); a
     coordinate with zero curvature keeps its value.  Armijo backtracking
     damps the step.  Returns (theta, the objective at the start and after
-    each step, converged, residual), converged once the largest of those
-    residuals and |beta - soft(beta - grad_beta, l1)| is below tol, within
+    each step, converged), converged once the largest of those residuals
+    and |beta - soft(beta - grad_beta, l1)| is below tol, within
     max_iter steps of at most 60 halvings each.  The loop also ends
     unconverged when backtracking finds no decrease or the Hessian block of
     theta[k:] is singular (its cells underflowed to 0).
@@ -152,7 +152,7 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
         prox_res = grad[:k] + np.clip(beta - grad[:k], -l1, l1)
         res = float(np.max(np.abs(np.concatenate([prox_res, pot_res]))))
         if res < tol or steps == max_iter:
-            return theta, history, res < tol, res
+            return theta, history, res < tol
         try:
             solved = np.linalg.solve(
                 hess[k:, k:], np.column_stack([grad[k:], hess[k:, :k]])
@@ -179,7 +179,7 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
         else:
             break
         theta = theta + t * step
-    return theta, history, False, res
+    return theta, history, False
 
 
 def cs_equilibrium(
@@ -238,11 +238,8 @@ def cs_equilibrium(
         u = u * c
         v = v / c
         flows = k * np.outer(u, v)
-        res = max(
-            float(np.max(np.abs(flows.sum(axis=1) + u * u - mu))),
-            float(np.max(np.abs(flows.sum(axis=0) + v * v - nu))),
-        )
-        if res < tol:
+        rows, cols = flows.sum(axis=1) + u * u, flows.sum(axis=0) + v * v
+        if _marginal_gap(rows, cols, mu, nu) < tol:
             converged = True
             break
     return MatchingTable(
@@ -281,16 +278,17 @@ def moment_matching(
     Maximizes the concave :func:`poisson_loglik` over theta = (lam, a, b) by
     :func:`_prox_newton` (l1 = 0) from lam = 0 and the observed table's fees
     -log(singles)/2, until the fitted market matches the table's basis
-    moments and populations (the adding-up residuals) within tol.  Returns
-    (lam, a, b), a and b being -log(singles)/2 of the fitted market; with
-    ``log=True`` a fourth element holds the negated likelihood at the start
-    and after each Newton step.
+    moments and populations (the adding-up residuals) within tol, or until
+    max_iter steps or a backtracking that finds no decrease (which happens
+    only when tol lies below the float resolution of the gradient).  Returns
+    the last iterate (lam, a, b), a and b being -log(singles)/2 of the
+    fitted market; with ``log=True`` a fourth element, info, holds
+    ``converged`` (the residual is below tol) and ``objectives``, the
+    negated likelihood at the start and after each Newton step.
 
     Raises :class:`NonIdentificationError` before the first step when the
-    basis, reshaped to (X * Y, K), has column rank below K (the coefficients
-    are then not identified), and when the residual is above tol after
-    max_iter steps or once backtracking finds no decrease (which happens
-    only when tol lies below the float resolution of the gradient).
+    basis, reshaped to (X * Y, K), has column rank below K: the
+    coefficients are then not identified.
     """
     if basis.basis.shape[:2] != table.flows.shape:
         raise DomainError(
@@ -327,15 +325,10 @@ def moment_matching(
     start = np.concatenate(
         [np.zeros(k), 0.5 * np.log(table.singles_x), 0.5 * np.log(table.singles_y)]
     )
-    theta, history, converged, res = _prox_newton(state, start, k, 0.0, tol, max_iter)
-    if not converged:
-        raise NonIdentificationError(
-            f"moment residual {res!r} above {tol!r} after {len(history) - 1}"
-            " Newton steps"
-        )
+    theta, history, converged = _prox_newton(state, start, k, 0.0, tol, max_iter)
     lam, na, nb = np.split(theta, [k, k + nx])
     if log:
-        return lam, -na, -nb, {"objectives": tuple(history)}
+        return lam, -na, -nb, {"converged": converged, "objectives": tuple(history)}
     return lam, -na, -nb
 
 
@@ -466,7 +459,7 @@ def sista(
 
     start = np.zeros(k + nx + ny - 1)
     start[:k] = basis.params if basis.params is not None else 0.0
-    theta, history, converged, _ = _prox_newton(state, start, k, l1, tol, max_iter)
+    theta, history, converged = _prox_newton(state, start, k, l1, tol, max_iter)
     beta, f, g = np.split(np.append(theta, 0.0), [k, k + nx])
     if log:
         info = {

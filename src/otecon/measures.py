@@ -2,7 +2,13 @@
 
 Every type here is an immutable dataclass that validates its invariants at
 construction time.  Solver modules build on these types and assume the
-invariants hold, so all defensive checking lives in one place.
+invariants hold, so all defensive checking lives in one place.  The checks
+that several solver modules share are also defined here, once each: equal
+total masses (:func:`_check_balanced`), a cost matrix that fits two
+marginals (:func:`_check_cost_shape`), the symmetric positive semidefinite
+test (:func:`_symmetric_eigh`), the marginal gap of a plan
+(:func:`_marginal_gap`), and the empirical quantile and cdf convention
+(:func:`empirical_quantile`, :func:`empirical_cdf`).
 """
 
 from __future__ import annotations
@@ -70,6 +76,38 @@ def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         )
 
 
+def _check_cost_shape(cost: CostMatrix, rows: int, cols: int) -> None:
+    """Reject a cost matrix that is not rows x cols, the sizes of two marginals."""
+    if cost.shape != (rows, cols):
+        raise DomainError(
+            f"cost shape {cost.shape} does not match measures ({rows}, {cols})"
+        )
+
+
+def _marginal_gap(
+    row_sums: np.ndarray, col_sums: np.ndarray, mu: np.ndarray, nu: np.ndarray
+) -> float:
+    """max(|row sums - mu|, |column sums - nu|), a plan's largest violation
+    of its adding-up constraints."""
+    return float(max(np.abs(row_sums - mu).max(), np.abs(col_sums - nu).max()))
+
+
+def _symmetric_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric PSD matrix.
+
+    a must be symmetric within 1e-10 times its largest entry
+    (:class:`DomainError`), and no eigenvalue may lie below -1e-10 times the
+    largest one (:class:`NotPSDError`); the decomposition is that of the
+    symmetric part (a + a') / 2.  Both messages name the matrix.
+    """
+    if np.max(np.abs(a - a.T)) > 1e-10 * np.max(np.abs(a)):
+        raise DomainError(f"{name} must be symmetric")
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    if vals[0] < -1e-10 * max(vals[-1], 0.0):
+        raise NotPSDError(f"{name} has negative eigenvalue {vals[0]!r}")
+    return vals, vecs
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Dense M x N matrix of pairwise costs; every entry must be finite."""
@@ -124,14 +162,9 @@ class GaussianMeasure:
         c = as_float_array(self.cov, "cov", ndim=2)
         if c.shape != (m.size, m.size):
             raise DomainError(f"cov must be {m.size} x {m.size}, got {c.shape}")
-        if np.max(np.abs(c - c.T)) > 1e-12 * np.max(np.abs(c)):
-            raise DomainError("cov must be symmetric")
-        c = 0.5 * (c + c.T)
-        eig = np.linalg.eigvalsh(c)
-        if eig[0] < -1e-12 * max(eig[-1], 0.0):
-            raise NotPSDError(f"cov has negative eigenvalue {eig[0]!r}")
+        _symmetric_eigh(c, "cov")
         object.__setattr__(self, "mean", frozen(m))
-        object.__setattr__(self, "cov", frozen(c))
+        object.__setattr__(self, "cov", frozen(0.5 * (c + c.T)))
 
     @property
     def dim(self) -> int:
@@ -159,25 +192,36 @@ class HaltonSet:
         return self.points.shape[1]
 
 
-def empirical_quantile(sample: Sample1D, t: float) -> float:
+def empirical_quantile(sample: Sample1D, t):
     """Left-continuous generalized inverse of the empirical cdf.
 
     Returns the smallest order statistic x_(k) whose cdf value k/n reaches t.
     The comparison runs against the float grid {k/n}, so quantile and cdf are
     exactly consistent in floating point: cdf(quantile(t)) >= t always holds.
+    t may be a level, which gives a float, or an array of levels, which
+    gives an array of the same shape.
     """
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"quantile level must be in (0, 1], got {t!r}")
+    t = np.asarray(t, dtype=float)
+    inside = (0.0 < t) & (t <= 1.0)
+    if not inside.all():
+        bad = float(t[~inside][0])
+        raise DomainError(f"quantile level must be in (0, 1], got {bad!r}")
     n = sample.n
     grid = np.arange(1, n + 1, dtype=float) / n
-    k = int(np.searchsorted(grid, t, side="left"))
-    return float(sample.values[min(k, n - 1)])
+    k = np.minimum(np.searchsorted(grid, t, side="left"), n - 1)
+    q = sample.values[k]
+    return float(q) if q.ndim == 0 else q
 
 
-def empirical_cdf(sample: Sample1D, y: float) -> float:
-    """Fraction of observations less than or equal to y."""
-    return float(np.searchsorted(sample.values, float(y), side="right")) / sample.n
+def empirical_cdf(sample: Sample1D, y):
+    """Fraction of observations less than or equal to y.
+
+    y may be a value, which gives a float, or an array of values, which
+    gives an array of the same shape.
+    """
+    y = np.asarray(y, dtype=float)
+    frac = np.searchsorted(sample.values, y, side="right") / sample.n
+    return float(frac) if frac.ndim == 0 else frac
 
 
 def halton(n: int, d: int) -> HaltonSet:
@@ -211,17 +255,12 @@ def spd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     The matrix must be symmetric within 1e-10 times its largest entry.
-    Eigenvalues in [-1e-12 * lambda_max, 0) are clamped to zero; anything
+    Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything
     more negative raises :class:`NotPSDError`.
     """
     a = as_float_array(a, "matrix", ndim=2)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-10 * np.max(np.abs(a)):
-        raise DomainError("matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    top = max(vals[-1], 0.0)
-    if vals[0] < -1e-12 * top:
-        raise NotPSDError(f"matrix has negative eigenvalue {vals[0]!r}")
+    vals, vecs = _symmetric_eigh(a, "matrix")
     root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (root + root.T)

@@ -6,7 +6,9 @@ directly, the tree-potential oracle propagates duals over a basis from
 scratch, and the robust-expectation oracle solves the primal ball program
 as an explicit LP.  The loop references at the end walk the quantile grids,
 rank candidates and Halton digits one element at a time, as the package
-did before those paths became array operations, and run the Sinkhorn
+did before those paths became array operations; the winners formula
+after them is the array form the package wrote inline before it called
+its empirical quantile and cdf.  The loop references also run the Sinkhorn
 loops that build the plan on every sweep to measure their residual, and
 the log-sum-exp loop the package ran before its kernel scaling.  The
 one-shot sliced distance holds the projections of all directions at once
@@ -253,6 +255,18 @@ def winners_loop(a, b, v0, v1):
         cdf = float(np.searchsorted(v1, v0[k], side="right")) / len(v1)
         best = max(best, abar - a - cdf)
     return best / (b - a)
+
+
+def winners_inline(a, b, v0, v1):
+    """Winners lower bound with the quantile and cdf searches written out."""
+    n0 = len(v0)
+    ranks = np.arange(1, n0 + 1, dtype=float) / n0
+    candidates = np.concatenate(
+        (ranks[(ranks > a) & (ranks <= b)], [b], [a] if a > 0.0 else [])
+    )
+    k = np.minimum(np.searchsorted(ranks, candidates, side="left"), n0 - 1)
+    f1 = np.searchsorted(v1, v0[k], side="right") / len(v1)
+    return max(0.0, float(np.max(candidates - a - f1))) / (b - a)
 
 
 def halton_loop(n, bases):

@@ -11,6 +11,7 @@ from oracles import (
     dro_primal_value,
     integrate_quantile_loop,
     lp_transport_value,
+    winners_inline,
     winners_loop,
 )
 from otecon import (
@@ -149,13 +150,17 @@ class TestWinners:
             winners_lower_bound(0.5, 0.5, y, y)
 
     def test_matches_candidate_loop(self, rng):
-        # rounded draws put ties inside and across the two samples
-        for _ in range(30):
+        # rounded draws put ties inside and across the two samples, and
+        # windows on y0's rank grid put candidates on its breakpoints
+        for _ in range(300):
             y0 = Sample1D.from_data(np.round(rng.normal(size=int(rng.integers(1, 50))), 1))
             y1 = Sample1D.from_data(np.round(rng.normal(0.3, size=int(rng.integers(1, 50))), 1))
-            a, b = np.sort(rng.choice([0.0, 0.5, 1.0, *rng.uniform(size=2)], 2, replace=False))
+            on_grid = rng.integers(0, y0.n + 1, size=2) / y0.n
+            choices = [0.0, 0.5, 1.0, *rng.uniform(size=2), *on_grid]
+            a, b = np.sort(rng.choice(np.unique(choices), 2, replace=False))
             direct = winners_lower_bound(a, b, y0, y1)
             assert direct == winners_loop(a, b, y0.values, y1.values)
+            assert direct == winners_inline(a, b, y0.values, y1.values)
 
     def test_range(self, rng):
         for _ in range(20):

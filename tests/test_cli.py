@@ -183,6 +183,18 @@ class TestValues:
         doc = json.loads(payload)
         assert doc["result"]["value"] == pytest.approx(0.1, abs=1e-12)
         assert doc["result"]["witness"] == [0]
+        assert doc["config"]["witness"] == "yes"
+
+    def test_binary_ot_without_witness(self, tmp_path):
+        code, payload = run_cli(COMMANDS["binary-ot"] + ["--witness", "no"], tmp_path)
+        assert code == 0
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["result"]["value"] == pytest.approx(0.1, abs=1e-12)
+        assert doc["result"]["witness"] is None
+        with pytest.raises(SystemExit) as exc:
+            run_cli(COMMANDS["binary-ot"] + ["--witness", "auto"], tmp_path)
+        assert exc.value.code == 2
 
     def test_semidiscrete_weight_gap(self, tmp_path):
         _, payload = run_cli(COMMANDS["semidiscrete"], tmp_path)
@@ -370,6 +382,25 @@ class TestFailureModes:
         assert doc["command"] == name
         assert doc["config"]["max_iter"] == 1
         assert doc["diagnostics"]["converged"] is False
+
+    def test_match_fit_cap_writes_last_iterate(self, tmp_path):
+        code, payload = run_cli(self.CAPPED["match-fit"] + ["--max-iter", "1"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        assert sorted(doc["result"]) == ["a", "b", "lam"]
+        assert [len(doc["result"][key]) for key in ("lam", "a", "b")] == [1, 3, 3]
+        assert doc["diagnostics"]["iterations"] == 1
+
+    def test_failed_certificate_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "verify_optimality", lambda *args: False)
+        code, payload = run_cli(COMMANDS["ot"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["result"]["certified"] is False
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["result"]["value"] == 1.0
+        assert np.array(doc["result"]["plan"]).shape == (2, 2)
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize("name", sorted(CAPPED))

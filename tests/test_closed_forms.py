@@ -54,10 +54,6 @@ class TestOtValue1D:
         value = ot_value_1d(x, y, abs_cost)
         assert value == pytest.approx(lp_value_on_atoms(x, y, abs_cost), abs=1e-12)
 
-    def test_submodular_flag_required(self):
-        with pytest.raises(DomainError):
-            ot_value_1d(Sample1D([0.0]), Sample1D([1.0]), abs_cost, submodular=False)
-
     def test_quadratic_matches_lp_random(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 12))

@@ -228,7 +228,10 @@ class TestCostScale:
         pots = DualPotentials([0.0, 1e-6], [0.0, 0.0])
         half = DiscreteMeasure([0.5, 0.5])
         assert verify_optimality(plan, pots, half, half, cost)
-        assert not verify_optimality(plan, pots, half, half, cost, tol=1e-9)
+        # the default tolerance is CERT_TOL * 1e6 = 1e-3 (plus ulps): twice
+        # that is a violation
+        pots = DualPotentials([0.0, 2e-3], [0.0, 0.0])
+        assert not verify_optimality(plan, pots, half, half, cost)
 
 
 class TestIncrementalPotentials:

@@ -129,10 +129,21 @@ class TestMomentMatching:
         objs = np.array(info["objectives"])
         assert np.all(np.diff(objs) <= 1e-12)
 
-    def test_iteration_budget_error(self):
+    def test_cap_returns_last_iterate(self):
         table = self.build_table(2.0)
-        with pytest.raises(NonIdentificationError):
-            moment_matching(table, ones_basis(2, 2), tol=1e-14, max_iter=1)
+        basis = ones_basis(2, 2)
+        for max_iter in (1, 2):
+            lam, a, b, info = moment_matching(
+                table, basis, tol=1e-14, max_iter=max_iter, log=True
+            )
+            assert info["converged"] is False
+            assert len(info["objectives"]) - 1 == max_iter
+            # the returned iterate is the one whose objective is reported last
+            expected = -poisson_loglik((lam, a, b), table, basis)
+            assert info["objectives"][-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            bare = moment_matching(table, basis, tol=1e-14, max_iter=max_iter)
+            for got, want in zip(bare, (lam, a, b)):
+                assert np.array_equal(got, want)
 
     # at tol 1e-12 the last Newton steps decrease poisson_loglik by less than
     # its float resolution, so this also checks that the line search still

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import halton_loop
 from otecon import (
+    AffineMap,
     DiscreteMeasure,
     DomainError,
     GaussianMeasure,
@@ -92,6 +93,29 @@ class TestQuantile:
     def test_cdf_of_quantile_covers_t(self, data, t):
         s = Sample1D.from_data(data)
         assert empirical_cdf(s, empirical_quantile(s, t)) >= t
+
+    @given(
+        st.lists(finite_floats, min_size=1, max_size=40),
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_array_matches_scalar_calls(self, data, levels):
+        # the sample's own values and the k/n grid put ties and breakpoints
+        # among the arguments
+        s = Sample1D.from_data(data)
+        t = np.array(levels + [k / s.n for k in range(1, s.n + 1)])
+        q = empirical_quantile(s, t)
+        assert q.tolist() == [empirical_quantile(s, x) for x in t]
+        y = np.concatenate((q, s.values, s.values + 0.5))
+        f = empirical_cdf(s, y)
+        assert f.tolist() == [empirical_cdf(s, x) for x in y]
+        assert empirical_quantile(s, t.reshape(1, -1)).shape == (1, t.size)
+
+    def test_array_domain(self):
+        with pytest.raises(DomainError, match="got 0.0"):
+            empirical_quantile(Sample1D([1.0]), np.array([0.5, 0.0, 1.0]))
 
 
 class TestCdf:
@@ -193,6 +217,44 @@ class TestGaussianMeasure:
     def test_negative_definite_rejected(self):
         with pytest.raises(DomainError):
             GaussianMeasure([0.0], [[-1.0]])
+
+
+# each input that must be symmetric PSD, by the name its errors give it
+PSD_CALLERS = {
+    "cov": lambda a: GaussianMeasure(np.zeros(2), a),
+    "matrix": spd_sqrt,
+    "linear part": lambda a: AffineMap(a, np.zeros(2)),
+}
+
+
+class TestPsdBoundary:
+    """One rule for every symmetric PSD input: asymmetry up to 1e-10 of the
+    largest entry, and eigenvalues down to -1e-10 of the largest one."""
+
+    @staticmethod
+    def asymmetric(rel, scale):
+        return scale * np.array([[1.0, 0.5 + rel], [0.5, 1.0]])
+
+    @staticmethod
+    def negative_eigenvalue(rel, scale):
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s], [s, c]])
+        a = scale * (q @ np.diag([1.0, -rel]) @ q.T)
+        return 0.5 * (a + a.T)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("name", sorted(PSD_CALLERS))
+    def test_accepted_within_tolerance(self, name, scale):
+        PSD_CALLERS[name](self.asymmetric(5e-11, scale))
+        PSD_CALLERS[name](self.negative_eigenvalue(5e-11, scale))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("name", sorted(PSD_CALLERS))
+    def test_rejected_beyond_tolerance(self, name, scale):
+        with pytest.raises(DomainError, match=f"^{name} must be symmetric"):
+            PSD_CALLERS[name](self.asymmetric(2e-10, scale))
+        with pytest.raises(NotPSDError, match=f"^{name} has negative eigenvalue"):
+            PSD_CALLERS[name](self.negative_eigenvalue(2e-10, scale))
 
 
 @settings(max_examples=30)
