@@ -11,7 +11,8 @@ import numpy as np
 EXP_CAP = 700.0
 
 # Largest number of entries one call may build from a size option: grid
-# points of the semidiscrete grid, projected values of the sliced distance.
+# points of the semidiscrete grid, projected values of the sliced distance,
+# cost entries (n^2) of a multivariate rank solve.
 GRID_LIMIT = 10_000_000
 
 # First 20 primes, enough for every supported low-discrepancy dimension.

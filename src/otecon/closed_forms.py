@@ -3,16 +3,21 @@
 On the real line the comonotone coupling is optimal for any submodular cost,
 so transport values reduce to exact sums over the merged quantile grid of
 the two samples.  That grid depends only on the two sample sizes; it is
-built once as segment lengths plus the order-statistic index of each sample
-on each segment, and values are gathered through it.  Between Gaussians the
-quadratic problem has an explicit affine optimal map.  Sliced distances
-reduce multivariate samples to averages of one-dimensional values over
-random projection directions, taken in cache-sized blocks of directions
-that are each gathered through the same grid.
+built as segment lengths plus the order-statistic index of each sample on
+each segment, kept read-only for the last few size pairs, and values are
+gathered through it.  Powers |Q_x - Q_y|^p are taken after dividing the
+gaps by a power of two near the largest one, so they neither overflow nor
+underflow at any scale of the data.  Between Gaussians the quadratic
+problem has an explicit affine optimal map.  Sliced distances reduce
+multivariate samples to averages of one-dimensional values over random
+projection directions, taken in cache-sized blocks of directions that are
+each gathered through the same grid.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +26,10 @@ import numpy as np
 from ._util import GRID_LIMIT, as_float_array, check_scalar, frozen
 from .errors import DomainError, NotInvertibleError, ResourceError
 from .measures import GaussianMeasure, Sample1D, _symmetric_eigh, spd_sqrt
+
+# Lowest binary exponent a gap scale may take: 2^1022 is the largest power
+# of two whose reciprocal is a normal float.
+_LOW = -1022
 
 # Projected values of all m + n points that the sliced distance holds per
 # block of directions: 512 KB of floats, so a block's projections, sorts and
@@ -49,6 +58,7 @@ class AffineMap:
         return x @ self.linear.T + self.shift
 
 
+@functools.lru_cache(maxsize=4)
 def _merged_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merged quantile breakpoint grid of an m-point and an n-point sample.
 
@@ -61,6 +71,11 @@ def _merged_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     breakpoint, after exactly ix + iy = k smaller breakpoints; there sits
     x's breakpoint i, so ix = i, unless only y's breakpoint j does, so
     iy = j (on a tie the stable sort puts x's first).
+
+    The grid depends only on (m, n), so the last 4 size pairs' grids are
+    kept, and repeated calls on the same sizes (resampling, several values
+    of one pair) reuse them.  That holds at most 4 grids of about
+    24 (m + n) bytes each.  The arrays are shared, so they are read-only.
     """
     breaks = np.concatenate((np.arange(1, m + 1) / m, np.arange(1, n + 1) / n))
     order = np.argsort(breaks, kind="stable")
@@ -68,25 +83,40 @@ def _merged_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.flatnonzero(steps)
     at = order[first]
     ix = np.where(at < m, at, first + m - at)
-    return steps[first], ix, first - ix
+    grid = steps[first], ix, first - ix
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 def _gap_power_sum(
-    qx: np.ndarray, qy: np.ndarray, p: float, grid: tuple[np.ndarray, ...]
-) -> float:
-    """Sum over the merged grid of length * |Q_x - Q_y|^p.
+    qx: np.ndarray,
+    qy: np.ndarray,
+    p: float,
+    grid: tuple[np.ndarray, ...],
+    low: int = _LOW,
+) -> tuple[float, int]:
+    """Sum over the merged grid of length * |Q_x - Q_y|^p, as (s, e).
 
     qx and qy hold sorted samples along their last axis, one row per
-    projection; the sum runs over every row.  The two gathers are the only
-    arrays made; the rest is done in place.
+    projection; the sum runs over every row.  The gaps are divided by 2^e,
+    for e the larger of low and the exponent that puts the largest
+    gap in (1/2, 1], so the sum is s * 2^(p e) without overflow or
+    underflow (for p up to 1074, where (1/2)^p is still a float); a power
+    of two divides exactly.  low may not be below _LOW, where 2^-e
+    overflows.  The two gathers are the only arrays made; the rest is done
+    in place.
     """
     lengths, ix, iy = grid
     gap = qx[..., ix]
     gap -= qy[..., iy]
     np.abs(gap, out=gap)
+    mantissa, e = math.frexp(gap.max())
+    e = max(low, e - (mantissa == 0.5))
+    gap *= math.ldexp(1.0, -e)
     gap **= p
     gap *= lengths
-    return np.sum(gap)
+    return float(np.sum(gap)), e
 
 
 def ot_value_1d(
@@ -110,8 +140,8 @@ def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:
     Equals the p-th root of the merged-grid integral of |Q_x - Q_y|^p.
     """
     check_scalar(p, "p", 1.0)
-    total = _gap_power_sum(x.values, y.values, p, _merged_grid(x.n, y.n))
-    return float(total ** (1.0 / p))
+    total, e = _gap_power_sum(x.values, y.values, p, _merged_grid(x.n, y.n))
+    return math.ldexp(total ** (1.0 / p), e)
 
 
 def gaussian_ot_map(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
@@ -167,10 +197,14 @@ def sliced_wasserstein(
     one-dimensional distance.  Directions are projected, sorted and
     gathered through the one merged grid a block at a time, about
     SLICED_BLOCK_VALUES projected values per block, and the blocks' sums
-    are added up.  n_dir (m + n), the number of projected values and so
-    the work, may not exceed GRID_LIMIT.
+    are added up, each rescaled to the largest gap seen so far.  n_dir and
+    seed must be integers.  n_dir (m + n), the number of projected values
+    and so the work, may not exceed GRID_LIMIT.
     """
     check_scalar(p, "p", 1.0)
+    for name, value in (("n_dir", n_dir), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n_dir < 1:
         raise DomainError(f"n_dir must be at least 1, got {n_dir}")
     check_scalar(seed, "seed", 0)
@@ -198,7 +232,8 @@ def sliced_wasserstein(
     dirs /= norms[:, None]
     grid = _merged_grid(x.shape[0], y.shape[0])
     block = max(1, SLICED_BLOCK_VALUES // points)
-    total = 0.0
+    # The sum so far is total * 2^(p e); a block with a larger gap raises e.
+    total, e = 0.0, _LOW
     for start in range(0, n_dir, block):
         # One row per direction of the block, sorted in place.
         d_blk = dirs[start : start + block]
@@ -206,8 +241,10 @@ def sliced_wasserstein(
         proj_x.sort(axis=1)
         proj_y = d_blk @ y.T
         proj_y.sort(axis=1)
-        total += _gap_power_sum(proj_x, proj_y, p, grid)
-    return float((total / n_dir) ** (1.0 / p))
+        part, e_blk = _gap_power_sum(proj_x, proj_y, p, grid, e)
+        total = total * 2.0 ** (p * (e - e_blk)) + part
+        e = e_blk
+    return math.ldexp((total / n_dir) ** (1.0 / p), e)
 
 
 def barycenter_1d(samples: list[Sample1D], lam: np.ndarray) -> Sample1D:

@@ -281,12 +281,18 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     assignment for the quadratic cost, ties included, so the permutation is
     ``perm[argsort(y, kind="stable")] = argsort(ref, kind="stable")``,
     which sends the k-th smallest observation (tied ones in index order)
-    to the k-th smallest Halton point.
+    to the k-th smallest Halton point.  In d >= 2 the n x n cost may not
+    exceed GRID_LIMIT entries.
     """
     y = as_float_array(sample, "sample")
     if y.ndim == 1:
         y = y[:, None]
     n, d = y.shape
+    if d > 1 and n * n > GRID_LIMIT:
+        raise ResourceError(
+            f"{n} observations need a {n} x {n} cost, over the {GRID_LIMIT:,}"
+            " entry limit"
+        )
     ref = halton(n, d)
     if d == 1:
         perm = np.empty(n, dtype=int)

@@ -10,6 +10,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -510,11 +512,17 @@ class TestFailureModes:
         )
         assert code == 2
 
+    @staticmethod
+    def huge_pair(tmp_path):
+        # finite points 3.4e308 apart: the distance is above the largest float
+        x, y = tmp_path / "huge.csv", tmp_path / "neg_huge.csv"
+        x.write_text("1.7e308\n")
+        y.write_text("-1.7e308\n")
+        return str(x), str(y)
+
     def test_overflowing_result_exits_2(self, tmp_path, capsys):
-        # finite input whose squared distance overflows to inf
-        x = tmp_path / "huge.csv"
-        x.write_text("1e308\n-1e308\n")
-        code, payload = run_cli(["w1d", "--x", str(x), "--y", "xs.csv"], tmp_path)
+        x, y = self.huge_pair(tmp_path)
+        code, payload = run_cli(["w1d", "--x", x, "--y", y], tmp_path)
         assert code == 2
         assert payload is None
         err = capsys.readouterr().err
@@ -522,16 +530,68 @@ class TestFailureModes:
 
     def test_overflow_one_stderr_line_in_subprocess(self, tmp_path):
         # numpy's RuntimeWarnings reach stderr only outside pytest's capture
-        x = tmp_path / "huge.csv"
-        x.write_text("1e308\n-1e308\n")
+        x, y = self.huge_pair(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "otecon.cli", "w1d", "--x", str(x),
-             "--y", data("xs.csv"), "--out", str(tmp_path / "o.json")],
+            [sys.executable, "-m", "otecon.cli", "w1d", "--x", x,
+             "--y", y, "--out", str(tmp_path / "o.json")],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 2
         assert proc.stderr == "otecon w1d: cannot serialize non-finite float inf\n"
+
+    def test_large_finite_distance_exits_0(self, tmp_path):
+        # W_2 is about 1e308, though its squared gaps overflow
+        x = tmp_path / "large.csv"
+        x.write_text("1e308\n-1e308\n")
+        code, payload = run_cli(["w1d", "--x", str(x), "--y", "xs.csv"], tmp_path)
+        assert code == 0
+        assert json.loads(payload)["result"]["value"] == pytest.approx(1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", ["1e7", "1e-7"])
+    def test_high_order_distance_at_any_scale(self, tmp_path, scale):
+        # |gap|^50 overflowed to inf at 1e7 (exit 2) and underflowed to 0
+        # at 1e-7 (exit 0 with value 0)
+        rng = np.random.default_rng(5)
+        draws = rng.standard_normal(1000), 0.5 + 1.5 * rng.standard_normal(900)
+        values = {}
+        for s in ("1", scale):
+            x, y = tmp_path / f"x{s}.csv", tmp_path / f"y{s}.csv"
+            for path, v in zip((x, y), draws):
+                path.write_text("".join(f"{u!r}\n" for u in (float(s) * v).tolist()))
+            code, payload = run_cli(
+                ["w1d", "--x", str(x), "--y", str(y), "--p", "50"], tmp_path
+            )
+            assert code == 0
+            values[s] = json.loads(payload)["result"]["value"]
+        assert values[scale] == pytest.approx(float(scale) * values["1"], rel=1e-12)
+
+    def test_ranks_over_the_cost_limit_exits_2_at_once(self, tmp_path, capsys):
+        # 3 163^2 cost entries is just over the 10 000 000 limit; without
+        # it the run built the 80 MB cost and grew past 4 GB in the solve
+        sample = tmp_path / "pts.csv"
+        sample.write_text("".join(f"{k / 3163!r},{k % 7 / 7!r}\n" for k in range(3163)))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, payload = run_cli(["ranks", "--sample", str(sample)], tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "limit" in err
+        assert peak < 4e6
+
+    def test_ranks_in_one_dimension_has_no_cost_limit(self, tmp_path):
+        # d = 1 sorts and builds no n x n cost
+        sample = tmp_path / "pts.csv"
+        sample.write_text("".join(f"{(k * 7919) % 3163!r}\n" for k in range(3163)))
+        code, payload = run_cli(["ranks", "--sample", str(sample)], tmp_path)
+        assert code == 0
+        assert sorted(json.loads(payload)["result"]["permutation"]) == list(range(3163))
 
 
 class TestWriterParity:

@@ -120,12 +120,19 @@ class TestMergedGrid:
         assert np.all(np.diff(ix) >= 0) and np.all(np.diff(iy) >= 0)
         assert (ix[0], iy[0], ix[-1], iy[-1]) == (0, 0, m - 1, n - 1)
 
+    @staticmethod
+    def assert_miss_and_hit_match_loop(m, n):
+        ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
+        _merged_grid.cache_clear()
+        for _ in range(2):  # built, then read from the cache
+            lengths, ix, iy = _merged_grid(m, n)
+            assert lengths.tolist() == ref_lengths
+            assert ix.tolist() == ref_ix and iy.tolist() == ref_iy
+        assert _merged_grid.cache_info().hits == 1
+
     @pytest.mark.parametrize("m, n", SIZES + [(1, 1), (49, 70), (2000, 1900)])
     def test_matches_segment_loop(self, m, n):
-        lengths, ix, iy = _merged_grid(m, n)
-        ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
-        assert lengths.tolist() == ref_lengths
-        assert ix.tolist() == ref_ix and iy.tolist() == ref_iy
+        self.assert_miss_and_hit_match_loop(m, n)
 
     @given(st.integers(1, 3000), st.integers(1, 3000))
     @example(3000, 2999)
@@ -134,10 +141,24 @@ class TestMergedGrid:
     @example(2048, 3000)
     @settings(max_examples=60, deadline=None)
     def test_matches_segment_loop_any_sizes(self, m, n):
-        lengths, ix, iy = _merged_grid(m, n)
-        ref_lengths, ref_ix, ref_iy = merged_segments_loop(m, n)
-        assert lengths.tolist() == ref_lengths
-        assert ix.tolist() == ref_ix and iy.tolist() == ref_iy
+        self.assert_miss_and_hit_match_loop(m, n)
+
+    def test_cached_grid_is_read_only(self):
+        for arr in _merged_grid(49, 70):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_hit_returns_the_same_arrays(self):
+        first = _merged_grid(49, 70)
+        assert all(a is b for a, b in zip(first, _merged_grid(49, 70)))
+
+    def test_cache_size_is_bounded(self):
+        _merged_grid.cache_clear()
+        limit = _merged_grid.cache_info().maxsize
+        for m in range(1, 3 * limit):
+            _merged_grid(m, m + 1)
+            assert _merged_grid.cache_info().currsize <= limit
 
     @pytest.mark.parametrize("m, n", SIZES)
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -297,6 +318,19 @@ class TestSliced:
         x = np.zeros((3, 2))
         with pytest.raises(DomainError, match="seed"):
             sliced_wasserstein(x, x, seed=seed)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": 1.5}, {"seed": True}, {"n_dir": 2.5}, {"n_dir": True}]
+    )
+    def test_non_integer_count_or_seed_rejected(self, kwargs):
+        x = np.zeros((3, 2))
+        with pytest.raises(DomainError, match="must be an integer"):
+            sliced_wasserstein(x, x, **kwargs)
+
+    def test_numpy_integers_accepted(self, rng):
+        x, y = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
+        value = sliced_wasserstein(x, y, n_dir=np.int64(9), seed=np.uint8(4))
+        assert value == sliced_wasserstein(x, y, n_dir=9, seed=4)
 
     def test_mismatched_dimension_rejected(self, rng):
         with pytest.raises(DomainError):

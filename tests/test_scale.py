@@ -25,8 +25,10 @@ from otecon import (
     gaussian_w2,
     matrix_minimum,
     rearrangement_bounds,
+    sliced_wasserstein,
     solve_discrete_ot,
     verify_optimality,
+    wasserstein_1d,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -136,6 +138,34 @@ def test_rearrangement_bounds_with_constant_y0(n, seed, a, b):
     mean = 3.3 * 10.0**a * y1.values.mean()
     assert iv.lower == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert iv.upper == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+
+# Scaling the data by 10^k rounds each point once; the distances then
+# agree with 10^k times the unscaled ones to a few ulps.
+FEW_ULPS = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, k=EXPONENTS, p=st.sampled_from((1.0, 2.0, 50.0)))
+# |gap|^50 overflowed at 1e7 (W_50 was inf) and underflowed at 1e-7 (0.0)
+@example(seed=0, k=7, p=50.0)
+@example(seed=0, k=-7, p=50.0)
+def test_line_and_sliced_distances_scale(seed, k, p):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1000)
+    y = 0.5 + 1.5 * rng.standard_normal(900)
+    px = rng.standard_normal((60, 3))
+    py = 0.2 + rng.standard_normal((50, 3))
+    scale = 10.0**k
+
+    def w1d(s):
+        return wasserstein_1d(Sample1D.from_data(s * x), Sample1D.from_data(s * y), p)
+
+    def sliced(s):
+        return sliced_wasserstein(s * px, s * py, p, n_dir=40, seed=seed)
+
+    assert w1d(scale) == pytest.approx(scale * w1d(1.0), rel=FEW_ULPS, abs=0.0)
+    assert sliced(scale) == pytest.approx(scale * sliced(1.0), rel=FEW_ULPS, abs=0.0)
 
 
 def rotated(eigenvalues, angle):
