@@ -10,9 +10,11 @@ invocation runs as ``python -m otecon.cli`` once per tree, with
 the same ``--out`` path, so that the echoed config is the same.  Prints a
 Markdown table saying, per invocation, whether the exit code, the stderr
 and the document bytes match, and how many of each differ.  Where two
-documents differ but parse to the same structure, the cell gives the
-largest absolute and relative difference over their numeric leaves.
-Exits 1 when any exit code, stderr or document differs, else 0.
+documents differ, the cell lists the key paths the change added and
+removed, such as ``+diagnostics.stop_reason -diagnostics.objective``, and
+then the largest absolute and relative difference over the numeric leaves
+the two have in common, or "numbers equal".  Exits 1 when any exit code,
+stderr or document differs, else 0.
 """
 
 import argparse
@@ -56,11 +58,26 @@ def run(tree: Path, argv: list[str], data: Path, out: Path) -> tuple:
     return proc.returncode, proc.stderr, document
 
 
+def key_paths(doc, path: str = "") -> set:
+    """Dotted path of every object key in doc; a list's items add ``[]``."""
+    paths = set()
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            sub = f"{path}.{key}".lstrip(".")
+            paths |= {sub} | key_paths(value, sub)
+    elif isinstance(doc, list):
+        for value in doc:
+            paths |= key_paths(value, f"{path}[]")
+    return paths
+
+
 def numeric_leaves(a, b, path: str, out: list) -> bool:
-    """Collect (path, a, b) for each numeric leaf; False if the structures differ."""
+    """Collect (path, a, b) for each numeric leaf under the keys a and b
+    share; False if they differ there in anything but numbers."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(
-            numeric_leaves(a[k], b[k], f"{path}.{k}".lstrip("."), out) for k in a
+        return all(
+            numeric_leaves(a[k], b[k], f"{path}.{k}".lstrip("."), out)
+            for k in a.keys() & b.keys()
         )
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(
@@ -73,14 +90,20 @@ def numeric_leaves(a, b, path: str, out: list) -> bool:
 
 
 def document_difference(before: bytes, after: bytes) -> str:
-    """Largest absolute and relative difference over numeric leaves, or "differs"."""
+    """Added and removed key paths, then the largest absolute and relative
+    difference over the shared numeric leaves; "differs" where neither
+    describes the change."""
     try:
         a, b = json.loads(before), json.loads(after)
     except (TypeError, ValueError):
         return "differs"
+    added, removed = key_paths(b) - key_paths(a), key_paths(a) - key_paths(b)
+    keys = " ".join(
+        [f"`+{k}`" for k in sorted(added)] + [f"`-{k}`" for k in sorted(removed)]
+    )
     leaves: list = []
-    if not numeric_leaves(a, b, "", leaves) or not leaves:
-        return "differs"
+    if not numeric_leaves(a, b, "", leaves) or not (leaves or keys):
+        return f"{keys}, other values differ" if keys else "differs"
 
     def gap(leaf):
         return abs(leaf[1] - leaf[2])
@@ -88,11 +111,14 @@ def document_difference(before: bytes, after: bytes) -> str:
     def relative(leaf):
         return gap(leaf) / max(abs(leaf[1]), abs(leaf[2])) if gap(leaf) else 0.0
 
-    by_gap, by_relative = max(leaves, key=gap), max(leaves, key=relative)
-    return (
-        f"max abs {gap(by_gap):.3g} (`{by_gap[0]}`), "
-        f"max rel {relative(by_relative):.3g} (`{by_relative[0]}`)"
-    )
+    numbers = "numbers equal"
+    if any(map(gap, leaves)):
+        by_gap, by_relative = max(leaves, key=gap), max(leaves, key=relative)
+        numbers = (
+            f"max abs {gap(by_gap):.3g} (`{by_gap[0]}`), "
+            f"max rel {relative(by_relative):.3g} (`{by_relative[0]}`)"
+        )
+    return f"{keys}, {numbers}" if keys else numbers
 
 
 def main() -> int:

@@ -41,7 +41,8 @@ _SUBMODULES = {
     ),
     "measures": (
         "CostMatrix", "DiscreteMeasure", "GaussianMeasure", "HaltonSet",
-        "Sample1D", "empirical_cdf", "empirical_quantile", "halton", "spd_sqrt",
+        "Sample1D", "SolveReport", "empirical_cdf", "empirical_quantile",
+        "halton", "spd_sqrt",
     ),
     "semidiscrete": (
         "LaguerreDiagram", "RankAssignment", "laguerre_assign",

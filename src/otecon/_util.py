@@ -15,6 +15,12 @@ EXP_CAP = 700.0
 # cost entries (n^2) of a multivariate rank solve.
 GRID_LIMIT = 10_000_000
 
+# Largest number of grid points times sites of a semidiscrete solve.  Its
+# scores are one N x n float array, and about 2.1 such arrays are live at
+# the peak: measured on a 2-vCPU x86-64 VM, 110 MB above the import at
+# 256^2 x 100 and 231 MB at 64^3 x 50, so this limit peaks near 0.9 GB.
+SCORE_LIMIT = 50_000_000
+
 # First 20 primes, enough for every supported low-discrepancy dimension.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -55,14 +61,22 @@ def check_scalar(value: float, name: str, low: float, strict: bool = False) -> N
         raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
 
 
-def check_budget(tol: float, max_iter: int) -> None:
-    """Reject a stopping tolerance that is not finite and positive, or a cap
-    below one iteration."""
+def check_count(value: int, name: str, low: int) -> None:
+    """Reject a count that is a bool, not an integer (numpy integers are
+    integers) or below low, with a message naming it."""
     from .errors import DomainError
 
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
+
+
+def check_budget(tol: float, max_iter: int) -> None:
+    """Reject a stopping tolerance that is not finite and positive, or a cap
+    that is not an integer of at least one iteration."""
     check_scalar(tol, "tol", 0.0, strict=True)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_count(max_iter, "max_iter", 1)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Every command writes a single JSON document with five fixed keys:
 ``command``, ``version``, ``config`` (the resolved options), ``result``
-(the payload) and ``diagnostics`` (iterations, residuals, convergence).
+(the payload) and ``diagnostics``.  An iterative command's diagnostics are
+its solver's :class:`SolveReport`, written by :func:`_diagnostics`.
 Floats are serialized with 17 significant digits, so repeated runs of the
 same config are byte-identical and values round-trip exactly.
 
@@ -42,7 +43,7 @@ from .errors import (
     ResourceError,
     SolverStallError,
 )
-from .measures import CostMatrix, _marginal_gap
+from .measures import CostMatrix, SolveReport, _marginal_gap
 
 
 def __getattr__(name: str):
@@ -309,6 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnostics(report: SolveReport) -> dict:
+    """How an iterative command's solve ended, the same keys for every one."""
+    return {
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "stop_reason": report.stop_reason,
+    }
+
+
 def _resolve_max_iter(args: argparse.Namespace) -> None:
     """Fill in the iteration cap: flag beats OTECON_MAX_ITER beats default."""
     if not hasattr(args, "max_iter") or args.max_iter is not None:
@@ -366,12 +377,7 @@ def _cmd_sinkhorn(args):
         "phi": sol.phi,
         "psi": sol.psi,
     }
-    diagnostics = {
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "residual": sol.marginal_error,
-    }
-    return result, diagnostics
+    return result, _diagnostics(sol)
 
 
 def _cmd_uot(args):
@@ -393,14 +399,11 @@ def _cmd_uot(args):
         "plan": sol.plan,
         "phi": sol.phi,
         "psi": sol.psi,
-        "marginal_gap": sol.marginal_error,
+        "marginal_gap": _marginal_gap(
+            sol.plan.sum(axis=1), sol.plan.sum(axis=0), mu.weights, nu.weights
+        ),
     }
-    diagnostics = {
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "residual": sol.marginal_errors[-1],
-    }
-    return result, diagnostics
+    return result, _diagnostics(sol)
 
 
 def _cmd_w1d(args):
@@ -434,12 +437,7 @@ def _cmd_semidiscrete(args):
         "weights": diagram.weights,
         "target_masses": diagram.target_masses,
     }
-    diagnostics = {
-        "converged": diagram.converged,
-        "iterations": diagram.iterations,
-        "objective": diagram.objectives[-1],
-    }
-    return result, diagnostics
+    return result, _diagnostics(diagram)
 
 
 def _cmd_ranks(args):
@@ -509,12 +507,7 @@ def _cmd_match_equilibrium(args):
         "singles_x": table.singles_x,
         "singles_y": table.singles_y,
     }
-    diagnostics = {
-        "converged": table.converged,
-        "iterations": table.iterations,
-        "residual": _marginal_gap(table.mu, table.nu, mu, nu),
-    }
-    return result, diagnostics
+    return result, _diagnostics(table)
 
 
 def _cmd_match_fit(args):
@@ -523,13 +516,7 @@ def _cmd_match_fit(args):
     lam, a, b, info = moment_matching(
         table, basis, tol=args.tol, max_iter=args.max_iter, log=True
     )
-    result = {"lam": lam, "a": a, "b": b}
-    diagnostics = {
-        "converged": info["converged"],
-        "iterations": len(info["objectives"]) - 1,
-        "objective": info["objectives"][-1],
-    }
-    return result, diagnostics
+    return {"lam": lam, "a": a, "b": b}, _diagnostics(info["report"])
 
 
 def _cmd_match_sista(args):
@@ -548,13 +535,7 @@ def _cmd_match_sista(args):
         max_iter=args.max_iter,
         log=True,
     )
-    result = {"beta": beta}
-    diagnostics = {
-        "converged": info["converged"],
-        "iterations": len(info["objectives"]) - 1,
-        "objective": info["objectives"][-1],
-    }
-    return result, diagnostics
+    return {"beta": beta}, _diagnostics(info["report"])
 
 
 # a non-finite result is reported once, by the serializer, not as warnings

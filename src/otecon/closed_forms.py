@@ -6,12 +6,14 @@ the two samples.  That grid depends only on the two sample sizes; it is
 built as segment lengths plus the order-statistic index of each sample on
 each segment, kept read-only for the last few size pairs, and values are
 gathered through it.  Powers |Q_x - Q_y|^p are taken after dividing the
-gaps by a power of two near the largest one, so they neither overflow nor
-underflow at any scale of the data.  Between Gaussians the quadratic
-problem has an explicit affine optimal map.  Sliced distances reduce
-multivariate samples to averages of one-dimensional values over random
-projection directions, taken in cache-sized blocks of directions that are
-each gathered through the same grid.
+gaps by a power of two near the largest one, or by the largest one itself
+when p is so large that the power of that quotient would underflow, so
+they neither overflow nor underflow at any scale of the data or order p.
+Between Gaussians the quadratic problem has an explicit affine optimal
+map.  Sliced distances reduce multivariate samples to averages of
+one-dimensional values over random projection directions, taken in
+cache-sized blocks of directions that are each gathered through the same
+grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import GRID_LIMIT, as_float_array, check_scalar, frozen
+from ._util import GRID_LIMIT, as_float_array, check_count, check_scalar, frozen
 from .errors import DomainError, NotInvertibleError, ResourceError
 from .measures import GaussianMeasure, Sample1D, _symmetric_eigh, spd_sqrt
 
@@ -94,29 +96,38 @@ def _gap_power_sum(
     qy: np.ndarray,
     p: float,
     grid: tuple[np.ndarray, ...],
-    low: int = _LOW,
-) -> tuple[float, int]:
-    """Sum over the merged grid of length * |Q_x - Q_y|^p, as (s, e).
+    low: tuple[int, float] = (_LOW, 1.0),
+) -> tuple[float, int, float]:
+    """Sum over the merged grid of length * |Q_x - Q_y|^p, as (s, e, m).
 
     qx and qy hold sorted samples along their last axis, one row per
-    projection; the sum runs over every row.  The gaps are divided by 2^e,
-    for e the larger of low and the exponent that puts the largest
-    gap in (1/2, 1], so the sum is s * 2^(p e) without overflow or
-    underflow (for p up to 1074, where (1/2)^p is still a float); a power
-    of two divides exactly.  low may not be below _LOW, where 2^-e
-    overflows.  The two gathers are the only arrays made; the rest is done
-    in place.
+    projection; the sum runs over every row, and it is s * (m 2^e)^p.  The
+    gaps are divided by 2^e, for e the larger of low's exponent and the
+    exponent that puts the largest gap in (1/2, 1], which a power of two
+    does exactly, and m is 1.  Only when that scaled largest gap g would
+    fall below 2^-1022 at the power p, which takes p above 1022, are the
+    gaps also divided by m, the larger of g and the scale low = (e', m')
+    stands for, m' 2^(e' - e); the largest quotient is then at most 1, and
+    not lost to underflow.  low's exponent may not be below _LOW, where
+    2^-e overflows.  The two gathers are the only arrays made; the rest is
+    done in place.
     """
     lengths, ix, iy = grid
     gap = qx[..., ix]
     gap -= qy[..., iy]
     np.abs(gap, out=gap)
-    mantissa, e = math.frexp(gap.max())
-    e = max(low, e - (mantissa == 0.5))
+    largest = gap.max()
+    mantissa, e = math.frexp(largest)
+    e = max(low[0], e - (mantissa == 0.5))
     gap *= math.ldexp(1.0, -e)
+    largest = math.ldexp(largest, -e)
+    m = 1.0
+    if largest > 0.0 and p * math.log2(largest) < _LOW:
+        m = max(largest, math.ldexp(low[1], low[0] - e))
+        gap /= m
     gap **= p
     gap *= lengths
-    return float(np.sum(gap)), e
+    return float(np.sum(gap)), e, m
 
 
 def ot_value_1d(
@@ -140,8 +151,8 @@ def wasserstein_1d(x: Sample1D, y: Sample1D, p: float = 2.0) -> float:
     Equals the p-th root of the merged-grid integral of |Q_x - Q_y|^p.
     """
     check_scalar(p, "p", 1.0)
-    total, e = _gap_power_sum(x.values, y.values, p, _merged_grid(x.n, y.n))
-    return math.ldexp(total ** (1.0 / p), e)
+    total, e, m = _gap_power_sum(x.values, y.values, p, _merged_grid(x.n, y.n))
+    return math.ldexp(total ** (1.0 / p) * m, e)
 
 
 def gaussian_ot_map(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
@@ -202,12 +213,8 @@ def sliced_wasserstein(
     and so the work, may not exceed GRID_LIMIT.
     """
     check_scalar(p, "p", 1.0)
-    for name, value in (("n_dir", n_dir), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if n_dir < 1:
-        raise DomainError(f"n_dir must be at least 1, got {n_dir}")
-    check_scalar(seed, "seed", 0)
+    check_count(n_dir, "n_dir", 1)
+    check_count(seed, "seed", 0)
     x = as_float_array(x, "x")
     y = as_float_array(y, "y")
     if x.ndim == 1:
@@ -232,8 +239,9 @@ def sliced_wasserstein(
     dirs /= norms[:, None]
     grid = _merged_grid(x.shape[0], y.shape[0])
     block = max(1, SLICED_BLOCK_VALUES // points)
-    # The sum so far is total * 2^(p e); a block with a larger gap raises e.
-    total, e = 0.0, _LOW
+    # The sum so far is total * (m 2^e)^p; a block with a larger gap raises
+    # the scale, and the sum so far is carried over to it.
+    total, e, m = 0.0, _LOW, 1.0
     for start in range(0, n_dir, block):
         # One row per direction of the block, sorted in place.
         d_blk = dirs[start : start + block]
@@ -241,10 +249,13 @@ def sliced_wasserstein(
         proj_x.sort(axis=1)
         proj_y = d_blk @ y.T
         proj_y.sort(axis=1)
-        part, e_blk = _gap_power_sum(proj_x, proj_y, p, grid, e)
-        total = total * 2.0 ** (p * (e - e_blk)) + part
-        e = e_blk
-    return math.ldexp((total / n_dir) ** (1.0 / p), e)
+        part, e_blk, m_blk = _gap_power_sum(proj_x, proj_y, p, grid, (e, m))
+        if m == m_blk:  # always at p <= 1022, where m stays 1
+            total = total * 2.0 ** (p * (e - e_blk)) + part
+        else:
+            total = total * math.ldexp(m / m_blk, e - e_blk) ** p + part
+        e, m = e_blk, m_blk
+    return math.ldexp((total / n_dir) ** (1.0 / p) * m, e)
 
 
 def barycenter_1d(samples: list[Sample1D], lam: np.ndarray) -> Sample1D:

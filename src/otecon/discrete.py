@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import frozen
+from ._util import check_count, frozen
 from .errors import (
     DomainError,
     NonAssignmentError,
@@ -250,8 +250,7 @@ def solve_discrete_ot(
     rows, cols = c.shape
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_count(max_iter, "max_iter", 1)
     tol = PIVOT_TOL * c.max()
     # The costs of node k's edges: row i's over the columns, then column j's
     # over the rows at node M + j.

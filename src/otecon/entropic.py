@@ -17,42 +17,40 @@ lam_mu, lam_nu; its updates are the balanced ones raised to the power
 lam / (lam + eps) (Chizat, Peyre, Schmitzer & Vialard 2018), followed by a
 translation step (translation invariant Sinkhorn, Sejourne, Vialard & Peyre
 2022).  Both run one loop, which reads its stop residual off the products
-the updates compute anyway and builds the plan once, at the end.
+the updates compute anyway and builds the plan once, at the end.  The
+solution is a :class:`SolveReport` with that residual of each sweep as its
+history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import check_budget, check_scalar, frozen, logsumexp
 from .errors import DomainError
-from .measures import CostMatrix, DiscreteMeasure, _check_cost_shape, _marginal_gap
+from .measures import (
+    CostMatrix, DiscreteMeasure, SolveReport, _check_cost_shape, _marginal_gap,
+)
 
 
 @dataclass(frozen=True)
-class EntropicSolution:
+class EntropicSolution(SolveReport):
     """Primal plan and dual potentials of an entropic transport problem.
 
     The plan is stored in closed form from the potentials,
     ``plan[i, j] = mu_i nu_j exp((phi_i + psi_j - C_ij) / eps)``, and the
-    balanced potentials are gauge-normalized so that ``phi[0] == 0``.
-    ``marginal_errors`` keeps the per-sweep residual history for
-    diagnostics: the largest marginal violation for the balanced solver,
-    the first-order residual for the unbalanced one.  ``marginal_error`` is
-    the largest marginal violation of the plan, for the balanced solver the
-    final entry of the history.
+    balanced potentials are gauge-normalized so that ``phi[0] == 0``.  The
+    report's residual, like each entry of its per-sweep history, is the
+    largest marginal violation for the balanced solver and the first-order
+    residual for the unbalanced one.
     """
 
     plan: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     eps: float
-    iterations: int
-    marginal_error: float
-    converged: bool
-    marginal_errors: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         for name in ("plan", "phi", "psi"):
@@ -179,8 +177,6 @@ def _scaling_loop(
     t_sum, f_next = 0.0, None
     in_range = True
     errors: list[float] = []
-    converged = False
-    it = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             if f_next is not None or not in_range:
@@ -234,25 +230,20 @@ def _scaling_loop(
                 col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.abs(psi).max())
                 errors.append(float(max(row_error, col_error)))
             if errors[-1] < tol:
-                converged = True
                 break
     phi = f + t_sum + eps * np.log(u)
     psi = g - t_sum + eps * np.log(v)
     if lam is None:
         phi, psi = phi - phi[0], psi + phi[0]
-    plan = _gibbs(log_mu, log_nu, phi, psi, c, eps)
-    marginal_error = errors[-1] if lam is None else _marginal_gap(
-        plan.sum(axis=1), plan.sum(axis=0), w_mu, w_nu
-    )
     return EntropicSolution(
-        plan=plan,
+        plan=_gibbs(log_mu, log_nu, phi, psi, c, eps),
         phi=phi,
         psi=psi,
         eps=eps,
         iterations=it,
-        marginal_error=marginal_error,
-        converged=converged,
-        marginal_errors=tuple(errors),
+        stop_reason="tol" if errors[-1] < tol else "max_iter",
+        residual=errors[-1],
+        history=tuple(errors),
     )
 
 

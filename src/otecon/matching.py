@@ -12,7 +12,9 @@ parameterized surplus is estimated by moment matching, computed by
 Newton's method as the maximizer of a weighted Poisson pseudo-likelihood.
 sista estimates l1-penalized coefficients by proximal Newton steps on the
 entropic dual, jointly over coefficients and potentials.  Both estimators
-share one damped Newton loop, which stops on residuals below tol.
+share one damped Newton loop, which stops on residuals below tol.  The
+equilibrium table is a :class:`SolveReport`, with the population residual
+per sweep as its history; the fits return one as ``info["report"]``.
 """
 
 from __future__ import annotations
@@ -23,23 +25,23 @@ import numpy as np
 
 from ._util import EXP_CAP, as_float_array, check_budget, check_scalar, frozen
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
-from .measures import CostMatrix, DiscreteMeasure, _check_balanced, _marginal_gap
+from .measures import (
+    CostMatrix, DiscreteMeasure, SolveReport, _check_balanced, _marginal_gap,
+)
 
 
 @dataclass(frozen=True)
-class MatchingTable:
+class MatchingTable(SolveReport):
     """Observed or predicted match counts plus singles on each side.
 
     All entries must be strictly positive: zeros would put log-odds at
-    infinity and destroy identification.  ``converged`` and ``iterations``
-    are diagnostics attached by the equilibrium solver.
+    infinity and destroy identification.  The report is that of the
+    equilibrium solver; an observed table keeps the defaults.
     """
 
     flows: np.ndarray
     singles_x: np.ndarray
     singles_y: np.ndarray
-    converged: bool = True
-    iterations: int = 0
 
     def __post_init__(self) -> None:
         fl = as_float_array(self.flows, "flows", ndim=2)
@@ -134,12 +136,12 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
     is eliminated by a Schur complement, and the lasso left in theta[:k] is
     solved by coordinate descent from the Newton step (kept when l1 = 0); a
     coordinate with zero curvature keeps its value.  Armijo backtracking
-    damps the step.  Returns (theta, the objective at the start and after
-    each step, converged), converged once the largest of those residuals
-    and |beta - soft(beta - grad_beta, l1)| is below tol, within
-    max_iter steps of at most 60 halvings each.  The loop also ends
-    unconverged when backtracking finds no decrease or the Hessian block of
-    theta[k:] is singular (its cells underflowed to 0).
+    damps the step.  Returns (theta, report), the residual the largest of
+    those residuals and |beta - soft(beta - grad_beta, l1)|, the history the
+    objective at the start and after each step.  It stops at "tol" once the
+    residual is below tol, at "max_iter" after max_iter steps of at most 60
+    halvings each, and at "step_exhausted" when backtracking finds no
+    decrease or the Hessian block of theta[k:] is singular (cells at 0).
     """
     check_budget(tol, max_iter)
     history = []
@@ -152,7 +154,7 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
         prox_res = grad[:k] + np.clip(beta - grad[:k], -l1, l1)
         res = float(np.max(np.abs(np.concatenate([prox_res, pot_res]))))
         if res < tol or steps == max_iter:
-            return theta, history, res < tol
+            break
         try:
             solved = np.linalg.solve(
                 hess[k:, k:], np.column_stack([grad[k:], hess[k:, :k]])
@@ -179,7 +181,11 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
         else:
             break
         theta = theta + t * step
-    return theta, history, False
+    unmet = "max_iter" if steps == max_iter else "step_exhausted"
+    stop_reason = "tol" if res < tol else unmet
+    return theta, SolveReport(
+        iterations=steps, stop_reason=stop_reason, residual=res, history=tuple(history)
+    )
 
 
 def cs_equilibrium(
@@ -205,8 +211,8 @@ def cs_equilibrium(
 
         mu_x = u_x^2 + u_x s_x,   nu_y = v_y^2 + v_y t_y
 
-    hold within tol.  Non-convergence inside max_iter is reported through
-    the table's ``converged`` flag rather than an exception.
+    hold within tol.  The table's report keeps their largest violation per
+    sweep, and reports non-convergence inside max_iter, not an exception.
     """
     mu = as_float_array(mu, "mu", ndim=1)
     nu = as_float_array(nu, "nu", ndim=1)
@@ -223,8 +229,7 @@ def cs_equilibrium(
     v = np.sqrt(nu)
     u = np.sqrt(mu)
     gap = float(mu.sum() - nu.sum())
-    converged = False
-    it = 0
+    errors: list[float] = []
     for it in range(1, max_iter + 1):
         s = k @ v
         u = 2.0 * mu / (s + np.sqrt(s * s + 4.0 * mu))
@@ -239,15 +244,17 @@ def cs_equilibrium(
         v = v / c
         flows = k * np.outer(u, v)
         rows, cols = flows.sum(axis=1) + u * u, flows.sum(axis=0) + v * v
-        if _marginal_gap(rows, cols, mu, nu) < tol:
-            converged = True
+        errors.append(_marginal_gap(rows, cols, mu, nu))
+        if errors[-1] < tol:
             break
     return MatchingTable(
-        flows=k * np.outer(u, v),
+        flows=flows,
         singles_x=u * u,
         singles_y=v * v,
-        converged=converged,
         iterations=it,
+        stop_reason="tol" if errors[-1] < tol else "max_iter",
+        residual=errors[-1],
+        history=tuple(errors),
     )
 
 
@@ -283,8 +290,8 @@ def moment_matching(
     only when tol lies below the float resolution of the gradient).  Returns
     the last iterate (lam, a, b), a and b being -log(singles)/2 of the
     fitted market; with ``log=True`` a fourth element, info, holds
-    ``converged`` (the residual is below tol) and ``objectives``, the
-    negated likelihood at the start and after each Newton step.
+    ``report``, the loop's :class:`SolveReport`, and ``objectives``, its
+    history: the negated likelihood at the start and after each step.
 
     Raises :class:`NonIdentificationError` before the first step when the
     basis, reshaped to (X * Y, K), has column rank below K: the
@@ -325,10 +332,11 @@ def moment_matching(
     start = np.concatenate(
         [np.zeros(k), 0.5 * np.log(table.singles_x), 0.5 * np.log(table.singles_y)]
     )
-    theta, history, converged = _prox_newton(state, start, k, 0.0, tol, max_iter)
+    theta, report = _prox_newton(state, start, k, 0.0, tol, max_iter)
     lam, na, nb = np.split(theta, [k, k + nx])
     if log:
-        return lam, -na, -nb, {"converged": converged, "objectives": tuple(history)}
+        # otbench/workloads.py counts the steps by the length of "objectives"
+        return lam, -na, -nb, {"report": report, "objectives": report.history}
     return lam, -na, -nb
 
 
@@ -397,9 +405,9 @@ def sista(
     held at 0.  ``tol`` bounds |beta - soft(beta - grad_beta, l1)| (at
     l1 = 0, the gap between model and observed basis moments) and the gaps
     of the plan's row and column sums to mu and nu.  ``log=True`` returns
-    (beta, info), info holding ``converged`` (all below tol within max_iter
-    steps), L at the start and after each step, phi = f + eps log mu,
-    psi = g + eps log nu and the plan.
+    (beta, info), info holding ``report``, the loop's :class:`SolveReport`,
+    ``objectives``, its history of L at the start and after each step,
+    phi = f + eps log mu, psi = g + eps log nu and the plan.
 
     Raises :class:`NonIdentificationError` before the first step when the
     basis, reshaped to (X * Y, K) and stacked with the X row and Y column
@@ -459,12 +467,13 @@ def sista(
 
     start = np.zeros(k + nx + ny - 1)
     start[:k] = basis.params if basis.params is not None else 0.0
-    theta, history, converged = _prox_newton(state, start, k, l1, tol, max_iter)
+    theta, report = _prox_newton(state, start, k, l1, tol, max_iter)
     beta, f, g = np.split(np.append(theta, 0.0), [k, k + nx])
     if log:
         info = {
-            "converged": converged,
-            "objectives": tuple(history),
+            "report": report,
+            # otbench/workloads.py counts the steps by the length of "objectives"
+            "objectives": report.history,
             "phi": f + eps * np.log(mu),
             "psi": g + eps * np.log(nu),
             "plan": np.exp(log_ref + _exponent(basis, np.append(theta, 0.0), nx) / eps),

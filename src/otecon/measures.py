@@ -7,8 +7,9 @@ that several solver modules share are also defined here, once each: equal
 total masses (:func:`_check_balanced`), a cost matrix that fits two
 marginals (:func:`_check_cost_shape`), the symmetric positive semidefinite
 test (:func:`_symmetric_eigh`), the marginal gap of a plan
-(:func:`_marginal_gap`), and the empirical quantile and cdf convention
-(:func:`empirical_quantile`, :func:`empirical_cdf`).
+(:func:`_marginal_gap`), the empirical quantile and cdf convention
+(:func:`empirical_quantile`, :func:`empirical_cdf`), and how an iterative
+solve ended (:class:`SolveReport`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,24 @@ import numpy as np
 
 from ._util import PRIMES, as_float_array, frozen
 from .errors import DomainError, InfeasibleError, NotPSDError
+
+
+@dataclass(frozen=True, kw_only=True)
+class SolveReport:
+    """How an iterative solve ended: its sweeps or accepted steps, why it
+    stopped ("tol", "max_iter", or "step_exhausted" when a Newton loop found
+    no usable step), its final residual, the quantity tol bounds, and the
+    history of what the loop watched.  ``converged`` is read off the stop
+    reason.  The defaults fit a result no loop made."""
+
+    iterations: int = 0
+    stop_reason: str = "tol"
+    residual: float = 0.0
+    history: tuple = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 @dataclass(frozen=True)

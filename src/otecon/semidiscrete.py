@@ -8,7 +8,9 @@ masses and current cell masses, and whose Hessian is a graph Laplacian over
 adjacent cells.  The continuum is discretized by a midpoint grid; damped
 Newton steps read the gradient and a band estimate of that Laplacian off
 one pass over the grid scores per trial, each grid point within a score
-gap b of its runner-up adding 1 / (2 b N) to the facet weight.
+gap b of its runner-up adding 1 / (2 b N) to the facet weight.  The
+diagram is the solve's :class:`SolveReport`, with the objective of each
+accepted step as its history.
 Composing the resulting assignment with a Halton point set gives
 multivariate quantiles; matching a sample against Halton points through the
 exact discrete solver gives multivariate ranks, whose law is
@@ -17,33 +19,30 @@ distribution-free for samples with ties-free cost structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import GRID_LIMIT, as_float_array, check_budget, frozen
+from ._util import (
+    GRID_LIMIT, SCORE_LIMIT, as_float_array, check_budget, check_count, frozen,
+)
 from .errors import DomainError, ResourceError
-from .measures import CostMatrix, DiscreteMeasure, HaltonSet, halton
+from .measures import CostMatrix, DiscreteMeasure, HaltonSet, SolveReport, halton
 
 DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
-class LaguerreDiagram:
+class LaguerreDiagram(SolveReport):
     """Sites, additive weights, and target masses of a Laguerre partition.
 
-    Weights are gauge-normalized so the last one is zero.  ``converged``,
-    ``iterations`` (accepted steps, ``len(objectives) - 1``) and
-    ``objectives`` are solver diagnostics and do not affect the partition
-    itself.
+    Weights are gauge-normalized so the last one is zero.  The report of
+    the solve that fitted the weights does not affect the partition itself.
     """
 
     sites: np.ndarray
     weights: np.ndarray
     target_masses: np.ndarray
-    converged: bool = True
-    iterations: int = 0
-    objectives: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         s = as_float_array(self.sites, "sites", ndim=2)
@@ -192,12 +191,14 @@ def semidiscrete_solve(
     system with the last weight fixed and a small ridge for a band graph
     that falls apart.  Its length halves from 1.0 until the objective does
     not decrease and no nonempty cell empties; if no length down to 2^-46
-    qualifies, the loop ends unconverged.  Accepted objectives are
-    nondecreasing.  One pass over the grid scores per trial gives its
+    qualifies, the loop ends at ``"step_exhausted"``.  Accepted objectives
+    are nondecreasing.  One pass over the grid scores per trial gives its
     objective, cell masses and band.  The start weights make the cells
     those of the Voronoi diagram of the sites shrunk into the cube (zero
-    weights when the sites lie in it).  Converged means the largest
-    mismatch between grid cell masses and target masses fell below tol.
+    weights when the sites lie in it).  The residual is the largest
+    mismatch between final grid cell and target masses; below tol it makes
+    the stop reason ``"tol"``, at the cap too.  The score array, grid_res^d
+    points times the sites, may not exceed SCORE_LIMIT entries.
     """
     if nu.points is None:
         raise DomainError("nu must carry site locations")
@@ -211,9 +212,13 @@ def semidiscrete_solve(
         raise DomainError("site masses must be strictly positive")
     if grid_res is None:
         grid_res = DEFAULT_GRID_RES[d]
-    if grid_res < 2:
-        raise DomainError(f"grid resolution must be at least 2, got {grid_res}")
+    check_count(grid_res, "grid_res", 2)
     check_budget(tol, max_iter)
+    if int(grid_res) ** d * nu.size > SCORE_LIMIT:
+        raise ResourceError(
+            f"{grid_res}^{d} grid points times {nu.size} sites exceeds the"
+            f" {SCORE_LIMIT:,} score limit"
+        )
     sites = nu.points
     grid = _midpoint_grid(d, grid_res)
     d2 = _sq_dists(grid, sites)
@@ -244,15 +249,16 @@ def semidiscrete_solve(
         psi, (current, masses, *top_two) = trial, scored
         objectives.append(current)
     # masses are those of the final psi, however the loop ended
-    converged = float(np.max(np.abs(q - masses))) < tol
-    psi = psi - psi[-1]
+    residual = float(np.max(np.abs(q - masses)))
+    unmet = "max_iter" if len(objectives) > max_iter else "step_exhausted"
     return LaguerreDiagram(
         sites=sites,
-        weights=psi,
+        weights=psi - psi[-1],
         target_masses=q,
-        converged=converged,
         iterations=len(objectives) - 1,
-        objectives=tuple(objectives),
+        stop_reason="tol" if residual < tol else unmet,
+        residual=residual,
+        history=tuple(objectives),
     )
 
 

@@ -283,6 +283,14 @@ def halton_loop(n, bases):
     return points
 
 
+def philox_directions(d, n_dir, seed):
+    """The package's sliced directions: normalized Philox Gaussian draws."""
+    dirs = np.random.Generator(np.random.Philox(seed)).standard_normal((n_dir, d))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms < 1e-12] = 1.0
+    return dirs / norms[:, None]
+
+
 def sliced_one_shot(x, y, p, n_dir, seed):
     """Sliced distance with every direction projected, sorted and gathered at once.
 
@@ -290,10 +298,7 @@ def sliced_one_shot(x, y, p, n_dir, seed):
     sorted union of the two breakpoint progressions, located in each by
     binary search.
     """
-    dirs = np.random.Generator(np.random.Philox(seed)).standard_normal((n_dir, x.shape[1]))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms < 1e-12] = 1.0
-    dirs /= norms[:, None]
+    dirs = philox_directions(x.shape[1], n_dir, seed)
     bx = np.arange(1, x.shape[0] + 1) / x.shape[0]
     by = np.arange(1, y.shape[0] + 1) / y.shape[0]
     ends = np.union1d(bx, by)
@@ -304,6 +309,28 @@ def sliced_one_shot(x, y, p, n_dir, seed):
     proj_y = np.sort((y @ dirs.T).T, axis=1)
     gap = np.abs(proj_x[:, ix] - proj_y[:, iy]) ** p * lengths
     return float((np.sum(gap) / n_dir) ** (1.0 / p))
+
+
+def wasserstein_log_space(qx, qy, p):
+    """Order-p distance between sorted samples, summed in log space.
+
+    qx and qy hold sorted samples along their last axis, one row per
+    projection.  Each segment of the merged quantile grid adds
+    log(length) + p log|gap|, the terms are combined by a max-subtracted
+    log-sum-exp and averaged over the rows, so no p-th power is ever
+    formed and none can under- or overflow.  Some gap must be nonzero.
+    """
+    qx, qy = np.atleast_2d(qx), np.atleast_2d(qy)
+    bx = np.arange(1, qx.shape[1] + 1) / qx.shape[1]
+    by = np.arange(1, qy.shape[1] + 1) / qy.shape[1]
+    ends = np.union1d(bx, by)
+    ix = np.searchsorted(bx, ends, side="left")
+    iy = np.searchsorted(by, ends, side="left")
+    with np.errstate(divide="ignore"):
+        gaps = np.log(np.abs(qx[:, ix] - qy[:, iy]))
+    terms = np.log(np.diff(ends, prepend=0.0)) + p * gaps
+    top = terms.max()
+    return float(np.exp((top + np.log(np.sum(np.exp(terms - top)) / len(qx))) / p))
 
 
 def _lse(a, axis):

@@ -110,6 +110,11 @@ COMMANDS = {
 }
 
 
+# the commands whose diagnostics are their solver's SolveReport
+REPORTING = {"sinkhorn", "uot", "semidiscrete", "match-equilibrium", "match-fit",
+             "match-sista"}
+
+
 def resolve(argv):
     """Prefix the file-valued options with the fixture directory."""
     out = []
@@ -134,6 +139,10 @@ class TestEveryCommand:
         assert doc["command"] == COMMANDS[name][0]
         assert doc["version"] == __version__
         assert list(doc) == ["command", "version", "config", "result", "diagnostics"]
+        if name in REPORTING:
+            diag = doc["diagnostics"]
+            assert list(diag) == ["converged", "iterations", "residual", "stop_reason"]
+            assert diag["stop_reason"] == "tol" and diag["converged"] is True
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_byte_identical_rerun(self, name, tmp_path):
@@ -384,6 +393,9 @@ class TestFailureModes:
         assert doc["command"] == name
         assert doc["config"]["max_iter"] == 1
         assert doc["diagnostics"]["converged"] is False
+        if name in REPORTING:  # the simplex raises at its cap instead
+            assert doc["result"]
+            assert doc["diagnostics"]["stop_reason"] == "max_iter"
 
     def test_match_fit_cap_writes_last_iterate(self, tmp_path):
         code, payload = run_cli(self.CAPPED["match-fit"] + ["--max-iter", "1"], tmp_path)
@@ -430,6 +442,7 @@ class TestFailureModes:
         doc = json.loads(payload)
         VALIDATOR.validate(doc)
         assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "step_exhausted"
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         x = tmp_path / "latin1.csv"
@@ -575,6 +588,29 @@ class TestFailureModes:
         tracemalloc.start()
         try:
             code, payload = run_cli(["ranks", "--sample", str(sample)], tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "limit" in err
+        assert peak < 4e6
+
+    def test_semidiscrete_over_the_score_limit_exits_2_at_once(self, tmp_path, capsys):
+        # 3000^2 grid points are under the 10 000 000 point limit, but times
+        # 100 sites they needed a 7.2 GB score array
+        rng = np.random.default_rng(0)
+        sites = tmp_path / "sites.csv"
+        rows = rng.random((100, 2)).tolist()
+        sites.write_text("".join(f"1,{a!r},{b!r}\n" for a, b in rows))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, payload = run_cli(
+                ["semidiscrete", "--nu", str(sites), "--grid-res", "3000"], tmp_path
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -26,7 +26,13 @@ from otecon import (
 )
 from otecon import closed_forms
 from otecon.closed_forms import _merged_grid
-from oracles import lp_transport_value, merged_segments_loop, sliced_one_shot
+from oracles import (
+    lp_transport_value,
+    merged_segments_loop,
+    philox_directions,
+    sliced_one_shot,
+    wasserstein_log_space,
+)
 
 abs_cost = lambda a, b: abs(a - b)
 sq_cost = lambda a, b: (a - b) ** 2
@@ -79,6 +85,19 @@ class TestWasserstein1D:
 
     def test_paired_unit_differences(self):
         assert wasserstein_1d(Sample1D([0, 2]), Sample1D([1, 3]), p=2) == pytest.approx(1.0)
+
+    def test_order_above_1022(self):
+        # the largest gap scaled into (1/2, 1] is 0.505, whose 1100th power
+        # is 0 in floats: both distances returned 0.0
+        x, y = np.zeros(2), np.array([0.9, 1.01])
+        want = wasserstein_log_space(x, y, 1100.0)
+        assert want == pytest.approx(1.009364, rel=1e-6)
+        assert wasserstein_1d(Sample1D(x), Sample1D(y), 1100.0) == pytest.approx(
+            want, rel=1e-12, abs=0.0
+        )
+        assert sliced_wasserstein(x, y, p=1100.0) == pytest.approx(
+            want, rel=1e-12, abs=0.0
+        )
 
     def test_order_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -293,6 +312,24 @@ class TestSliced:
         y = 0.4 + 1.3 * rng.normal(size=(250, 3))
         value = sliced_wasserstein(x, y, p=p, n_dir=n_dir, seed=n_dir)
         assert value == pytest.approx(sliced_one_shot(x, y, p, n_dir, n_dir), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.505, 0.5072])
+    def test_blocks_at_large_order_match_log_space(self, scale):
+        # at p = 1100 the largest gaps of the first three blocks grow from
+        # block to block, and these scales put some where the 1100th power of
+        # the gap over a power of two underflows: the sums are carried over
+        # between scales set by a power of two and by a largest gap itself,
+        # and the value was 0.0 at all three
+        rng = np.random.default_rng(0)
+        x = scale * rng.normal(size=(300, 3))
+        y = scale * (0.4 + 1.3 * rng.normal(size=(250, 3)))
+        n_dir = 3 * self.BLOCK + 5
+        dirs = philox_directions(3, n_dir, 1)
+        want = wasserstein_log_space(
+            np.sort(dirs @ x.T, axis=1), np.sort(dirs @ y.T, axis=1), 1100.0
+        )
+        value = sliced_wasserstein(x, y, p=1100.0, n_dir=n_dir, seed=1)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_memory_bounded_at_projection_limit(self, rng):
         # 2 500 directions times 4 000 points is the limit itself; holding

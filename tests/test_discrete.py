@@ -202,6 +202,13 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_discrete_ot(mu, nu, CostMatrix([[np.inf]]))
 
+    @pytest.mark.parametrize("cap", [0, 2.5, True])
+    def test_bad_cap_rejected(self, cap):
+        # 2.5 raised a TypeError, and True was taken as a cap of 1
+        mu, nu = measures([1.0], [1.0])
+        with pytest.raises(DomainError, match="max_iter"):
+            solve_discrete_ot(mu, nu, CostMatrix([[0.0]]), max_iter=cap)
+
 
 class TestCostScale:
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e4, 1e5, 1e6])

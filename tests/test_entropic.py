@@ -52,8 +52,9 @@ class TestSinkhorn:
         for _ in range(5):
             mu, nu, cost = random_transport_instance(rng, 4, 4)
             sol = sinkhorn(mu, nu, cost, eps=0.1)
-            errs = np.array(sol.marginal_errors)
+            errs = np.array(sol.history)
             assert np.all(np.diff(errs) <= 1e-15)
+            assert sol.residual == errs[-1]
 
     def test_gauge_phi0_and_plan_invariance(self, rng):
         mu, nu, cost = random_transport_instance(rng, 3, 5)
@@ -77,7 +78,7 @@ class TestSinkhorn:
         mu = DiscreteMeasure([0.3, 0.7])
         nu = DiscreteMeasure([0.6, 0.4])
         sol = sinkhorn(mu, nu, SWAP_COST, eps=0.5, tol=1e-15, max_iter=2)
-        assert not sol.converged
+        assert not sol.converged and sol.stop_reason == "max_iter"
         assert sol.iterations == 2
 
     def test_parameter_validation(self):
@@ -86,6 +87,9 @@ class TestSinkhorn:
             sinkhorn(mu, nu, SWAP_COST, eps=0.0)
         with pytest.raises(DomainError):
             sinkhorn(mu, nu, SWAP_COST, eps=1.0, tol=0.0)
+        for cap in (2.5, True):
+            with pytest.raises(DomainError, match="max_iter must be an integer"):
+                sinkhorn(mu, nu, SWAP_COST, eps=1.0, max_iter=cap)
         with pytest.raises(DomainError):
             sinkhorn(DiscreteMeasure([0.4, 0.4]), nu, SWAP_COST, eps=1.0)
 
@@ -105,8 +109,8 @@ class TestSinkhorn:
                 np.max(np.abs(sol.plan.sum(axis=1) - mu.weights)),
                 np.max(np.abs(sol.plan.sum(axis=0) - nu.weights)),
             )
-            assert sol.marginal_errors[-1] == pytest.approx(recomputed, abs=1e-15)
-            assert sol.marginal_errors[-1] == pytest.approx(errors[-1], abs=1e-15)
+            assert sol.history[-1] == pytest.approx(recomputed, abs=1e-15)
+            assert sol.history[-1] == pytest.approx(errors[-1], abs=1e-15)
             capped = sinkhorn(mu, nu, cost, eps=eps, max_iter=3)
             phi, psi, *_ = sinkhorn_loop(
                 mu.weights, nu.weights, cost.entries, eps, max_iter=3
@@ -188,13 +192,13 @@ class TestLseLoopParity:
                 np.max(np.abs(sol.plan.sum(axis=1) - w_mu)),
                 np.max(np.abs(sol.plan.sum(axis=0) - w_nu)),
             )
-            assert abs(sol.marginal_errors[-1] - recomputed) <= resolution
+            assert abs(sol.history[-1] - recomputed) <= resolution
         else:
             resolution = 8 * (lam + eps) / eps * np.spacing(max(np.abs(phi).max(), cost.max()))
-        assert abs(sol.marginal_errors[-1] - errors[-1]) <= resolution
+        assert abs(sol.history[-1] - errors[-1]) <= resolution
         if converged and sol.iterations != iterations:
             first = min(sol.iterations, iterations) - 1
-            later = sol.marginal_errors if sol.iterations > iterations else errors
+            later = sol.history if sol.iterations > iterations else errors
             assert later[first] - tol <= resolution
         elif converged:
             assert sol.iterations == iterations
@@ -258,7 +262,7 @@ class TestUnbalanced:
         mu = DiscreteMeasure([0.3, 0.7])
         sol = unbalanced_sinkhorn(mu, mu, CostMatrix(np.zeros((2, 2))), eps=0.5, lam_mu=2.0, lam_nu=2.0)
         assert np.allclose(sol.plan, np.outer(mu.weights, mu.weights), atol=1e-9)
-        assert sol.marginal_error < 1e-9
+        assert sol.residual < 1e-9
 
     def test_scalar_fixed_point_exact(self):
         # 1x1 optimum solves c + (eps + lam_mu + lam_nu) log m = 0
@@ -334,7 +338,7 @@ class TestUnbalanced:
             )
             assert sol.iterations == sweeps and not sol.converged
             expected = first_order_residual(sol, w_mu, w_nu, lam_mu, lam_nu)
-            assert sol.marginal_errors[-1] == pytest.approx(expected, rel=1e-6)
+            assert sol.history[-1] == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [0.02, 0.5])
     @pytest.mark.parametrize("lam", [1e-2, 1.0, 5.0, 1e2, 1e6])

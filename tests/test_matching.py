@@ -61,7 +61,7 @@ class TestEquilibrium:
             tol=1e-16,
             max_iter=1,
         )
-        assert not table.converged
+        assert not table.converged and table.stop_reason == "max_iter"
 
 
 class TestIdentify:
@@ -88,6 +88,9 @@ class TestIdentify:
             nu = rng.uniform(0.5, 2.0, size=ny)
             table = cs_equilibrium(CostMatrix(phi), mu, nu, tol=1e-14)
             assert table.converged
+            history = np.array(table.history)
+            assert np.all(np.diff(history) <= 0.0)
+            assert history[-1] == table.residual < 1e-14
             recovered = cs_identify(table)
             assert np.allclose(recovered.entries, phi, atol=1e-8)
 
@@ -136,7 +139,7 @@ class TestMomentMatching:
             lam, a, b, info = moment_matching(
                 table, basis, tol=1e-14, max_iter=max_iter, log=True
             )
-            assert info["converged"] is False
+            assert info["report"].converged is False
             assert len(info["objectives"]) - 1 == max_iter
             # the returned iterate is the one whose objective is reported last
             expected = -poisson_loglik((lam, a, b), table, basis)
@@ -144,6 +147,11 @@ class TestMomentMatching:
             bare = moment_matching(table, basis, tol=1e-14, max_iter=max_iter)
             for got, want in zip(bare, (lam, a, b)):
                 assert np.array_equal(got, want)
+            assert info["report"].stop_reason == "max_iter"
+        # below the gradient's float resolution the line search finds no decrease
+        *_, info = moment_matching(table, basis, tol=1e-17, log=True)
+        assert info["report"].stop_reason == "step_exhausted"
+        assert info["objectives"] == info["report"].history
 
     # at tol 1e-12 the last Newton steps decrease poisson_loglik by less than
     # its float resolution, so this also checks that the line search still
@@ -331,7 +339,7 @@ class TestSista:
         plan = np.exp(0.3 * np.outer(x, x))
         plan /= plan.sum()
         beta, info = sista(plan, plan.sum(axis=1), plan.sum(axis=0), basis, eps=1.0, log=True)
-        assert info["converged"]
+        assert info["report"].converged
 
     def test_composite_objective_monotone(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng)
@@ -351,15 +359,15 @@ class TestSista:
     def test_converged_flag(self, rng):
         plan, mu, nu, basis, _ = self.synthetic(rng, k=1)
         _, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
-        assert info["converged"] is True
+        assert info["report"].converged is True
         _, capped = sista(plan, mu, nu, basis, eps=1.0, max_iter=2, log=True)
-        assert capped["converged"] is False
+        assert capped["report"].converged is False
 
     def test_two_columns_converge_at_default_tol(self, rng):
         # the iterates do not depend on tol, so this also covers tol=1e-8
         plan, mu, nu, basis, _ = self.synthetic(rng)
         _, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
-        assert info["converged"] is True
+        assert info["report"].converged is True
 
     def test_recovers_12x12_three_columns(self, rng):
         basis = SurplusBasis(0.3 * rng.standard_normal((12, 12, 3)))
@@ -376,7 +384,7 @@ class TestSista:
             tol=1e-14,
         ).plan
         beta, info = sista(plan, mu, nu, basis, eps=1.0, log=True)
-        assert info["converged"] is True
+        assert info["report"].converged is True
         assert len(info["objectives"]) < 1000
         assert np.max(np.abs(beta - beta0)) < 1e-6
 
@@ -417,7 +425,7 @@ class TestSistaNewton:
         beta, info = sista(pi_hat, mu, nu, SurplusBasis(basis), eps=1.0, l1=l1,
                            tol=1e-12, log=True)
         expected, plan, _, converged = sista_loop(pi_hat, mu, nu, basis, 1.0, l1=l1)
-        assert converged and info["converged"]
+        assert converged and info["report"].converged
         assert np.max(np.abs(beta - expected)) < 1e-8
         assert np.max(np.abs(info["plan"] - plan)) < 1e-8
         assert np.max(np.abs(info["plan"].sum(axis=1) - mu)) < 1e-12
@@ -436,7 +444,7 @@ class TestSistaNewton:
         # 8 384 iterations here
         pi_hat, mu, nu, basis = self.instance(rng, "3x3 two columns")
         _, info = sista(pi_hat, mu, nu, SurplusBasis(basis), eps=1.0, log=True)
-        assert info["converged"] is True
+        assert info["report"].converged is True
         assert len(info["objectives"]) - 1 <= 20
 
     def test_unequal_totals_rejected(self):

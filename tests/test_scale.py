@@ -13,7 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_transport_instance
-from oracles import lp_transport_value, tree_potentials
+from oracles import (
+    lp_transport_value,
+    philox_directions,
+    tree_potentials,
+    wasserstein_log_space,
+)
 from otecon import (
     CostMatrix,
     DiscreteMeasure,
@@ -146,10 +151,13 @@ FEW_ULPS = 8 * np.finfo(float).eps
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, k=EXPONENTS, p=st.sampled_from((1.0, 2.0, 50.0)))
+@given(seed=SEEDS, k=EXPONENTS, p=st.sampled_from((1.0, 2.0, 50.0, 1100.0)))
 # |gap|^50 overflowed at 1e7 (W_50 was inf) and underflowed at 1e-7 (0.0)
 @example(seed=0, k=7, p=50.0)
 @example(seed=0, k=-7, p=50.0)
+# the largest gap scaled into (1/2, 1] lost its 1100th power to underflow,
+# and W_1100 was 0.0
+@example(seed=16, k=0, p=1100.0)
 def test_line_and_sliced_distances_scale(seed, k, p):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(1000)
@@ -166,6 +174,14 @@ def test_line_and_sliced_distances_scale(seed, k, p):
 
     assert w1d(scale) == pytest.approx(scale * w1d(1.0), rel=FEW_ULPS, abs=0.0)
     assert sliced(scale) == pytest.approx(scale * sliced(1.0), rel=FEW_ULPS, abs=0.0)
+    dirs = philox_directions(3, 40, seed)
+    assert w1d(1.0) == pytest.approx(
+        wasserstein_log_space(np.sort(x), np.sort(y), p), rel=1e-12, abs=0.0
+    )
+    assert sliced(1.0) == pytest.approx(
+        wasserstein_log_space(np.sort(dirs @ px.T), np.sort(dirs @ py.T), p),
+        rel=1e-12, abs=0.0,
+    )
 
 
 def rotated(eigenvalues, angle):

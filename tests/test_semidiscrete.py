@@ -147,7 +147,7 @@ class TestSolve:
         w = rng.uniform(0.5, 1.5, size=3)
         nu = DiscreteMeasure(w / w.sum(), points=pts)
         diag = semidiscrete_solve(nu, d=1)
-        objs = np.array(diag.objectives)
+        objs = np.array(diag.history)
         assert objs.size >= 1
         assert np.all(np.diff(objs) >= -1e-12)
 
@@ -166,6 +166,10 @@ class TestSolve:
         )
         with pytest.raises(ResourceError):
             semidiscrete_solve(nu, d=3, grid_res=500)
+        # a fractional resolution built a grid that is not the cube's
+        for res in (2.5, True):
+            with pytest.raises(DomainError, match="grid_res must be an integer"):
+                semidiscrete_solve(nu, d=3, grid_res=res)
 
     def test_dimension_mismatch_rejected(self):
         nu = DiscreteMeasure([1.0], points=np.array([[0.5, 0.5]]))
@@ -208,6 +212,7 @@ class TestTwoPassParity:
             nu.points, q, grid_res, tol, max_iter
         )
         assert diag.converged is converged
+        assert diag.converged == (diag.residual < tol)
         masses = laguerre_grid_masses(nu.points, diag.weights, grid_res)
         if converged:
             assert np.max(np.abs(masses - q)) < tol
@@ -231,6 +236,7 @@ class TestTwoPassParity:
         diag = self.assert_certified(nu, sites.shape[1], grid_res, tol, max_iter)
         if case.endswith("capped"):
             assert not diag.converged and diag.iterations == max_iter
+            assert diag.stop_reason == "max_iter"
 
     def test_objective_nondecreasing_instance(self, rng):
         # the instance of TestSolve.test_objective_nondecreasing
@@ -307,8 +313,9 @@ class TestNewton:
         nu = DiscreteMeasure(np.ones(6), points=sites)
         diag = semidiscrete_solve(nu, d=2, grid_res=64, max_iter=30)
         assert not diag.converged and diag.iterations < 10
-        assert len(diag.objectives) == diag.iterations + 1
-        assert np.all(np.diff(diag.objectives) >= -1e-12)
+        assert diag.stop_reason == "step_exhausted"
+        assert len(diag.history) == diag.iterations + 1
+        assert np.all(np.diff(diag.history) >= -1e-12)
 
     def test_normal_sites_converge_in_few_steps(self, rng):
         # most of the 60 sites lie outside the cube, and at zero weights more
