@@ -250,10 +250,7 @@ def sliced_wasserstein(
         proj_y = d_blk @ y.T
         proj_y.sort(axis=1)
         part, e_blk, m_blk = _gap_power_sum(proj_x, proj_y, p, grid, (e, m))
-        if m == m_blk:  # always at p <= 1022, where m stays 1
-            total = total * 2.0 ** (p * (e - e_blk)) + part
-        else:
-            total = total * math.ldexp(m / m_blk, e - e_blk) ** p + part
+        total = total * math.ldexp(m / m_blk, e - e_blk) ** p + part
         e, m = e_blk, m_blk
     return math.ldexp((total / n_dir) ** (1.0 / p) * m, e)
 

@@ -26,17 +26,19 @@ import numpy as np
 from ._util import EXP_CAP, as_float_array, check_budget, check_scalar, frozen
 from .errors import DomainError, ExpOverflowError, NonIdentificationError
 from .measures import (
-    CostMatrix, DiscreteMeasure, SolveReport, _check_balanced, _marginal_gap,
+    CostMatrix, DiscreteMeasure, SolveReport, _NoSolve, _check_balanced,
+    _marginal_gap,
 )
 
 
 @dataclass(frozen=True)
-class MatchingTable(SolveReport):
+class MatchingTable(_NoSolve):
     """Observed or predicted match counts plus singles on each side.
 
     All entries must be strictly positive: zeros would put log-odds at
     infinity and destroy identification.  The report is that of the
-    equilibrium solver; an observed table keeps the defaults.
+    equilibrium solver; an observed table, built with no report, reads as
+    converged at step 0.
     """
 
     flows: np.ndarray

@@ -28,16 +28,27 @@ class SolveReport:
     stopped ("tol", "max_iter", or "step_exhausted" when a Newton loop found
     no usable step), its final residual, the quantity tol bounds, and the
     history of what the loop watched.  ``converged`` is read off the stop
-    reason.  The defaults fit a result no loop made."""
+    reason."""
+
+    iterations: int
+    stop_reason: str
+    residual: float
+    history: tuple = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
+
+
+@dataclass(frozen=True, kw_only=True)
+class _NoSolve(SolveReport):
+    """A report that, left out of a result made by hand, reads as converged
+    at step 0."""
 
     iterations: int = 0
     stop_reason: str = "tol"
     residual: float = 0.0
     history: tuple = field(default=(), repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "tol"
 
 
 @dataclass(frozen=True)

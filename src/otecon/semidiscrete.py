@@ -27,17 +27,18 @@ from ._util import (
     GRID_LIMIT, SCORE_LIMIT, as_float_array, check_budget, check_count, frozen,
 )
 from .errors import DomainError, ResourceError
-from .measures import CostMatrix, DiscreteMeasure, HaltonSet, SolveReport, halton
+from .measures import CostMatrix, DiscreteMeasure, HaltonSet, _NoSolve, halton
 
 DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
-class LaguerreDiagram(SolveReport):
+class LaguerreDiagram(_NoSolve):
     """Sites, additive weights, and target masses of a Laguerre partition.
 
     Weights are gauge-normalized so the last one is zero.  The report of
-    the solve that fitted the weights does not affect the partition itself.
+    the solve that fitted the weights does not affect the partition itself;
+    a diagram built with no report reads as converged at step 0.
     """
 
     sites: np.ndarray

@@ -9,6 +9,7 @@ from otecon import (
     CostMatrix,
     DiscreteMeasure,
     DomainError,
+    EntropicSolution,
     eot_value,
     sinkhorn,
     solve_discrete_ot,
@@ -55,6 +56,11 @@ class TestSinkhorn:
             errs = np.array(sol.history)
             assert np.all(np.diff(errs) <= 1e-15)
             assert sol.residual == errs[-1]
+
+    def test_report_is_required(self):
+        # only results that can be observed or built by hand default it
+        with pytest.raises(TypeError, match="iterations"):
+            EntropicSolution(plan=np.ones((1, 1)), phi=[0.0], psi=[0.0], eps=1.0)
 
     def test_gauge_phi0_and_plan_invariance(self, rng):
         mu, nu, cost = random_transport_instance(rng, 3, 5)

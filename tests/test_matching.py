@@ -73,6 +73,10 @@ class TestIdentify:
         )
         phi = cs_identify(table)
         assert phi.entries[0, 0] == pytest.approx(0.0, abs=1e-14)
+        # an observed table, built with no report, reads as converged
+        assert table.converged and table.stop_reason == "tol"
+        assert table.iterations == 0 and table.residual == 0.0
+        assert table.history == ()
 
     def test_scalar_equilibrium_round_trip(self):
         table = cs_equilibrium(CostMatrix([[0.0]]), np.array([1.0]), np.array([1.0]))
