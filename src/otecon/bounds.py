@@ -191,7 +191,8 @@ def binary_cost_ot(
     on a gamma = 1 edge, steps from a row to its gamma = 0 columns and
     from a column back to the rows sending it gamma = 0 mass.  Masses
     below ``WITNESS_TOL`` times the total mass count as zero.  There is no
-    row cap; each step is O(MN).
+    row cap; each step is O(MN).  A solve that ends at its pivot cap raises
+    :class:`SolverStallError`, since the value has no report.
     """
     g = rel.gamma
     m_rows, n_cols = g.shape
@@ -199,9 +200,9 @@ def binary_cost_ot(
         raise DomainError(
             f"relation shape {g.shape} does not match measures ({mu.size}, {nu.size})"
         )
-    from .discrete import solve_discrete_ot  # the other bounds need no solver
+    from .discrete import _optimal_plan  # the other bounds need no solver
 
-    plan, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
+    plan, value = _optimal_plan(mu, nu, CostMatrix(g))
     if not witness:
         return value, None
     tol = WITNESS_TOL * mu.total_mass

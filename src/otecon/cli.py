@@ -3,14 +3,18 @@
 Every command writes a single JSON document with five fixed keys:
 ``command``, ``version``, ``config`` (the resolved options), ``result``
 (the payload) and ``diagnostics``.  An iterative command's diagnostics are
-its solver's :class:`SolveReport`, written by :func:`_diagnostics`.
-Floats are serialized with 17 significant digits, so repeated runs of the
-same config are byte-identical and values round-trip exactly.
+its solver's :class:`SolveReport`, written by :func:`_diagnostics`; for
+``ot`` the network simplex's plan is the report, and ``converged`` also
+needs the optimality certificate.  Floats are serialized with 17 significant digits,
+so repeated runs of the same config are byte-identical and values
+round-trip exactly.
 
 Exit codes: 0 success, 2 malformed input, 3 solver non-convergence or a
 failed certificate.  Exit 3 still writes the document, with
-``converged: false`` and, when the solver raised instead of returning its
-last iterate, an empty ``result``.
+``converged: false``; an iterative command's ``result`` is its solver's
+last iterate.  ``result`` is empty only when no result exists: ``ranks``
+and ``binary-ot`` at their solver's pivot cap, a basis that does not
+identify the fit's coefficients, and a plan that is not an assignment.
 """
 
 from __future__ import annotations
@@ -353,10 +357,10 @@ def _cmd_ot(args):
         "psi": pots.psi,
         "certified": certified,
     }
-    diagnostics = {
-        "converged": certified,
-        "residual": plan.marginal_residual(mu, nu),
-    }
+    # converged needs the certificate as well as the pivot tolerance, so
+    # the cap exits 3 even when its last basis passes the certificate
+    diagnostics = _diagnostics(plan)
+    diagnostics["converged"] = certified and plan.converged
     return result, diagnostics
 
 
@@ -365,14 +369,9 @@ def _cmd_sinkhorn(args):
     nu = read_measure_csv(args.nu)
     cost = CostMatrix(read_matrix_csv(args.cost))
     sol = sinkhorn(mu, nu, cost, eps=args.eps, tol=args.tol, max_iter=args.max_iter)
-    if sol.converged:
-        transport, entropic = eot_value(sol, cost)
-    else:
-        transport = float(np.sum(sol.plan * cost.entries))
-        entropic = None
     result = {
-        "value": transport,
-        "entropic_value": entropic,
+        "value": float(np.sum(sol.plan * cost.entries)),
+        "entropic_value": eot_value(sol, cost)[1] if sol.converged else None,
         "plan": sol.plan,
         "phi": sol.phi,
         "psi": sol.psi,

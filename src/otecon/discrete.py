@@ -23,12 +23,16 @@ tolerances are relative constants times the cost range max C - min C: the
 same rule holds for costs of 1e-12, of 1e12 and at an offset of 1e10.  The
 certificate adds only a few ulps of max|C|, the rounding of min C in the
 column potentials.  The pivot tolerance keeps rounding noise in the reduced
-costs from reading as a violation.  The iteration cap is a safety net and
-raises :class:`SolverStallError` when hit.
+costs from reading as a violation.
 
-The returned plan and potentials form an optimality certificate: primal
-and dual feasibility plus complementary slackness, checkable by
-:func:`verify_optimality` without trusting the solver.
+The returned plan is a :class:`~otecon.measures.SolveReport`: its pivot
+count, why the pivots stopped (``tol`` or ``max_iter``), the final dual
+violation, and that violation at every basis.  The pivot cap is a safety
+net: a plan returned at it is the last basis, feasible but with tree
+potentials that are not certified.  A converged plan and its potentials
+form an optimality certificate: primal and dual feasibility plus
+complementary slackness, checkable by :func:`verify_optimality` without
+trusting the solver.
 """
 
 from __future__ import annotations
@@ -38,13 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import check_count, frozen
-from .errors import (
-    DomainError,
-    NonAssignmentError,
-    SolverStallError,
-)
+from .errors import DomainError, NonAssignmentError, SolverStallError
 from .measures import (
-    CostMatrix, DiscreteMeasure, _check_balanced, _check_cost_shape, _marginal_gap
+    CostMatrix, DiscreteMeasure, _check_balanced, _check_cost_shape, _marginal_gap,
+    _NoSolve,
 )
 
 # Dual violations below PIVOT_TOL times the cost range are treated as zero
@@ -58,12 +59,14 @@ CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(_NoSolve):
     """Coupling matrix together with the spanning-tree basis that produced it.
 
     ``basis_edges`` has exactly M + N - 1 edges forming a spanning tree of
     the bipartite graph on rows and columns; the support of ``mass`` is
     contained in the basis (zero-mass basic edges are kept for degeneracy).
+    The report is that of the pivots that reached the basis; a plan built
+    by hand, or by :func:`matrix_minimum`, reads as converged at step 0.
     """
 
     mass: np.ndarray
@@ -234,8 +237,17 @@ def solve_discrete_ot(
     zero-weight atom makes that impossible: no tree rooted at row 0 is
     strongly feasible, since a zero-weight column can send no flow toward
     the root.  There the rule carries no guarantee, and
-    ``max_iter`` (default ``200 * M * N + 1000``, at least 1) is the safety
-    net: when pivots run to it, :class:`SolverStallError` is raised.
+    ``max_iter`` (default ``200 * M * N + 1000``, at least 1), a cap on the
+    pivots, is the safety net.
+
+    The plan is the solve's :class:`~otecon.measures.SolveReport`.  At
+    every basis the loop records its dual violation, ``max(0, -min
+    reduced cost)`` on C - min C; it stops with ``stop_reason`` ``tol`` when
+    that is within the tolerance, and with ``max_iter`` after ``max_iter``
+    pivots.  ``iterations`` counts the pivots, ``residual`` is the final
+    violation and ``history`` holds one violation per basis.  A plan at the
+    cap is the last basis: feasible, but its tree potentials are not
+    certified.
 
     The basis is kept as a tree rooted at row 0 (nodes 0..M-1 are rows,
     M..M+N-1 columns), with parent and depth arrays and an adjacency
@@ -291,18 +303,18 @@ def solve_discrete_ot(
     # One buffer for the reduced costs: a fresh large array each pivot
     # costs more in page faults than the arithmetic.
     reduced = np.empty_like(c)
-    for _ in range(max_iter):
+    history: list[float] = []
+    for pivots in range(max_iter + 1):
         p = np.array(pot)
         # Dantzig's rule: the most negative reduced cost enters (argmin
         # breaks ties row-major).
         np.subtract(c, p[:rows, None], out=reduced)
         np.subtract(reduced, p[None, rows:], out=reduced)
         flat = int(reduced.argmin())
-        if reduced.flat[flat] >= -tol:
-            basis = frozenset(edge(node) for node in range(1, n_nodes))
-            plan = TransportPlan(np.array(mass), basis)
-            pots = DualPotentials(p[:rows], p[rows:] + low)
-            return plan, pots, float(np.sum(plan.mass * cost.entries))
+        violation = max(0.0, -float(reduced.flat[flat]))
+        history.append(violation)
+        if violation <= tol or pivots == max_iter:
+            break
         enter = divmod(flat, cols)
 
         # Climb from both ends to their common ancestor.  The cycle runs
@@ -354,7 +366,31 @@ def solve_discrete_ot(
         depth[top] = depth[up] + 1
         pot[top] = cl[i][j] - pot[up]
         descend(top)
-    raise SolverStallError(f"no optimum after {max_iter} pivots")
+    plan = TransportPlan(
+        np.array(mass),
+        frozenset(edge(node) for node in range(1, n_nodes)),
+        iterations=pivots,
+        stop_reason="tol" if violation <= tol else "max_iter",
+        residual=violation,
+        history=tuple(history),
+    )
+    pots = DualPotentials(p[:rows], p[rows:] + low)
+    return plan, pots, float(np.sum(plan.mass * cost.entries))
+
+
+def _optimal_plan(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix
+) -> tuple[TransportPlan, float]:
+    """Plan and value of a solve at the default cap, for callers without a report.
+
+    :func:`~otecon.semidiscrete.vector_rank` and
+    :func:`~otecon.bounds.binary_cost_ot` return no report, so a plan that
+    ends at the pivot cap raises :class:`SolverStallError` here.
+    """
+    plan, _, value = solve_discrete_ot(mu, nu, cost)
+    if not plan.converged:
+        raise SolverStallError(f"no optimum after {plan.iterations} pivots")
+    return plan, value
 
 
 def verify_optimality(

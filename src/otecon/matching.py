@@ -172,7 +172,7 @@ def _prox_newton(state, theta, k, l1, tol, max_iter):
             for j in np.flatnonzero(np.diag(schur) > 0):
                 u = z[j] - (reduced[j] + schur[j] @ (z - beta)) / schur[j, j]
                 z[j] = np.sign(u) * max(abs(u) - l1 / schur[j, j], 0.0)
-            if np.allclose(z, last, rtol=1e-12, atol=1e-12):
+            if np.all(np.abs(z - last) <= 1e-12 + 1e-12 * np.abs(last)):
                 break
         step = np.concatenate([z - beta, -solved[:, 0] - solved[:, 1:] @ (z - beta)])
         slope = grad @ step + l1 * np.abs(z).sum() - penalty

@@ -289,7 +289,8 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     ``perm[argsort(y, kind="stable")] = argsort(ref, kind="stable")``,
     which sends the k-th smallest observation (tied ones in index order)
     to the k-th smallest Halton point.  In d >= 2 the n x n cost may not
-    exceed GRID_LIMIT entries.
+    exceed GRID_LIMIT entries, and a solve that ends at its pivot cap
+    raises :class:`SolverStallError`, since the assignment has no report.
     """
     y = as_float_array(sample, "sample")
     if y.ndim == 1:
@@ -307,9 +308,9 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
             ref.points[:, 0], kind="stable"
         )
         return RankAssignment(perm, ref)
-    from .discrete import extract_assignment, solve_discrete_ot  # only ranks need them
+    from .discrete import _optimal_plan, extract_assignment  # only ranks need them
 
     cost = _sq_dists(y, ref.points)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
-    plan, _, _ = solve_discrete_ot(uniform, uniform, CostMatrix(cost))
+    plan, _ = _optimal_plan(uniform, uniform, CostMatrix(cost))
     return RankAssignment(extract_assignment(plan), ref)

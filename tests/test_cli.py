@@ -24,8 +24,11 @@ from oracles import to_json_loop
 
 import otecon
 from otecon import (
+    BinaryRelation,
     DomainError,
+    SolverStallError,
     __version__,
+    binary_cost_ot,
     cli,
     cs_equilibrium,
     moment_matching,
@@ -34,8 +37,10 @@ from otecon import (
     sista,
     solve_discrete_ot,
     unbalanced_sinkhorn,
+    vector_rank,
 )
 from otecon.cli import build_parser, main
+from otecon.csvio import read_matrix_csv, read_measure_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,8 +116,8 @@ COMMANDS = {
 
 
 # the commands whose diagnostics are their solver's SolveReport
-REPORTING = {"sinkhorn", "uot", "semidiscrete", "match-equilibrium", "match-fit",
-             "match-sista"}
+REPORTING = {"ot", "sinkhorn", "uot", "semidiscrete", "match-equilibrium",
+             "match-fit", "match-sista"}
 
 
 def resolve(argv):
@@ -393,9 +398,43 @@ class TestFailureModes:
         assert doc["command"] == name
         assert doc["config"]["max_iter"] == 1
         assert doc["diagnostics"]["converged"] is False
-        if name in REPORTING:  # the simplex raises at its cap instead
-            assert doc["result"]
-            assert doc["diagnostics"]["stop_reason"] == "max_iter"
+        assert doc["result"]
+        assert doc["diagnostics"]["stop_reason"] == "max_iter"
+        assert doc["diagnostics"]["iterations"] == 1
+        if name == "ot":
+            assert doc["result"]["certified"] is False
+            assert np.array(doc["result"]["plan"]).shape == (6, 6)
+
+    @pytest.fixture
+    def simplex_cap_1(self, monkeypatch):
+        # vector_rank and binary_cost_ot reach the solver by its module name
+        solve = otecon.discrete.solve_discrete_ot
+        monkeypatch.setattr(
+            otecon.discrete, "solve_discrete_ot",
+            lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 1}),
+        )
+
+    def test_callers_without_report_raise_at_cap(self, simplex_cap_1):
+        # both instances need more than one pivot: 2 and 7
+        with pytest.raises(SolverStallError, match="after 1 pivots"):
+            vector_rank(read_matrix_csv(data("points_a.csv")))
+        gamma = (read_matrix_csv(data("cost_6x6.csv")) > 1.0).astype(float)
+        with pytest.raises(SolverStallError, match="after 1 pivots"):
+            binary_cost_ot(
+                read_measure_csv(data("mu_six.csv")),
+                read_measure_csv(data("nu_six.csv")),
+                BinaryRelation(gamma),
+            )
+
+    def test_ranks_at_cap_writes_empty_result(self, simplex_cap_1, tmp_path, capsys):
+        code, payload = run_cli(COMMANDS["ranks"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["result"] == {}
+        assert doc["diagnostics"] == {"converged": False}
+        err = capsys.readouterr().err
+        assert err == "otecon ranks: no optimum after 1 pivots\n"
 
     def test_match_fit_cap_writes_last_iterate(self, tmp_path):
         code, payload = run_cli(self.CAPPED["match-fit"] + ["--max-iter", "1"], tmp_path)
@@ -415,6 +454,17 @@ class TestFailureModes:
         assert doc["diagnostics"]["converged"] is False
         assert doc["result"]["value"] == 1.0
         assert np.array(doc["result"]["plan"]).shape == (2, 2)
+
+    def test_certified_cap_exits_3(self, tmp_path, monkeypatch):
+        # a last basis that passes the certificate is still a capped solve
+        monkeypatch.setattr(cli, "verify_optimality", lambda *args: True)
+        code, payload = run_cli(self.CAPPED["ot"] + ["--max-iter", "1"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["result"]["certified"] is True
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "max_iter"
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize("name", sorted(CAPPED))

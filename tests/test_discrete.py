@@ -1,5 +1,7 @@
 """Exact transport LP solver: matrix-minimum start, simplex pivots, certificates."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,16 @@ from otecon import (
     DualPotentials,
     InfeasibleError,
     NonAssignmentError,
-    SolverStallError,
     TransportPlan,
     extract_assignment,
     matrix_minimum,
     solve_discrete_ot,
     verify_optimality,
 )
+from otecon.csvio import read_matrix_csv, read_measure_csv
+from otecon.discrete import CERT_TOL, PIVOT_TOL
+
+DATA = Path(__file__).parent / "data"
 
 
 def measures(mu, nu):
@@ -218,10 +223,10 @@ class TestCostScale:
         for _ in range(30):
             mu, nu, base = random_transport_instance(rng, 8, 8)
             cost = CostMatrix(base.entries * scale)
-            try:
-                plan, pots, value = solve_discrete_ot(mu, nu, cost)
-            except SolverStallError as exc:
-                pytest.fail(f"stalled at cost scale {scale:g}: {exc}")
+            plan, pots, value = solve_discrete_ot(mu, nu, cost)
+            assert plan.stop_reason == "tol", (
+                f"stalled at cost scale {scale:g} after {plan.iterations} pivots"
+            )
             assert verify_optimality(plan, pots, mu, nu, cost)
             # HiGHS's own tolerances are absolute, so it solves at unit
             # scale; the LP value is linear in the cost.
@@ -338,7 +343,13 @@ class TestPivotRules:
             else:
                 mu, nu = self.probability(rng, n, 8), self.probability(rng, n, 8)
                 cost = CostMatrix(rng.random((n, n)))
-            plan, pots, value = solve_discrete_ot(mu, nu, cost, max_iter=8 * (n + n))
+            budget = 8 * (n + n)
+            plan, pots, value = solve_discrete_ot(mu, nu, cost, max_iter=budget)
+            # a solve that needed the whole budget raised at the old cap,
+            # which counted reduced-cost passes, not pivots
+            assert plan.stop_reason == "tol" and plan.iterations < budget, (
+                f"{plan.iterations} pivots, {plan.stop_reason}, budget {budget}"
+            )
             assert verify_optimality(plan, pots, mu, nu, cost)
             assert value == pytest.approx(
                 lp_transport_value(mu.weights, nu.weights, cost.entries), abs=1e-9
@@ -355,8 +366,68 @@ class TestPivotRules:
             else:
                 mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
                 cost = CostMatrix(rng.random((n, n)))
-            plan, pots, _ = solve_discrete_ot(mu, nu, cost, max_iter=2 * (n + n))
+            budget = 2 * (n + n)
+            plan, pots, _ = solve_discrete_ot(mu, nu, cost, max_iter=budget)
+            assert plan.stop_reason == "tol" and plan.iterations < budget, (
+                f"{plan.iterations} pivots, {plan.stop_reason}, budget {budget}"
+            )
             assert verify_optimality(plan, pots, mu, nu, cost)
+
+
+class TestSolveReport:
+    """The plan is the solve's report; at the pivot cap it is the last basis."""
+
+    def test_cap_returns_last_basis(self, rng):
+        capped = 0
+        for _ in range(20):
+            m, n = rng.integers(3, 12, size=2)
+            mu, nu, cost = random_transport_instance(rng, m, n)
+            full = solve_discrete_ot(mu, nu, cost)[0]
+            tol = PIVOT_TOL * (cost.entries.max() - cost.entries.min())
+            for k in range(1, full.iterations):
+                plan, _, value = solve_discrete_ot(mu, nu, cost, max_iter=k)
+                msg = f"{m}x{n} capped at {k} of {full.iterations} pivots"
+                assert plan.stop_reason == "max_iter" and not plan.converged, msg
+                assert plan.iterations == k, msg
+                assert len(plan.history) == k + 1, msg
+                # the pivots are deterministic: the capped run is a prefix
+                assert plan.history == full.history[: k + 1], msg
+                assert plan.residual == plan.history[-1] > tol, msg
+                assert plan.marginal_residual(mu, nu) <= CERT_TOL * mu.total_mass, msg
+                assert value == float(np.sum(plan.mass * cost.entries)), msg
+                capped += 1
+        assert capped > 20
+
+    def test_default_cap_meets_tol(self, rng):
+        for _ in range(20):
+            m, n = rng.integers(1, 12, size=2)
+            mu, nu, cost = random_transport_instance(rng, m, n)
+            plan, pots, _ = solve_discrete_ot(mu, nu, cost)
+            c = cost.entries
+            msg = f"{m}x{n} after {plan.iterations} pivots"
+            assert plan.stop_reason == "tol" and plan.converged, msg
+            assert plan.residual <= PIVOT_TOL * (c.max() - c.min()), msg
+            assert len(plan.history) == plan.iterations + 1, msg
+            assert plan.residual == plan.history[-1], msg
+            assert verify_optimality(plan, pots, mu, nu, cost), msg
+
+    def test_cap_counts_pivots(self):
+        # the 6x6 fixture needs 3 pivots, so a cap of 3 is enough
+        mu = read_measure_csv(DATA / "mu_six.csv")
+        nu = read_measure_csv(DATA / "nu_six.csv")
+        cost = CostMatrix(read_matrix_csv(DATA / "cost_6x6.csv"))
+        plan = solve_discrete_ot(mu, nu, cost, max_iter=3)[0]
+        assert (plan.stop_reason, plan.iterations) == ("tol", 3)
+        assert solve_discrete_ot(mu, nu, cost, max_iter=2)[0].stop_reason == "max_iter"
+
+    def test_plan_built_without_pivots_reads_converged(self, rng):
+        mu, nu, cost = random_transport_instance(rng, 4, 5)
+        for plan in (
+            matrix_minimum(mu, nu, cost),
+            TransportPlan(np.diag([0.5, 0.5]), frozenset({(0, 0), (1, 1), (0, 1)})),
+        ):
+            assert plan.converged
+            assert (plan.iterations, plan.residual, plan.history) == (0, 0.0, ())
 
 
 class TestVerify:
