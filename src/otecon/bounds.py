@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import as_float_array, check_scalar, frozen
-from .errors import DomainError
+from .errors import DomainError, SolverStallError
 from .measures import (
     CostMatrix, DiscreteMeasure, Sample1D, empirical_cdf, empirical_quantile
 )
@@ -200,9 +200,11 @@ def binary_cost_ot(
         raise DomainError(
             f"relation shape {g.shape} does not match measures ({mu.size}, {nu.size})"
         )
-    from .discrete import _optimal_plan  # the other bounds need no solver
+    from .discrete import solve_discrete_ot  # the other bounds need no solver
 
-    plan, value = _optimal_plan(mu, nu, CostMatrix(g))
+    plan, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
+    if not plan.converged:
+        raise SolverStallError(f"no optimum after {plan.iterations} pivots")
     if not witness:
         return value, None
     tol = WITNESS_TOL * mu.total_mass

@@ -12,9 +12,10 @@ round-trip exactly.
 Exit codes: 0 success, 2 malformed input, 3 solver non-convergence or a
 failed certificate.  Exit 3 still writes the document, with
 ``converged: false``; an iterative command's ``result`` is its solver's
-last iterate.  ``result`` is empty only when no result exists: ``ranks``
-and ``binary-ot`` at their solver's pivot cap, a basis that does not
-identify the fit's coefficients, and a plan that is not an assignment.
+last iterate, and that of ``ranks`` the assignment of the simplex's last
+basis.  ``result`` is empty only when no result exists: ``binary-ot`` at
+its solver's pivot cap and a basis that does not identify the fit's
+coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .csvio import (
 from .errors import (
     DomainError,
     ExpOverflowError,
-    NonAssignmentError,
     NonIdentificationError,
     ResourceError,
     SolverStallError,
@@ -187,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    # The cap when neither --max-iter nor OTECON_MAX_ITER is given is the
-    # named solver's own max_iter default, read when the command runs.
-    def iterative(p, solver: str, tol=None, cap_help=None) -> None:
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+    # An unset cap (no --max-iter or OTECON_MAX_ITER) or tol is the named
+    # solver's own default, read when the command runs.
+    def iterative(p, solver: str, tol: bool = True, cap_help=None) -> None:
+        if tol:
+            p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", type=int, help=cap_help)
         p.set_defaults(capped_solver=solver)
 
@@ -199,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="source measure CSV (w,x1..xd)")
     p.add_argument("--nu", required=True, help="target measure CSV")
     p.add_argument("--cost", required=True, help="cost matrix CSV")
-    iterative(p, "solve_discrete_ot", cap_help="pivot cap")
+    iterative(p, "solve_discrete_ot", tol=False, cap_help="pivot cap")
 
     p = cmd("sinkhorn", "entropic transport, Sinkhorn by kernel scaling", _cmd_sinkhorn)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--eps", type=float, required=True, help="regularization strength")
-    iterative(p, "sinkhorn", tol=1e-9)
+    iterative(p, "sinkhorn")
 
     p = cmd("uot", "unbalanced entropic transport with soft marginals", _cmd_uot)
     p.add_argument("--mu", required=True)
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lam-mu", type=float, required=True, help="source KL penalty")
     p.add_argument("--lam-nu", type=float, required=True, help="target KL penalty")
-    iterative(p, "unbalanced_sinkhorn", tol=1e-9)
+    iterative(p, "unbalanced_sinkhorn")
 
     p = cmd("w1d", "p-Wasserstein distance between scalar samples", _cmd_w1d)
     p.add_argument("--x", required=True, help="sample CSV, one value per row")
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_semidiscrete)
     p.add_argument("--nu", required=True, help="sites measure CSV (w,x1..xd)")
     p.add_argument("--grid-res", type=int, help="grid cells per axis")
-    iterative(p, "semidiscrete_solve", tol=1e-3)
+    iterative(p, "semidiscrete_solve")
 
     p = cmd("ranks", "assignment-based vector ranks onto a Halton set", _cmd_ranks)
     p.add_argument("--sample", required=True, help="points CSV")
@@ -294,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="surplus matrix CSV")
     p.add_argument("--mu", required=True, help="x-side masses CSV (w)")
     p.add_argument("--nu", required=True, help="y-side masses CSV (w)")
-    iterative(p, "cs_equilibrium", tol=1e-12)
+    iterative(p, "cs_equilibrium")
 
     p = cmd("match-fit", "surplus coefficients by moment matching", _cmd_match_fit)
     p.add_argument("--table", required=True, help="matching CSV (x,y,count)")
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
-    iterative(p, "moment_matching", tol=1e-9)
+    iterative(p, "moment_matching")
 
     p = cmd("match-sista", "sparse surplus coefficients from an observed plan",
             _cmd_match_sista)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="basis CSV (x,y,k,value)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--l1", type=float, default=0.0, help="soft-threshold penalty")
-    iterative(p, "sista", tol=1e-10)
+    iterative(p, "sista")
 
     return parser
 
@@ -324,24 +324,29 @@ def _diagnostics(report: SolveReport) -> dict:
     }
 
 
-def _resolve_max_iter(args: argparse.Namespace) -> None:
-    """Fill in the iteration cap: flag beats OTECON_MAX_ITER beats default."""
-    if not hasattr(args, "max_iter") or args.max_iter is not None:
+def _resolve_defaults(args: argparse.Namespace) -> None:
+    """Fill in the unset solver options: the cap (flag beats OTECON_MAX_ITER
+    beats the solver's default) and tol (flag beats the solver's default)."""
+    if not hasattr(args, "max_iter"):
+        return
+    # the solver as defined, not a wrapper bound in its place here
+    solver = getattr(sys.modules[__package__], args.capped_solver)
+    defaults = inspect.signature(solver).parameters
+    if hasattr(args, "tol") and args.tol is None:
+        args.tol = defaults["tol"].default
+    if args.max_iter is not None:
         return
     env = os.environ.get("OTECON_MAX_ITER")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise DomainError(f"OTECON_MAX_ITER is not an integer: {env!r}") from None
-        if cap < 1:
-            raise DomainError(f"OTECON_MAX_ITER must be at least 1, got {cap}")
-        args.max_iter = cap
-    else:
-        # the solver as defined, not a wrapper bound in its place here;
-        # None defers to its size-dependent cap
-        solver = getattr(sys.modules[__package__], args.capped_solver)
-        args.max_iter = inspect.signature(solver).parameters["max_iter"].default
+    if env is None:
+        # None defers to the solver's size-dependent cap
+        args.max_iter = defaults["max_iter"].default
+        return
+    try:
+        args.max_iter = int(env)
+    except ValueError:
+        raise DomainError(f"OTECON_MAX_ITER is not an integer: {env!r}") from None
+    if args.max_iter < 1:
+        raise DomainError(f"OTECON_MAX_ITER must be at least 1, got {args.max_iter}")
 
 
 def _cmd_ot(args):
@@ -442,11 +447,12 @@ def _cmd_semidiscrete(args):
 def _cmd_ranks(args):
     sample = read_matrix_csv(args.sample)
     assignment = vector_rank(sample)
-    return {
+    result = {
         "permutation": [int(k) for k in assignment.permutation],
         "halton": assignment.reference.points,
         "ranks": assignment.ranks,
     }
+    return result, _diagnostics(assignment)
 
 
 def _cmd_bounds_te(args):
@@ -542,11 +548,11 @@ def _cmd_match_sista(args):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_max_iter(args)
+        _resolve_defaults(args)
         _bind(args.run)
         try:
             out = args.run(args)
-        except (SolverStallError, NonIdentificationError, NonAssignmentError) as exc:
+        except (SolverStallError, NonIdentificationError) as exc:
             # no iterate to report; exit 3 still writes the document
             print(f"otecon {args.command}: {exc}", file=sys.stderr)
             out = {}, {"converged": False}

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import check_count, frozen
-from .errors import DomainError, NonAssignmentError, SolverStallError
+from .errors import DomainError, NonAssignmentError
 from .measures import (
     CostMatrix, DiscreteMeasure, _check_balanced, _check_cost_shape, _marginal_gap,
     _NoSolve,
@@ -376,21 +376,6 @@ def solve_discrete_ot(
     )
     pots = DualPotentials(p[:rows], p[rows:] + low)
     return plan, pots, float(np.sum(plan.mass * cost.entries))
-
-
-def _optimal_plan(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix
-) -> tuple[TransportPlan, float]:
-    """Plan and value of a solve at the default cap, for callers without a report.
-
-    :func:`~otecon.semidiscrete.vector_rank` and
-    :func:`~otecon.bounds.binary_cost_ot` return no report, so a plan that
-    ends at the pivot cap raises :class:`SolverStallError` here.
-    """
-    plan, _, value = solve_discrete_ot(mu, nu, cost)
-    if not plan.converged:
-        raise SolverStallError(f"no optimum after {plan.iterations} pivots")
-    return plan, value
 
 
 def verify_optimality(

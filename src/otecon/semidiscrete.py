@@ -69,8 +69,9 @@ class LaguerreDiagram(_NoSolve):
 
 
 @dataclass(frozen=True)
-class RankAssignment:
-    """Permutation matching each observation to one Halton reference point."""
+class RankAssignment(_NoSolve):
+    """Permutation matching each observation to one Halton reference point,
+    with the report of the simplex solve that found it (step 0 if none ran)."""
 
     permutation: np.ndarray
     reference: HaltonSet
@@ -289,8 +290,10 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     ``perm[argsort(y, kind="stable")] = argsort(ref, kind="stable")``,
     which sends the k-th smallest observation (tied ones in index order)
     to the k-th smallest Halton point.  In d >= 2 the n x n cost may not
-    exceed GRID_LIMIT entries, and a solve that ends at its pivot cap
-    raises :class:`SolverStallError`, since the assignment has no report.
+    exceed GRID_LIMIT entries.  At the pivot cap the result is the last
+    basis's assignment, with ``stop_reason`` ``"max_iter"``: the
+    matrix-minimum start allocates exactly 1/n per cell and each pivot
+    moves exactly 0 or 1/n, so every basis is a permutation.
     """
     y = as_float_array(sample, "sample")
     if y.ndim == 1:
@@ -308,9 +311,12 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
             ref.points[:, 0], kind="stable"
         )
         return RankAssignment(perm, ref)
-    from .discrete import _optimal_plan, extract_assignment  # only ranks need them
+    from . import discrete  # only ranks need the simplex
 
     cost = _sq_dists(y, ref.points)
     uniform = DiscreteMeasure(np.full(n, 1.0 / n))
-    plan, _ = _optimal_plan(uniform, uniform, CostMatrix(cost))
-    return RankAssignment(extract_assignment(plan), ref)
+    plan, _, _ = discrete.solve_discrete_ot(uniform, uniform, CostMatrix(cost))
+    return RankAssignment(
+        discrete.extract_assignment(plan), ref, iterations=plan.iterations,
+        stop_reason=plan.stop_reason, residual=plan.residual, history=plan.history,
+    )

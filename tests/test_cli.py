@@ -116,7 +116,7 @@ COMMANDS = {
 
 
 # the commands whose diagnostics are their solver's SolveReport
-REPORTING = {"ot", "sinkhorn", "uot", "semidiscrete", "match-equilibrium",
+REPORTING = {"ot", "sinkhorn", "uot", "semidiscrete", "ranks", "match-equilibrium",
              "match-fit", "match-sista"}
 
 
@@ -288,8 +288,13 @@ class TestConfigEcho:
     def test_default_cap_is_the_solvers(self, name, tmp_path, monkeypatch):
         monkeypatch.delenv("OTECON_MAX_ITER", raising=False)
         _, payload = run_cli(COMMANDS[name], tmp_path)
-        default = inspect.signature(self.SOLVERS[name]).parameters["max_iter"].default
-        assert json.loads(payload)["config"]["max_iter"] == default
+        config = json.loads(payload)["config"]
+        defaults = inspect.signature(self.SOLVERS[name]).parameters
+        assert config["max_iter"] == defaults["max_iter"].default
+        if "tol" in defaults:
+            assert config["tol"] == defaults["tol"].default
+        else:
+            assert "tol" not in config
 
     def test_control_characters_in_paths(self, tmp_path):
         # a tab in an input and in the output path is echoed in config
@@ -415,9 +420,12 @@ class TestFailureModes:
         )
 
     def test_callers_without_report_raise_at_cap(self, simplex_cap_1):
-        # both instances need more than one pivot: 2 and 7
-        with pytest.raises(SolverStallError, match="after 1 pivots"):
-            vector_rank(read_matrix_csv(data("points_a.csv")))
+        # both instances need more than one pivot: 2 and 7; vector_rank
+        # carries the report and returns the last basis's assignment
+        assignment = vector_rank(read_matrix_csv(data("points_a.csv")))
+        assert sorted(assignment.permutation) == [0, 1, 2, 3]
+        assert assignment.stop_reason == "max_iter"
+        assert assignment.iterations == 1
         gamma = (read_matrix_csv(data("cost_6x6.csv")) > 1.0).astype(float)
         with pytest.raises(SolverStallError, match="after 1 pivots"):
             binary_cost_ot(
@@ -426,15 +434,35 @@ class TestFailureModes:
                 BinaryRelation(gamma),
             )
 
-    def test_ranks_at_cap_writes_empty_result(self, simplex_cap_1, tmp_path, capsys):
+    def test_ranks_at_cap_writes_last_assignment(self, simplex_cap_1, tmp_path, capsys):
         code, payload = run_cli(COMMANDS["ranks"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert sorted(doc["result"]) == ["halton", "permutation", "ranks"]
+        assert sorted(doc["result"]["permutation"]) == [0, 1, 2, 3]
+        halton = np.array(doc["result"]["halton"])
+        assert doc["result"]["ranks"] == halton[doc["result"]["permutation"]].tolist()
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "max_iter"
+        assert doc["diagnostics"]["iterations"] == 1
+        assert capsys.readouterr().err == ""
+
+    def test_binary_ot_at_cap_writes_empty_result(self, simplex_cap_1, tmp_path, capsys):
+        # the value carries no report, so the cap has no result to write
+        gamma = tmp_path / "gamma.csv"
+        rows = (read_matrix_csv(data("cost_6x6.csv")) > 1.0).astype(int).tolist()
+        gamma.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        code, payload = run_cli(
+            ["binary-ot", "--mu", "mu_six.csv", "--nu", "nu_six.csv", "--gamma", str(gamma)],
+            tmp_path,
+        )
         assert code == 3
         doc = json.loads(payload)
         VALIDATOR.validate(doc)
         assert doc["result"] == {}
         assert doc["diagnostics"] == {"converged": False}
-        err = capsys.readouterr().err
-        assert err == "otecon ranks: no optimum after 1 pivots\n"
+        assert capsys.readouterr().err == "otecon binary-ot: no optimum after 1 pivots\n"
 
     def test_match_fit_cap_writes_last_iterate(self, tmp_path):
         code, payload = run_cli(self.CAPPED["match-fit"] + ["--max-iter", "1"], tmp_path)
@@ -629,24 +657,30 @@ class TestFailureModes:
             values[s] = json.loads(payload)["result"]["value"]
         assert values[scale] == pytest.approx(float(scale) * values["1"], rel=1e-12)
 
-    def test_ranks_over_the_cost_limit_exits_2_at_once(self, tmp_path, capsys):
-        # 3 163^2 cost entries is just over the 10 000 000 limit; without
-        # it the run built the 80 MB cost and grew past 4 GB in the solve
-        sample = tmp_path / "pts.csv"
-        sample.write_text("".join(f"{k / 3163!r},{k % 7 / 7!r}\n" for k in range(3163)))
+    @staticmethod
+    def rejected_at_once(argv, tmp_path, capsys):
+        """Run argv, check it exits 2 within a second with no document and
+        under 4 MB allocated, and return its stderr."""
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            code, payload = run_cli(["ranks", "--sample", str(sample)], tmp_path)
+            code, payload = run_cli(argv, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert payload is None
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "limit" in err
         assert peak < 4e6
+        return capsys.readouterr().err
+
+    def test_ranks_over_the_cost_limit_exits_2_at_once(self, tmp_path, capsys):
+        # 3 163^2 cost entries is just over the 10 000 000 limit; without
+        # it the run built the 80 MB cost and grew past 4 GB in the solve
+        sample = tmp_path / "pts.csv"
+        sample.write_text("".join(f"{k / 3163!r},{k % 7 / 7!r}\n" for k in range(3163)))
+        err = self.rejected_at_once(["ranks", "--sample", str(sample)], tmp_path, capsys)
+        assert err.count("\n") == 1 and "limit" in err
 
     def test_semidiscrete_over_the_score_limit_exits_2_at_once(self, tmp_path, capsys):
         # 3000^2 grid points are under the 10 000 000 point limit, but times
@@ -655,21 +689,34 @@ class TestFailureModes:
         sites = tmp_path / "sites.csv"
         rows = rng.random((100, 2)).tolist()
         sites.write_text("".join(f"1,{a!r},{b!r}\n" for a, b in rows))
-        start = time.perf_counter()
-        tracemalloc.start()
-        try:
-            code, payload = run_cli(
-                ["semidiscrete", "--nu", str(sites), "--grid-res", "3000"], tmp_path
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert payload is None
-        err = capsys.readouterr().err
+        err = self.rejected_at_once(
+            ["semidiscrete", "--nu", str(sites), "--grid-res", "3000"], tmp_path, capsys
+        )
         assert err.count("\n") == 1 and "limit" in err
-        assert peak < 4e6
+
+    def test_semidiscrete_over_the_grid_limit_exits_2_at_once(self, tmp_path, capsys):
+        # 2e7 points times 2 sites is under the score limit, so the grid's
+        # own 10 000 000 point limit is the one that stops it; at 5 sites
+        # or more the score limit comes first
+        sites = tmp_path / "sites.csv"
+        sites.write_text("1,0.25\n1,0.75\n")
+        err = self.rejected_at_once(
+            ["semidiscrete", "--nu", str(sites), "--grid-res", "20000000"],
+            tmp_path, capsys,
+        )
+        assert err == (
+            "otecon semidiscrete: grid of 20000000^1 points exceeds the"
+            " 10,000,000 limit\n"
+        )
+
+    def test_semidiscrete_sites_without_coordinates_exit_2(self, tmp_path, capsys):
+        err = self.rejected_at_once(
+            ["semidiscrete", "--nu", "mu_six.csv"], tmp_path, capsys
+        )
+        assert err == (
+            f"otecon semidiscrete: {data('mu_six.csv')}: sites need coordinate"
+            " columns x1..xd\n"
+        )
 
     def test_ranks_in_one_dimension_has_no_cost_limit(self, tmp_path):
         # d = 1 sorts and builds no n x n cost

@@ -209,6 +209,24 @@ class TestLseLoopParity:
         elif converged:
             assert sol.iterations == iterations
 
+    @pytest.mark.parametrize("lam, sweeps", [((0.1, 0.1), 10), ((0.1, 0.5), 11)])
+    def test_underflowing_row_scaling_matches_lse_loop(self, lam, sweeps):
+        # costs of 1e3 at eps 0.5: the damped row scaling underflows at
+        # every sweep, so each row half-sweep is redone in the log domain
+        cost = np.array([[1000.0, 2000.0], [3000.0, 500.0]])
+        w_mu, w_nu = np.array([0.6, 0.4]), np.array([0.5, 0.5])
+        sol = unbalanced_sinkhorn(
+            DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), CostMatrix(cost),
+            eps=0.5, lam_mu=lam[0], lam_nu=lam[1],
+        )
+        _, phi, psi, iterations, _, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, 0.5, lam
+        )
+        assert sol.converged and converged
+        assert sol.iterations == iterations == sweeps
+        for ours, oracle in ((sol.phi, phi), (sol.psi, psi)):
+            assert np.max(np.abs(ours - oracle)) <= 8 * np.spacing(np.abs(oracle).max())
+
     @pytest.mark.parametrize("eps", [0.01, 0.001])
     @pytest.mark.parametrize("lam", [1.0, 5.0])
     def test_unequal_masses_match_lse_loop(self, lam, eps):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     laguerre_grid_masses,
     laguerre_grid_semidual,
@@ -12,6 +14,7 @@ from oracles import (
 from scipy.optimize import linear_sum_assignment
 
 from otecon import (
+    CostMatrix,
     DiscreteMeasure,
     DomainError,
     LaguerreDiagram,
@@ -19,9 +22,11 @@ from otecon import (
     halton,
     laguerre_assign,
     semidiscrete_solve,
+    solve_discrete_ot,
     vector_quantile,
     vector_rank,
 )
+from otecon.discrete import extract_assignment
 from otecon.semidiscrete import _band_laplacian, _midpoint_grid, _score, _sq_dists
 
 
@@ -390,6 +395,35 @@ class TestVectorRank:
                 assert cost[np.arange(n), ra.permutation].sum() == pytest.approx(
                     cost[rows, cols].sum(), rel=1e-12, abs=1e-12
                 )
+
+    def test_report_is_the_simplex_solves(self, rng):
+        y = rng.normal(size=(12, 2))
+        uniform = DiscreteMeasure(np.full(12, 1.0 / 12))
+        cost = CostMatrix(_sq_dists(y, halton(12, 2).points))
+        plan = solve_discrete_ot(uniform, uniform, cost)[0]
+        ra = vector_rank(y)
+        assert ra.converged and ra.iterations == plan.iterations > 0
+        assert (ra.residual, ra.history) == (plan.residual, plan.history)
+        # in d = 1 no solve runs
+        line = vector_rank(y[:, 0])
+        assert line.converged and line.iterations == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_every_capped_basis_is_an_assignment(self, n, seed, ties):
+        # with uniform marginals the matrix-minimum start allocates exactly
+        # 1/n per cell and each pivot moves exactly 0 or 1/n, so the last
+        # basis at any cap is a permutation matrix
+        y = np.random.default_rng(seed).standard_normal((n, 2))
+        if ties:
+            y = np.round(y)
+        uniform = DiscreteMeasure(np.full(n, 1.0 / n))
+        cost = CostMatrix(_sq_dists(y, halton(n, 2).points))
+        pivots = solve_discrete_ot(uniform, uniform, cost)[0].iterations
+        for cap in range(1, pivots + 1):
+            plan = solve_discrete_ot(uniform, uniform, cost, max_iter=cap)[0]
+            assert np.all((plan.mass == 0.0) | (plan.mass == 1.0 / n))
+            assert sorted(extract_assignment(plan)) == list(range(n))
 
     def test_ranks_are_reference_rows(self, rng):
         y = rng.normal(size=(8, 2))
