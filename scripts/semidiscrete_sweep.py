@@ -10,8 +10,9 @@ random masses:
 - near-duplicate: uniform sites, one of them repeated 1e-4 away;
 - outside-cube: sites uniform in [-0.5, 1.5]^d.
 
-Grids are 512 cells in 1-D, 64^2 in 2-D and 16^3 in 3-D, and each solve
-has a cap of MAX_ITER = 300 Newton steps.  Each instance prints its verdict
+Grids are the solver's default in 1-D (512 cells), as `otecon semidiscrete`
+runs it, 64^2 in 2-D and 16^3 in 3-D, and each solve has a cap of
+MAX_ITER = 300 Newton steps.  Each instance prints its verdict
 (converged or not), stop reason, accepted Newton steps, final mass residual
 and wall time; a summary line follows.  The run is offline and
 deterministic apart from the times:
@@ -26,8 +27,9 @@ from collections import Counter
 import numpy as np
 
 from otecon import DiscreteMeasure, semidiscrete_solve
+from otecon.semidiscrete import DEFAULT_GRID_RES
 
-GRID_RES = {1: 512, 2: 64, 3: 16}
+GRID_RES = {1: DEFAULT_GRID_RES[1], 2: 64, 3: 16}
 MAX_ITER = 300
 PER_KIND = 4
 

@@ -25,20 +25,6 @@ SCORE_LIMIT = 50_000_000
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Stable log(sum(exp(a))) along ``axis`` with max subtraction.
-
-    Handles -inf entries (zero weights in log space) without producing NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def as_float_array(x, name: str, ndim: int | None = None) -> np.ndarray:
     """Coerce to a float ndarray, rejecting non-finite entries."""
     from .errors import DomainError

@@ -108,19 +108,21 @@ def rearrangement_bounds(
     return Interval(*sorted((comonotone, antitone)))
 
 
-def _integrate_quantile(sample: Sample1D, lo: float, hi: float) -> float:
-    """Exact integral of the empirical quantile function over (lo, hi].
+def _mean_quantile(values: np.ndarray, lo: float, hi: float) -> float:
+    """Exact mean over (lo, hi] of the step function equal to values[k] on
+    (k/n, (k+1)/n]: the empirical quantile for sorted values, and for sorted
+    values reversed the quantile at 1 - t.
 
-    The quantile is the step function equal to the k-th order statistic on
-    ((k-1)/n, k/n], so the integral is a finite sum of step values times
-    overlap lengths.
+    The mean is a finite sum of step values, each weighted by its overlap
+    with (lo, hi] over hi - lo.  The weights are taken before the sum, so
+    a window narrower than the values' resolution keeps their digits.  The
+    steps scanned reach one past each end, since lo * n and hi * n may
+    round across a grid point.  Requires lo < hi.
     """
-    if hi <= lo:
-        return 0.0
-    n = sample.n
-    k = np.arange(int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n))
+    n = values.size
+    k = np.arange(max(int(lo * n) - 1, 0), min(int(np.ceil(hi * n)) + 1, n))
     overlap = np.minimum(hi, (k + 1) / n) - np.maximum(lo, k / n)
-    return float(np.sum(sample.values[k] * np.maximum(overlap, 0.0)))
+    return float(np.sum(values[k] * (np.maximum(overlap, 0.0) / (hi - lo))))
 
 
 def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Interval:
@@ -134,7 +136,9 @@ def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Inte
         lower = mean over u in (a,b) of Q1(u - a) - Q0(u)
         upper = mean over u in (a,b) of Q1(1 - u + a) - Q0(u)
 
-    Both integrals are evaluated exactly on the quantile step grids.
+    Both means are evaluated exactly on the quantile step grids; the upper
+    one as the mean over (0, b - a] of the quantile of y1 reversed, since
+    1 - (b - a) rounds to 1 for a window narrower than 2^-53.
     At (a, b) = (0, 1), or for a constant y1, both endpoints collapse to one
     value; they are returned in order, so endpoints that cross by rounding
     there still form an interval.
@@ -142,9 +146,9 @@ def kaji_subgroup_bounds(a: float, b: float, y0: Sample1D, y1: Sample1D) -> Inte
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"need 0 <= a < b <= 1, got a={a!r}, b={b!r}")
     width = b - a
-    base = _integrate_quantile(y0, a, b)
-    lower = (_integrate_quantile(y1, 0.0, width) - base) / width
-    upper = (_integrate_quantile(y1, 1.0 - width, 1.0) - base) / width
+    base = _mean_quantile(y0.values, a, b)
+    lower = _mean_quantile(y1.values, 0.0, width) - base
+    upper = _mean_quantile(y1.values[::-1], 0.0, width) - base
     return Interval(*sorted((lower, upper)))
 
 

@@ -293,10 +293,9 @@ def read_matching_csv(path: str) -> MatchingTable:
                 f"{path}: missing or nonpositive {what} count at index"
                 f" {tuple(int(i) + 1 for i in idx)}"
             )
-    try:
-        return MatchingTable(flows, singles_x, singles_y)
-    except DomainError as exc:
-        raise CsvError(f"{path}: {exc}") from None
+    # parsed counts are finite and the labels fix the shapes, so the loop
+    # above has made every check MatchingTable makes
+    return MatchingTable(flows, singles_x, singles_y)
 
 
 def _basis_rows(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budget, check_scalar, frozen, logsumexp
+from ._util import check_budget, check_scalar, frozen
 from .errors import DomainError
 from .measures import (
     CostMatrix, DiscreteMeasure, SolveReport, _check_cost_shape, _marginal_gap,
@@ -82,10 +82,14 @@ def _half_sweep_lse(
     """log sum_k w_k exp((pot_k - c) / eps) along ``axis`` of c.
 
     -eps times it is the balanced half-sweep: with axis=1 (w, pot indexed by
-    column) the row update, which makes the row marginals exact.
+    column) the row update, which makes the row marginals exact.  The max
+    along ``axis``, where it is finite, is subtracted before exp.
     """
     k = (None, slice(None)) if axis == 1 else (slice(None), None)
-    return logsumexp(log_w[k] + (pot[k] - c) / eps, axis=axis)
+    a = log_w[k] + (pot[k] - c) / eps
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    return np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
 
 
 def _gibbs(

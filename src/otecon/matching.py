@@ -474,7 +474,8 @@ def sista(
     if log:
         info = {
             "report": report,
-            # otbench/workloads.py counts the steps by the length of "objectives"
+            # otbench/workloads.py counts the steps by the length of "objectives",
+            # and acceptance criterion 8 checks that they never rise
             "objectives": report.history,
             "phi": f + eps * np.log(mu),
             "psi": g + eps * np.log(nu),

@@ -202,8 +202,6 @@ def semidiscrete_solve(
     the stop reason ``"tol"``, at the cap too.  The score array, grid_res^d
     points times the sites, may not exceed SCORE_LIMIT entries.
     """
-    if nu.points is None:
-        raise DomainError("nu must carry site locations")
     if nu.dim != d:
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
     if d not in DEFAULT_GRID_RES:

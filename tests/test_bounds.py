@@ -1,5 +1,7 @@
 """Partial-identification bounds: rearrangement, subgroup, winners, binary OT, DRO."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ class TestInterval:
         assert 0.5 in iv
         assert 1.0 in iv
         assert 2.0 not in iv
+        assert iv.width == 1.0
 
 
 class TestRearrangement:
@@ -118,6 +121,32 @@ class TestKajiBounds:
         for a, b in ((0.1, 0.4), (0.25, 0.9)):
             iv = kaji_subgroup_bounds(a, b, y0, y1)
             assert 0.7 in iv
+
+    def test_window_narrower_than_resolution(self):
+        # 1 - (b - a) rounds to 1, which once left the upper integral empty
+        y0 = Sample1D([-1.2, -0.3, 0.1, 0.5, 1.4, 2.2])
+        y1 = Sample1D([-0.8, 0.2, 0.6, 1.1, 1.9, 3.0])
+        iv = kaji_subgroup_bounds(0.3, 0.30000000000000004, y0, y1)
+        # Q1(0+) - Q0(0.3+) and Q1(1-) - Q0(0.3+)
+        assert iv.lower == pytest.approx(-0.5, abs=1e-12)
+        assert iv.upper == pytest.approx(3.3, abs=1e-12)
+
+    def test_subnormal_window_keeps_digits(self, rng):
+        # overlaps of 5e-324 hold one bit; weighting before the sum keeps
+        # the order statistics' digits
+        y0 = Sample1D.from_data(rng.normal(size=50))
+        y1 = Sample1D.from_data(rng.normal(size=50))
+        iv = kaji_subgroup_bounds(0.0, 5e-324, y0, y1)
+        assert iv.lower == pytest.approx(y1.values[0] - y0.values[0], abs=1e-12)
+        assert iv.upper == pytest.approx(y1.values[-1] - y0.values[0], abs=1e-12)
+
+    def test_window_across_a_rounded_grid_point(self):
+        # 3 a and 3 b both round to 1, yet (a, b] meets the second step of
+        # the float grid {k / 3}, whose first edge 1 / 3 rounds to a
+        a = 1 / 3
+        b = float(np.nextafter(a, 1.0))
+        iv = kaji_subgroup_bounds(a, b, Sample1D([0.0, 10.0, 20.0]), Sample1D([1.0, 2.0, 3.0]))
+        assert (iv.lower, iv.upper) == (-9.0, -7.0)
 
     def test_matches_step_loop(self, rng):
         for _ in range(20):
@@ -373,3 +402,51 @@ class TestDro:
             dro_expectation_bound(
                 np.array([0.0, 1.0]), CostMatrix([[0.1, 1.0], [1.0, 0.0]]), mu, 0.5
             )
+
+
+def _dro_args(**change):
+    args = {
+        "f": np.array([0.0, 1.0]),
+        "delta": CostMatrix([[0.0, 1.0], [1.0, 0.0]]),
+        "mu": DiscreteMeasure([0.5, 0.5]),
+        "rho": 0.5,
+    }
+    return {**args, **change}
+
+
+# the input checks no other test reaches on every run, each with the start
+# of its message
+REJECTED = {
+    "interval not finite": (lambda: Interval(np.nan, 1.0), "interval endpoints must be finite"),
+    "relation not a matrix": (lambda: BinaryRelation(np.zeros(3)), "gamma must be a matrix"),
+    "relation not 0-1": (lambda: BinaryRelation([[0, 2]]), "gamma entries must be 0 or 1"),
+    "relation shape": (
+        lambda: binary_cost_ot(
+            DiscreteMeasure([1.0]), DiscreteMeasure([0.5, 0.5]), BinaryRelation(np.eye(2))
+        ),
+        "relation shape (2, 2) does not match measures (1, 2)",
+    ),
+    "dro delta shape": (
+        lambda: dro_expectation_bound(**_dro_args(delta=CostMatrix(np.zeros((2, 3))))),
+        "delta must be 2 x 2, got (2, 3)",
+    ),
+    "dro mu size": (
+        lambda: dro_expectation_bound(**_dro_args(mu=DiscreteMeasure([1.0]))),
+        "mu must have 2 atoms, got 1",
+    ),
+    "dro delta sign": (
+        lambda: dro_expectation_bound(**_dro_args(delta=CostMatrix([[0.0, -1.0], [1.0, 0.0]]))),
+        "delta must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_input_check(name):
+    build, message = REJECTED[name]
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        build()
+
+
+def test_relation_shape():
+    assert BinaryRelation(np.zeros((2, 3), dtype=int)).shape == (2, 3)

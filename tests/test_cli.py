@@ -194,6 +194,18 @@ class TestValues:
         _, payload = run_cli(COMMANDS["match-identify"], tmp_path)
         assert json.loads(payload)["result"]["Phi"] == [[0.0]]
 
+    def test_bounds_subgroup_narrower_than_resolution(self, tmp_path):
+        # b - a is 2^-54, so 1 - (b - a) rounds to 1
+        code, payload = run_cli(
+            ["bounds-subgroup", "--y0", "y0_six.csv", "--y1", "y1_six.csv",
+             "--a", "0.3", "--b", "0.30000000000000004"],
+            tmp_path,
+        )
+        assert code == 0
+        result = json.loads(payload)["result"]
+        assert result["lower"] == pytest.approx(-0.5, abs=1e-12)
+        assert result["upper"] == pytest.approx(3.3, abs=1e-12)
+
     def test_binary_ot_witness(self, tmp_path):
         _, payload = run_cli(COMMANDS["binary-ot"], tmp_path)
         doc = json.loads(payload)
@@ -765,6 +777,10 @@ class TestWriterParity:
         document = {"result": value}
         assert cli._to_json(document) == to_json_loop(document)
 
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            cli._to_json({"result": object()})
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         for value in (bad, np.array([[0.0, bad]]), [1.0, bad]):
@@ -871,6 +887,10 @@ class TestModulesPerCommand:
         "bounds-te": {"otecon.bounds"},
         "dro": {"otecon.bounds"},
         "semidiscrete": {"otecon.semidiscrete"},
+        # binary_cost_ot and vector_rank import the simplex inside the function
+        "binary-ot": {"otecon.bounds", "otecon.discrete"},
+        "ranks": {"otecon.semidiscrete", "otecon.discrete"},
+        "bounds-subgroup": {"otecon.bounds"},
     }
 
     @pytest.mark.parametrize("name", sorted(SOLVER_MODULES))

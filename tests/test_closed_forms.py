@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otecon import (
+    AffineMap,
     DiscreteMeasure,
     CostMatrix,
     DomainError,
@@ -230,6 +231,15 @@ class TestGaussianMap:
         with pytest.raises(NotInvertibleError):
             gaussian_ot_map(g1, g2)
 
+    def test_input_checks(self):
+        g1 = GaussianMeasure(np.zeros(1), np.eye(1))
+        g2 = GaussianMeasure(np.zeros(2), np.eye(2))
+        for solve in (gaussian_ot_map, gaussian_w2):
+            with pytest.raises(DomainError, match="dimension mismatch: 1 vs 2"):
+                solve(g1, g2)
+        with pytest.raises(DomainError, match="linear must be 2 x 2, got"):
+            AffineMap(np.eye(3), np.zeros(2))
+
     def test_pushforward_moments(self, rng):
         g1 = GaussianMeasure([0.5, -1.0], [[2.0, 0.6], [0.6, 1.0]])
         g2 = GaussianMeasure([-2.0, 3.0], [[1.5, -0.4], [-0.4, 0.8]])
@@ -398,6 +408,10 @@ class TestBarycenter1D:
             barycenter_1d([s, s], np.array([0.7, 0.7]))
         with pytest.raises(DomainError):
             barycenter_1d([s, s], np.array([1.5, -0.5]))
+        with pytest.raises(DomainError, match="need 2 weights, got 1"):
+            barycenter_1d([s, s], np.array([1.0]))
+        with pytest.raises(DomainError, match="need at least one sample"):
+            barycenter_1d([], np.array([]))
 
     def test_local_optimality(self, rng):
         samples = [Sample1D.from_data(rng.normal(size=6)) for _ in range(3)]

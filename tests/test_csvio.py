@@ -1,5 +1,6 @@
 """CSV readers: the one-pass parse against the row-by-row readers it replaced."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from otecon.cli import main
 from otecon.csvio import (
     CsvError,
     read_basis_csv,
+    read_gaussian_csv,
     read_matching_csv,
     read_matrix_csv,
+    read_measure_csv,
     read_values_csv,
 )
 
@@ -112,11 +115,14 @@ MALFORMED = {
     "label_underscore": "1,1,2\n1_0,0,1\n0,1,1\n",
     "single_missing": "1,1,2\n2,1,2\n1,0,1\n0,1,1\n",
     "no_pairs": "1,0,1\n0,1,1\n",
+    "y_singles_only": "0,1,1\n0,2,1\n",
+    "count_nan": "1,1,nan\n1,0,1\n0,1,1\n",
     "basis_zero_index": "0,1,1,1\n",
     "basis_outside": "1,1,1,1\n3,1,1,2\n",
     "basis_duplicate": "1,1,1,1\n1,1,1,2\n",
     "basis_k_float": "1,1,1.5,1\n",
     "basis_padded": " 1 , 2 ,1, 0.5\n2,3,2,-1\n",
+    "basis_quoted": '"1",2,1,0.5\n2,3,2,-1\n',
 }
 
 
@@ -172,6 +178,22 @@ def test_non_utf8_file_named(tmp_path):
     path.write_bytes("año\n1\n2\n".encode("latin-1"))
     with pytest.raises(CsvError, match="latin1.csv: not UTF-8"):
         read_values_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_gaussian_csv, "0,0\n1,0\n", "expected 1 mean row + 2 covariance rows for 2 columns, got 2 rows"),
+        (read_gaussian_csv, "0,0\n1,0.5\n0,1\n", "cov must be symmetric"),
+        (read_measure_csv, "0.5\n-0.5\n", "weights must be nonnegative"),
+    ],
+    ids=["gaussian rows", "gaussian symmetry", "measure weights"],
+)
+def test_checks_name_the_file(reader, text, message, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(CsvError, match=re.escape(f"{path}: {message}")):
+        reader(str(path))
 
 
 def test_distinct_labels_as_unique_finds_them(rng):

@@ -473,6 +473,8 @@ class TestVerify:
             verify_optimality(plan, pots, one, one, CostMatrix([[0.0, 1.0]]))
         with pytest.raises(DomainError):
             verify_optimality(plan, pots, one, self.HALF, CostMatrix([[1.0]]))
+        with pytest.raises(DomainError, match="potential lengths"):
+            verify_optimality(plan, DualPotentials([0.0, 0.0], [0.0]), one, one, CostMatrix([[1.0]]))
 
 
 class TestExtractAssignment:
@@ -494,6 +496,16 @@ class TestExtractAssignment:
         with pytest.raises(NonAssignmentError):
             extract_assignment(plan)
 
+    def test_non_square_rejected(self):
+        plan = TransportPlan(np.array([[0.5, 0.5]]), frozenset({(0, 0), (0, 1)}))
+        with pytest.raises(NonAssignmentError, match="not square"):
+            extract_assignment(plan)
+
+    def test_entries_other_than_one_over_n_rejected(self):
+        plan = TransportPlan(np.diag([0.3, 0.7]), frozenset({(0, 0), (1, 1), (0, 1)}))
+        with pytest.raises(NonAssignmentError, match="differ from 1/n"):
+            extract_assignment(plan)
+
 
 class TestTransportPlanInvariants:
     def test_basis_must_span(self):
@@ -506,3 +518,18 @@ class TestTransportPlanInvariants:
                 np.array([[0.5, 0.0], [0.25, 0.25]]),
                 frozenset({(0, 0), (0, 1), (1, 1)}),
             )
+
+    @pytest.mark.parametrize(
+        "mass, edges, message",
+        [
+            ([0.5, 0.5], {(0, 0)}, "mass must be a matrix"),
+            ([[1.5, -0.5]], {(0, 0), (0, 1)}, "mass entries must be nonnegative"),
+            ([[1.0, 0.0]], {(0, 0), (0, 5)}, "basis edges must form a spanning tree"),
+            ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], {(0, 0), (0, 1), (1, 0), (1, 1)},
+             "basis edges must form a spanning tree"),
+        ],
+        ids=["vector", "negative", "edge outside", "cycle"],
+    )
+    def test_invalid_plan_rejected(self, mass, edges, message):
+        with pytest.raises(DomainError, match=message):
+            TransportPlan(np.array(mass), frozenset(edges))

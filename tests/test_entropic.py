@@ -98,6 +98,8 @@ class TestSinkhorn:
                 sinkhorn(mu, nu, SWAP_COST, eps=1.0, max_iter=cap)
         with pytest.raises(DomainError):
             sinkhorn(DiscreteMeasure([0.4, 0.4]), nu, SWAP_COST, eps=1.0)
+        with pytest.raises(DomainError, match="nu must have strictly positive weights"):
+            sinkhorn(mu, DiscreteMeasure([1.0, 0.0]), SWAP_COST, eps=1.0)
 
     @pytest.mark.parametrize("m, n, eps", [(3, 5, 0.5), (8, 8, 0.05), (12, 7, 0.1)])
     def test_matches_plan_per_sweep_loop(self, rng, m, n, eps):
@@ -279,6 +281,15 @@ class TestEotValue:
         sol = sinkhorn(mu, nu, cost, eps=0.2)
         transport, objective = eot_value(sol, cost)
         assert objective >= transport - 1e-12
+
+    def test_input_checks(self):
+        mu, nu = DiscreteMeasure([0.3, 0.7]), DiscreteMeasure([0.6, 0.4])
+        capped = sinkhorn(mu, nu, SWAP_COST, eps=0.5, tol=1e-15, max_iter=2)
+        with pytest.raises(DomainError, match="did not converge"):
+            eot_value(capped, SWAP_COST)
+        sol = sinkhorn(mu, nu, SWAP_COST, eps=0.5)
+        with pytest.raises(DomainError, match=r"cost shape \(1, 2\) does not match plan shape \(2, 2\)"):
+            eot_value(sol, CostMatrix([[0.0, 1.0]]))
 
 
 class TestUnbalanced:

@@ -1,5 +1,7 @@
 """Matching equilibrium, identification, moment matching, PPML, and SISTA."""
 
+import re
+
 import numpy as np
 import pytest
 from oracles import sista_loop
@@ -186,6 +188,16 @@ class TestMomentMatching:
         )
         with pytest.raises(NonIdentificationError):
             moment_matching(table, basis)
+
+    def test_trial_past_the_exp_guard_backtracks(self):
+        # from lam = 0 the model's flow is sqrt(1e-3 * 1e-3), a millionth of
+        # the observed one, and the first full Newton trials put exponents
+        # past EXP_CAP: change() reports inf and the step halves
+        table = MatchingTable(np.array([[1e3]]), np.array([1e-3]), np.array([1e-3]))
+        with np.errstate(over="raise"):
+            lam, _, _, info = moment_matching(table, ones_basis(1, 1), log=True)
+        assert info["report"].converged
+        assert lam[0] == pytest.approx(np.log(1e6), rel=1e-12)
 
     def test_last_objective_is_negated_loglik(self, rng):
         basis = SurplusBasis(rng.uniform(-1.0, 1.0, size=(4, 3, 2)))
@@ -451,6 +463,19 @@ class TestSistaNewton:
         assert info["report"].converged is True
         assert len(info["objectives"]) - 1 <= 20
 
+    def test_trial_past_the_exp_guard_backtracks(self):
+        # the basis cell starts at mass 1e-8 against 5e-5 observed, and the
+        # first full Newton trials put plan exponents past EXP_CAP: change()
+        # reports inf and the step halves
+        s = 1e-4
+        pi_hat = np.array([[0.5 * s, 1.0 - 1.5 * s], [0.5 * s, 0.5 * s]])
+        mu, nu = np.array([1.0 - s, s]), np.array([s, 1.0 - s])
+        basis = SurplusBasis(np.array([[[0.0], [0.0]], [[1.0], [0.0]]]))
+        with np.errstate(over="raise"):
+            _, info = sista(pi_hat, mu, nu, basis, eps=1.0, log=True)
+        assert info["report"].converged
+        assert info["plan"][1, 0] == pytest.approx(pi_hat[1, 0], rel=1e-9)
+
     def test_unequal_totals_rejected(self):
         # no balanced plan has these margins, and L falls without bound
         # along the gauge (f + c, g - c)
@@ -459,3 +484,74 @@ class TestSistaNewton:
         basis = SurplusBasis(np.array([[[0.0], [1.0]], [[1.0], [3.0]]]))
         with pytest.raises(InfeasibleError):
             sista(pi_hat, mu, nu, basis, eps=1.0)
+
+
+def _sista_args(**change):
+    args = {
+        "pi_hat": np.full((2, 2), 0.25),
+        "mu": np.array([0.5, 0.5]),
+        "nu": np.array([0.5, 0.5]),
+        "basis": SurplusBasis(np.eye(2)[:, :, None]),
+        "eps": 1.0,
+    }
+    return {**args, **change}
+
+
+FLAT = MatchingTable(np.ones((1, 1)), np.ones(1), np.ones(1))
+
+# the input checks no other test reaches on every run, each with the start
+# of its message
+REJECTED = {
+    "table shape": (
+        lambda: MatchingTable(np.ones((2, 2)), np.ones(2), np.ones(3)),
+        "flows must be 2 x 3, got (2, 2)",
+    ),
+    "table positivity": (
+        lambda: MatchingTable(np.ones((1, 1)), np.zeros(1), np.ones(1)),
+        "all flows and singles must be strictly positive",
+    ),
+    "params length": (
+        lambda: SurplusBasis(np.ones((1, 1, 2)), params=np.ones(3)),
+        "params must have length 2, got 3",
+    ),
+    "beta length": (lambda: ones_basis(1, 1).surplus(np.ones(2)), "beta must have length 1"),
+    "equilibrium surplus shape": (
+        lambda: cs_equilibrium(CostMatrix(np.zeros((2, 1))), np.ones(2), np.ones(2)),
+        "surplus shape (2, 1) does not match populations (2, 2)",
+    ),
+    "fit basis shape": (
+        lambda: moment_matching(FLAT, ones_basis(2, 1)),
+        "basis shape (2, 1) does not match table (1, 1)",
+    ),
+    "loglik basis shape": (
+        lambda: poisson_loglik((np.zeros(1), np.zeros(2), np.zeros(1)), FLAT, ones_basis(2, 1)),
+        "basis shape does not match the table",
+    ),
+    "loglik fees": (
+        lambda: poisson_loglik((np.zeros(1), np.zeros(2), np.zeros(1)), FLAT, ones_basis(1, 1)),
+        "fee vectors must match the table dimensions",
+    ),
+    "sista pi_hat sign": (
+        lambda: sista(**_sista_args(pi_hat=np.array([[0.5, 0.0], [0.0, 0.5]]))),
+        "pi_hat must be strictly positive",
+    ),
+    "sista marginal sign": (
+        lambda: sista(**_sista_args(mu=np.array([1.0, 0.0]))),
+        "marginals must be strictly positive",
+    ),
+    "sista pi_hat shape": (
+        lambda: sista(**_sista_args(pi_hat=np.full((2, 3), 1 / 6))),
+        "pi_hat shape (2, 3) does not match marginals (2, 2)",
+    ),
+    "sista basis shape": (
+        lambda: sista(**_sista_args(basis=ones_basis(3, 2))),
+        "basis shape does not match pi_hat",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_input_check(name):
+    build, message = REJECTED[name]
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        build()

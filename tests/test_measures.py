@@ -1,5 +1,7 @@
 """Core containers, quantile/CDF machinery, Halton points, SPD roots."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from otecon import (
     DiscreteMeasure,
     DomainError,
     GaussianMeasure,
+    HaltonSet,
     NotPSDError,
     Sample1D,
     empirical_cdf,
@@ -42,6 +45,11 @@ class TestDiscreteMeasure:
         assert m.total_mass == 3.0
         assert m.dim == 2
         assert m.size == 2
+
+    def test_flat_points_are_one_column(self):
+        m = DiscreteMeasure([1.0, 2.0], points=[0.0, 1.0])
+        assert m.points.tolist() == [[0.0], [1.0]]
+        assert m.dim == 1
 
 
 class TestSample1D:
@@ -140,8 +148,9 @@ class TestHalton:
         assert pts[1].tolist() == pytest.approx([0.25, 2 / 3])
 
     def test_three_dims(self):
-        pts = halton(1, 3).points
-        assert pts[0].tolist() == pytest.approx([0.5, 1 / 3, 0.2])
+        ref = halton(1, 3)
+        assert ref.points[0].tolist() == pytest.approx([0.5, 1 / 3, 0.2])
+        assert (ref.n, ref.dim) == (1, 3)
 
     def test_prefix_stable(self):
         small = halton(5, 2).points
@@ -261,3 +270,22 @@ class TestPsdBoundary:
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=4))
 def test_halton_deterministic(n, d):
     assert np.array_equal(halton(n, d).points, halton(n, d).points)
+
+
+# the input checks no other test reaches, each with the start of its message
+REJECTED = {
+    "sample not a vector": (lambda: Sample1D(np.zeros((2, 2))), "values must be 1-dimensional"),
+    "measure without atoms": (lambda: DiscreteMeasure([]), "a measure needs at least one atom"),
+    "dim without points": (lambda: DiscreteMeasure([1.0]).dim, "measure carries no atom locations"),
+    "cov shape": (lambda: GaussianMeasure([0.0, 0.0], np.eye(3)), "cov must be 2 x 2"),
+    "halton point on the cube": (lambda: HaltonSet([[0.0]]), "Halton points must lie"),
+    "no halton points": (lambda: halton(0, 1), "need n >= 1 points"),
+    "non-square root": (lambda: spd_sqrt(np.zeros((2, 3))), "matrix must be square"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_input_check(name):
+    build, message = REJECTED[name]
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        build()

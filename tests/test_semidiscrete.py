@@ -1,6 +1,7 @@
 """Laguerre cells over the unit cube, vector quantiles, and empirical ranks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from otecon import (
     DiscreteMeasure,
     DomainError,
     LaguerreDiagram,
+    RankAssignment,
     ResourceError,
     halton,
     laguerre_assign,
@@ -452,3 +454,48 @@ class TestVectorRank:
         se = np.sqrt(p * (1 - p) / reps)
         for perm, c in counts.items():
             assert abs(c / reps - p) <= 4 * se, (perm, c / reps)
+
+
+# the input checks no other test reaches on every run, each with the start
+# of its message
+REJECTED = {
+    "sites without locations": (
+        lambda: semidiscrete_solve(DiscreteMeasure([1.0]), d=1),
+        "measure carries no atom locations",
+    ),
+    "dimension 4": (
+        lambda: semidiscrete_solve(DiscreteMeasure([1.0], points=np.full((1, 4), 0.5)), d=4),
+        "dimension must be 1, 2 or 3, got 4",
+    ),
+    "site without mass": (
+        lambda: semidiscrete_solve(DiscreteMeasure([0.0, 1.0], points=[0.2, 0.8]), d=1),
+        "site masses must be strictly positive",
+    ),
+    "diagram sizes": (
+        lambda: LaguerreDiagram(np.zeros((2, 1)), np.zeros(3), np.full(2, 0.5)),
+        "sites, weights and target_masses must align",
+    ),
+    "query dimension": (
+        lambda: laguerre_assign(np.zeros((1, 2)), two_site_line(0.0)),
+        "points must have dimension 1",
+    ),
+    "quantile level dimension": (
+        lambda: vector_quantile(two_site_line(0.0), np.full(2, 0.5)),
+        "u must have dimension 1",
+    ),
+    "permutation length": (
+        lambda: RankAssignment(np.arange(2), halton(3, 1)),
+        "permutation length must match the reference set",
+    ),
+    "permutation not a bijection": (
+        lambda: RankAssignment(np.array([0, 0, 2]), halton(3, 1)),
+        "permutation must be a bijection on 0..n-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_input_check(name):
+    build, message = REJECTED[name]
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        build()
