@@ -33,7 +33,7 @@ _SUBMODULES = {
     "errors": (
         "DomainError", "ExpOverflowError", "InfeasibleError",
         "NonAssignmentError", "NonIdentificationError", "NotInvertibleError",
-        "NotPSDError", "OteconError", "ResourceError", "SolverStallError",
+        "NotPSDError", "OteconError", "ResourceError",
     ),
     "matching": (
         "MatchingTable", "SurplusBasis", "cs_equilibrium", "cs_identify",

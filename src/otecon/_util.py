@@ -12,7 +12,8 @@ EXP_CAP = 700.0
 
 # Largest number of entries one call may build from a size option: grid
 # points of the semidiscrete grid, projected values of the sliced distance,
-# cost entries (n^2) of a multivariate rank solve.
+# cost entries (n^2) of a multivariate rank solve, cells of a matching table
+# or a surplus basis read from its largest labels.
 GRID_LIMIT = 10_000_000
 
 # Largest number of grid points times sites of a semidiscrete solve.  Its

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import as_float_array, check_scalar, frozen
-from .errors import DomainError, SolverStallError
+from .errors import DomainError
 from .measures import (
     CostMatrix, DiscreteMeasure, Sample1D, empirical_cdf, empirical_quantile
 )
@@ -179,7 +179,8 @@ def binary_cost_ot(
     nu: DiscreteMeasure,
     rel: BinaryRelation,
     witness: bool = True,
-) -> tuple[float, frozenset | None]:
+    log: bool = False,
+) -> tuple:
     """Minimal coupled mass on a relation, with a certifying witness set.
 
     Computes min over couplings of the mass placed on pairs with
@@ -195,8 +196,18 @@ def binary_cost_ot(
     on a gamma = 1 edge, steps from a row to its gamma = 0 columns and
     from a column back to the rows sending it gamma = 0 mass.  Masses
     below ``WITNESS_TOL`` times the total mass count as zero.  There is no
-    row cap; each step is O(MN).  A solve that ends at its pivot cap raises
-    :class:`SolverStallError`, since the value has no report.
+    row cap; each step is O(MN).
+
+    Returns (value, witness), the witness None when not asked for.  With
+    ``log=True`` a third element, info, holds ``report``, the simplex's
+    plan, which is its :class:`~otecon.measures.SolveReport`, and, with a
+    witness, ``certified``: whether the witness's dual value
+    mu(A) - nu(A^Gamma) meets the value within ``CERT_TOL`` times the
+    total mass.  The 2-tuple stays the default because acceptance
+    criterion 7 unpacks it.  At the pivot cap the value is the last
+    basis's.  That basis is feasible, so the value is an upper bound on
+    the optimum, and the witness is its plan's residual-graph set, whose
+    dual value is a lower bound.
     """
     g = rel.gamma
     m_rows, n_cols = g.shape
@@ -207,10 +218,8 @@ def binary_cost_ot(
     from .discrete import solve_discrete_ot  # the other bounds need no solver
 
     plan, _, value = solve_discrete_ot(mu, nu, CostMatrix(g))
-    if not plan.converged:
-        raise SolverStallError(f"no optimum after {plan.iterations} pivots")
     if not witness:
-        return value, None
+        return (value, None, {"report": plan}) if log else (value, None)
     tol = WITNESS_TOL * mu.total_mass
     pi = plan.mass
     free = g == 0.0
@@ -221,7 +230,26 @@ def binary_cost_ot(
         cols = free[frontier].any(axis=0)
         frontier = back[:, cols].any(axis=1) & ~reached
         reached |= frontier
-    return value, frozenset(np.flatnonzero(reached).tolist())
+    rows = frozenset(np.flatnonzero(reached).tolist())
+    if not log:
+        return value, rows
+    certified = _witness_certified(value, rows, mu, nu, rel)
+    return value, rows, {"report": plan, "certified": certified}
+
+
+def _witness_certified(
+    value: float, rows: frozenset, mu: DiscreteMeasure, nu: DiscreteMeasure,
+    rel: BinaryRelation,
+) -> bool:
+    """Whether the rows A certify value: |value - (mu(A) - nu(A^Gamma))| is
+    within CERT_TOL times the total mass.  Every A's dual value is a lower
+    bound on the optimum, so a feasible value that meets one is optimal."""
+    from .discrete import CERT_TOL
+
+    a = sorted(rows)
+    reach = (rel.gamma[a] == 0.0).any(axis=0)
+    dual = mu.weights[a].sum() - nu.weights[reach].sum()
+    return bool(abs(value - dual) <= CERT_TOL * mu.total_mass)
 
 
 def dro_expectation_bound(

@@ -4,18 +4,18 @@ Every command writes a single JSON document with five fixed keys:
 ``command``, ``version``, ``config`` (the resolved options), ``result``
 (the payload) and ``diagnostics``.  An iterative command's diagnostics are
 its solver's :class:`SolveReport`, written by :func:`_diagnostics`; for
-``ot`` the network simplex's plan is the report, and ``converged`` also
-needs the optimality certificate.  Floats are serialized with 17 significant digits,
-so repeated runs of the same config are byte-identical and values
-round-trip exactly.
+``ot`` and ``binary-ot`` the network simplex's plan is the report, and
+``converged`` also needs a certificate: the optimality check for ``ot``,
+the witness's duality gap for ``binary-ot`` with a witness.  Floats are
+serialized with 17 significant digits, so repeated runs of the same config
+are byte-identical and values round-trip exactly.
 
 Exit codes: 0 success, 2 malformed input, 3 solver non-convergence or a
 failed certificate.  Exit 3 still writes the document, with
 ``converged: false``; an iterative command's ``result`` is its solver's
-last iterate, and that of ``ranks`` the assignment of the simplex's last
-basis.  ``result`` is empty only when no result exists: ``binary-ot`` at
-its solver's pivot cap and a basis that does not identify the fit's
-coefficients.
+last iterate, and that of ``ranks`` and ``binary-ot`` what the simplex's
+last basis gives.  ``result`` is empty only for a basis that does not
+identify the fit's coefficients.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
     ExpOverflowError,
     NonIdentificationError,
     ResourceError,
-    SolverStallError,
 )
 from .measures import CostMatrix, SolveReport, _marginal_gap
 
@@ -481,11 +480,17 @@ def _cmd_binary_ot(args):
     mu = read_measure_csv(args.mu)
     nu = read_measure_csv(args.nu)
     rel = BinaryRelation(read_matrix_csv(args.gamma))
-    value, witness_set = binary_cost_ot(mu, nu, rel, witness=args.witness == "yes")
-    return {
+    value, witness_set, info = binary_cost_ot(
+        mu, nu, rel, witness=args.witness == "yes", log=True
+    )
+    result = {
         "value": value,
         "witness": None if witness_set is None else sorted(witness_set),
     }
+    # with a witness, converged also needs its duality certificate, as for ot
+    diagnostics = _diagnostics(info["report"])
+    diagnostics["converged"] = info.get("certified", True) and diagnostics["converged"]
+    return result, diagnostics
 
 
 def _cmd_dro(args):
@@ -552,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         _bind(args.run)
         try:
             out = args.run(args)
-        except (SolverStallError, NonIdentificationError) as exc:
+        except NonIdentificationError as exc:
             # no iterate to report; exit 3 still writes the document
             print(f"otecon {args.command}: {exc}", file=sys.stderr)
             out = {}, {"converged": False}

@@ -29,7 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError
+from ._util import GRID_LIMIT
+from .errors import DomainError, ResourceError
 from .measures import DiscreteMeasure, GaussianMeasure, Sample1D
 
 
@@ -237,6 +238,16 @@ def read_gaussian_csv(path: str) -> GaussianMeasure:
         raise CsvError(f"{path}: {exc}") from None
 
 
+def _check_cells(path: str, *shape: int) -> None:
+    """Reject an array shape, read off the largest labels, of more than
+    GRID_LIMIT cells before it is allocated."""
+    if math.prod(shape) > GRID_LIMIT:
+        raise ResourceError(
+            f"{path}: labels need a {' x '.join(map(str, shape))} array, over"
+            f" the {GRID_LIMIT:,} cell limit"
+        )
+
+
 def _matching_rows(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
     """Labels and counts of a matching table, read row by row."""
     entries: dict[tuple[int, int], float] = {}
@@ -279,6 +290,7 @@ def read_matching_csv(path: str) -> MatchingTable:
     nx, ny = int(x.max()), int(y.max())
     if nx == 0 or ny == 0:
         raise CsvError(f"{path}: no matched pairs present")
+    _check_cells(path, nx, ny)
     flows = np.zeros((nx, ny))
     singles_x = np.zeros(nx)
     singles_y = np.zeros(ny)
@@ -287,8 +299,9 @@ def read_matching_csv(path: str) -> MatchingTable:
     singles_x[x[y == 0] - 1] = counts[y == 0]
     singles_y[y[x == 0] - 1] = counts[x == 0]
     for arr, what in ((flows, "pair"), (singles_x, "x-single"), (singles_y, "y-single")):
-        if np.any(arr <= 0):
-            idx = np.argwhere(arr <= 0)[0]
+        bad = arr <= 0
+        if bad.any():
+            idx = np.unravel_index(bad.argmax(), bad.shape)
             raise CsvError(
                 f"{path}: missing or nonpositive {what} count at index"
                 f" {tuple(int(i) + 1 for i in idx)}"
@@ -343,6 +356,8 @@ def read_basis_csv(path: str, shape: tuple[int, int] | None = None) -> np.ndarra
         records = _basis_rows(path, text, shape)
     (x, y, k), values = records
     nx, ny = shape if shape is not None else (int(x.max()), int(y.max()))
-    basis = np.zeros((nx, ny, int(k.max())))
+    nk = int(k.max())
+    _check_cells(path, nx, ny, nk)
+    basis = np.zeros((nx, ny, nk))
     basis[x - 1, y - 1, k - 1] = values
     return basis

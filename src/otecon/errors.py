@@ -1,20 +1,19 @@
 """Exception types shared across the library.
 
 Solvers distinguish bad inputs (:class:`DomainError` and subclasses) from
-runtime failures of the algorithm itself (stalls, resource limits,
-overflow guards).  Every iterative solver (the network simplex and
+runtime failures of the algorithm itself (non-identification, resource
+limits, overflow guards).  Every iterative solver (the network simplex and
 ``vector_rank`` on it, the scaling solvers, the semidiscrete Newton loop,
 the equilibrium and the two Newton fits, ``moment_matching`` and
 ``sista``) returns its last iterate with a
 :class:`~otecon.measures.SolveReport`, whose ``stop_reason`` is
 ``"max_iter"`` at the cap and ``"step_exhausted"`` when a line search
-finds no usable step.  Only ``binary_cost_ot``, whose result carries no
-report, raises :class:`SolverStallError` when its simplex solve ends at
-its cap.  The command line maps both ways to exit code 3 and still writes
-its JSON document, with ``converged: false`` and an empty ``result`` when
-the solver raised.
+finds no usable step; ``binary_cost_ot`` returns the simplex's report
+with ``log=True``.  The command line maps both to exit code 3 and still
+writes its JSON document, with ``converged: false``.
 :class:`NonIdentificationError` is raised only before a fit's first step,
-for a basis that does not identify the coefficients.
+for a basis that does not identify the coefficients; the command line
+then writes an empty ``result``.
 An iteration cap that is not an integer of at least 1, or a ``tol`` that
 is not finite and positive, is malformed input (:class:`DomainError`).
 """
@@ -46,10 +45,6 @@ class NonAssignmentError(OteconError):
 
 class ResourceError(OteconError):
     """A requested computation exceeds a hard size limit."""
-
-
-class SolverStallError(OteconError):
-    """An iterative solver made no progress before its iteration cap."""
 
 
 class NonIdentificationError(OteconError):

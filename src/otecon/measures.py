@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import PRIMES, as_float_array, frozen
+from ._util import PRIMES, as_float_array, check_count, frozen
 from .errors import DomainError, InfeasibleError, NotPSDError
 
 
@@ -260,10 +260,10 @@ def halton(n: int, d: int) -> HaltonSet:
     Indexing starts at 1, so the first point is (1/2, 1/3, 1/5, ...).  The
     sequence is deterministic: the first n points never change as n grows.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 points, got {n}")
-    if not 1 <= d <= len(PRIMES):
-        raise DomainError(f"dimension must be in [1, {len(PRIMES)}], got {d}")
+    check_count(n, "n", 1)
+    check_count(d, "d", 1)
+    if d > len(PRIMES):
+        raise DomainError(f"d must be at most {len(PRIMES)}, got {d}")
     pts = np.empty((n, d))
     for j, base in enumerate(PRIMES[:d]):
         # Van der Corput radical inverse of the indices 0..n by digit

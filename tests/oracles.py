@@ -564,6 +564,18 @@ class CsvLoopError(ValueError):
     """Malformed CSV input, as reported by the row-by-row readers."""
 
 
+class ResourceError(Exception):
+    """An array its labels ask for is over the readers' cell limit."""
+
+
+def _check_cells_loop(path, *shape):
+    if math.prod(shape) > 10_000_000:
+        raise ResourceError(
+            f"{path}: labels need a {' x '.join(str(size) for size in shape)} array,"
+            " over the 10,000,000 cell limit"
+        )
+
+
 def _float_loop(field, path, line):
     try:
         value = float(field)
@@ -657,6 +669,7 @@ def read_matching_loop(path):
     ny = max(y for _, y in entries)
     if nx == 0 or ny == 0:
         raise CsvLoopError(f"{path}: no matched pairs present")
+    _check_cells_loop(path, nx, ny)
     flows = np.zeros((nx, ny))
     singles_x = np.zeros(nx)
     singles_y = np.zeros(ny)
@@ -705,6 +718,7 @@ def read_basis_loop(path, shape=None):
     nk = max(k for _, _, k in entries)
     if shape is not None:
         nx, ny = shape
+    _check_cells_loop(path, nx, ny, nk)
     basis = np.zeros((nx, ny, nk))
     for (x, y, k), value in entries.items():
         basis[x - 1, y - 1, k - 1] = value

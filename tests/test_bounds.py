@@ -29,6 +29,7 @@ from otecon import (
     rearrangement_bounds,
     winners_lower_bound,
 )
+from otecon.bounds import _witness_certified
 
 
 def uniform_grid_sample(n):
@@ -322,6 +323,31 @@ class TestBinaryCostOt:
         assert value == pytest.approx(best, abs=1e-12)
         assert witness in maximizers
         assert witness == frozenset.intersection(*maximizers)
+
+    def test_log_adds_report_and_certificate(self, rng):
+        for _ in range(20):
+            m, n = rng.integers(2, 8, size=2)
+            mu = DiscreteMeasure(rng.uniform(0.1, 1.0, size=m))
+            nu = DiscreteMeasure(mu.total_mass * rng.dirichlet(np.ones(n)))
+            rel = BinaryRelation(rng.integers(0, 2, size=(m, n)))
+            value, witness, info = binary_cost_ot(mu, nu, rel, log=True)
+            assert (value, witness) == binary_cost_ot(mu, nu, rel)
+            assert info["report"].stop_reason == "tol"
+            assert info["certified"] is True
+            # the witness is the least maximizer, so no row of it is spare
+            for row in witness:
+                assert not _witness_certified(value, witness - {row}, mu, nu, rel)
+
+    def test_log_without_witness_has_no_certificate(self):
+        mu = DiscreteMeasure([0.6, 0.4])
+        nu = DiscreteMeasure([0.5, 0.5])
+        value, witness, info = binary_cost_ot(
+            mu, nu, BinaryRelation([[1, 0], [0, 0]]), witness=False, log=True
+        )
+        assert value == pytest.approx(0.1, abs=1e-12)
+        assert witness is None
+        assert list(info) == ["report"]
+        assert info["report"].converged
 
 
 class TestDro:

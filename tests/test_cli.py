@@ -25,8 +25,8 @@ from oracles import to_json_loop
 import otecon
 from otecon import (
     BinaryRelation,
+    CostMatrix,
     DomainError,
-    SolverStallError,
     __version__,
     binary_cost_ot,
     cli,
@@ -116,8 +116,8 @@ COMMANDS = {
 
 
 # the commands whose diagnostics are their solver's SolveReport
-REPORTING = {"ot", "sinkhorn", "uot", "semidiscrete", "ranks", "match-equilibrium",
-             "match-fit", "match-sista"}
+REPORTING = {"ot", "sinkhorn", "uot", "semidiscrete", "ranks", "binary-ot",
+             "match-equilibrium", "match-fit", "match-sista"}
 
 
 def resolve(argv):
@@ -431,20 +431,22 @@ class TestFailureModes:
             lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 1}),
         )
 
-    def test_callers_without_report_raise_at_cap(self, simplex_cap_1):
-        # both instances need more than one pivot: 2 and 7; vector_rank
-        # carries the report and returns the last basis's assignment
+    def test_simplex_callers_return_last_basis_at_cap(self, simplex_cap_1):
+        # both instances need more than one pivot: 2 and 7; each caller
+        # carries the simplex's report and returns what its last basis gives
         assignment = vector_rank(read_matrix_csv(data("points_a.csv")))
         assert sorted(assignment.permutation) == [0, 1, 2, 3]
         assert assignment.stop_reason == "max_iter"
         assert assignment.iterations == 1
+        mu, nu = read_measure_csv(data("mu_six.csv")), read_measure_csv(data("nu_six.csv"))
         gamma = (read_matrix_csv(data("cost_6x6.csv")) > 1.0).astype(float)
-        with pytest.raises(SolverStallError, match="after 1 pivots"):
-            binary_cost_ot(
-                read_measure_csv(data("mu_six.csv")),
-                read_measure_csv(data("nu_six.csv")),
-                BinaryRelation(gamma),
-            )
+        value, witness, info = binary_cost_ot(mu, nu, BinaryRelation(gamma), log=True)
+        # the last basis is feasible, so its value bounds the optimum from above
+        optimum = solve_discrete_ot(mu, nu, CostMatrix(gamma))[2]
+        assert value >= optimum
+        assert info["report"].stop_reason == "max_iter"
+        assert info["report"].iterations == 1
+        assert info["certified"] is False
 
     def test_ranks_at_cap_writes_last_assignment(self, simplex_cap_1, tmp_path, capsys):
         code, payload = run_cli(COMMANDS["ranks"], tmp_path)
@@ -460,8 +462,7 @@ class TestFailureModes:
         assert doc["diagnostics"]["iterations"] == 1
         assert capsys.readouterr().err == ""
 
-    def test_binary_ot_at_cap_writes_empty_result(self, simplex_cap_1, tmp_path, capsys):
-        # the value carries no report, so the cap has no result to write
+    def test_binary_ot_at_cap_writes_last_basis(self, simplex_cap_1, tmp_path, capsys):
         gamma = tmp_path / "gamma.csv"
         rows = (read_matrix_csv(data("cost_6x6.csv")) > 1.0).astype(int).tolist()
         gamma.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
@@ -472,9 +473,42 @@ class TestFailureModes:
         assert code == 3
         doc = json.loads(payload)
         VALIDATOR.validate(doc)
+        assert sorted(doc["result"]) == ["value", "witness"]
+        assert doc["result"]["value"] > 0.0
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "max_iter"
+        assert doc["diagnostics"]["iterations"] == 1
+        assert capsys.readouterr().err == ""
+
+    def test_binary_ot_failed_certificate_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(otecon.bounds, "_witness_certified", lambda *args: False)
+        code, payload = run_cli(COMMANDS["binary-ot"], tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert doc["result"] == {"value": pytest.approx(0.1, abs=1e-12), "witness": [0]}
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "tol"
+        # without a witness there is no certificate to fail
+        code, _ = run_cli(COMMANDS["binary-ot"] + ["--witness", "no"], tmp_path)
+        assert code == 0
+
+    @pytest.mark.parametrize("name", ["match-fit", "match-sista"])
+    def test_unidentified_basis_writes_empty_result(self, name, tmp_path, capsys):
+        # two equal basis columns: the coefficients are not identified
+        basis = tmp_path / "basis.csv"
+        basis.write_text("1,1,1,1\n1,1,2,1\n")
+        argv = [str(basis) if t.startswith("basis_") else t for t in COMMANDS[name]]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 3
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
         assert doc["result"] == {}
         assert doc["diagnostics"] == {"converged": False}
-        assert capsys.readouterr().err == "otecon binary-ot: no optimum after 1 pivots\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"otecon {name}: ")
+        assert err.endswith("coefficients are not identified\n")
+        assert err.count("\n") == 1
 
     def test_match_fit_cap_writes_last_iterate(self, tmp_path):
         code, payload = run_cli(self.CAPPED["match-fit"] + ["--max-iter", "1"], tmp_path)
@@ -719,6 +753,28 @@ class TestFailureModes:
         assert err == (
             "otecon semidiscrete: grid of 20000000^1 points exceeds the"
             " 10,000,000 limit\n"
+        )
+
+    def test_matching_labels_over_the_cell_limit_exit_2_at_once(self, tmp_path, capsys):
+        # three rows labelled up to 30 000 asked for a 7.2 GB flows array
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,1.0\n30000,0,2.0\n0,30000,3.0\n")
+        err = self.rejected_at_once(["match-identify", "--table", str(table)], tmp_path, capsys)
+        assert err == (
+            f"otecon match-identify: {table}: labels need a 30000 x 30000 array,"
+            " over the 10,000,000 cell limit\n"
+        )
+
+    def test_basis_index_over_the_cell_limit_exits_2_at_once(self, tmp_path, capsys):
+        # k = 1e9 on a 1 x 1 table asked for an 8 GB basis
+        basis = tmp_path / "basis.csv"
+        basis.write_text("1,1,1000000000,1.0\n")
+        err = self.rejected_at_once(
+            ["match-fit", "--table", "table_1x1.csv", "--basis", str(basis)], tmp_path, capsys
+        )
+        assert err == (
+            f"otecon match-fit: {basis}: labels need a 1 x 1 x 1000000000 array,"
+            " over the 10,000,000 cell limit\n"
         )
 
     def test_semidiscrete_sites_without_coordinates_exit_2(self, tmp_path, capsys):

@@ -113,6 +113,7 @@ MALFORMED = {
     "label_duplicate": "1,1,2\n1,1,3\n1,0,1\n0,1,1\n",
     "label_huge": "99999999999999999999,1,2\n1,0,1\n0,1,1\n",
     "label_underscore": "1,1,2\n1_0,0,1\n0,1,1\n",
+    "labels_past_the_cell_limit": "1,1,2\n30000,0,1\n0,30000,1\n",
     "single_missing": "1,1,2\n2,1,2\n1,0,1\n0,1,1\n",
     "no_pairs": "1,0,1\n0,1,1\n",
     "y_singles_only": "0,1,1\n0,2,1\n",
@@ -121,6 +122,7 @@ MALFORMED = {
     "basis_outside": "1,1,1,1\n3,1,1,2\n",
     "basis_duplicate": "1,1,1,1\n1,1,1,2\n",
     "basis_k_float": "1,1,1.5,1\n",
+    "basis_k_past_the_cell_limit": "1,1,1000000000,1\n",
     "basis_padded": " 1 , 2 ,1, 0.5\n2,3,2,-1\n",
     "basis_quoted": '"1",2,1,0.5\n2,3,2,-1\n',
 }

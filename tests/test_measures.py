@@ -279,7 +279,11 @@ REJECTED = {
     "dim without points": (lambda: DiscreteMeasure([1.0]).dim, "measure carries no atom locations"),
     "cov shape": (lambda: GaussianMeasure([0.0, 0.0], np.eye(3)), "cov must be 2 x 2"),
     "halton point on the cube": (lambda: HaltonSet([[0.0]]), "Halton points must lie"),
-    "no halton points": (lambda: halton(0, 1), "need n >= 1 points"),
+    "no halton points": (lambda: halton(0, 1), "n must be at least 1"),
+    "fractional halton count": (lambda: halton(2.5, 2), "n must be an integer"),
+    "bool halton count": (lambda: halton(True, 1), "n must be an integer"),
+    "float halton dimension": (lambda: halton(3, 2.0), "d must be an integer"),
+    "halton dimension past the primes": (lambda: halton(1, 21), "d must be at most 20"),
     "non-square root": (lambda: spd_sqrt(np.zeros((2, 3))), "matrix must be square"),
 }
 

@@ -20,12 +20,14 @@ from oracles import (
     wasserstein_log_space,
 )
 from otecon import (
+    BinaryRelation,
     CostMatrix,
     DiscreteMeasure,
     DualPotentials,
     GaussianMeasure,
     InfeasibleError,
     Sample1D,
+    binary_cost_ot,
     gaussian_ot_map,
     gaussian_w2,
     matrix_minimum,
@@ -35,6 +37,7 @@ from otecon import (
     verify_optimality,
     wasserstein_1d,
 )
+from otecon.bounds import _witness_certified
 
 SEEDS = st.integers(0, 2**32 - 1)
 EXPONENTS = st.integers(-12, 12)
@@ -143,6 +146,27 @@ def test_rearrangement_bounds_with_constant_y0(n, seed, a, b):
     mean = 3.3 * 10.0**a * y1.values.mean()
     assert iv.lower == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert iv.upper == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=SEEDS, k=EXPONENTS)
+# the extremes, where an absolute certificate tolerance of 1e-9 would
+# fail: at 1e12 the duality gap rounds to 2.3e-4, and at 1e-12 a value
+# 1e-6 of the mass off would pass
+@example(m=12, n=12, seed=0, k=12)
+@example(m=12, n=12, seed=0, k=-12)
+def test_binary_value_witness_and_certificate(m, n, seed, k):
+    rng = np.random.default_rng(seed)
+    mu, nu, _ = random_transport_instance(rng, m, n)
+    rel = BinaryRelation((rng.random((m, n)) < 0.8).astype(int))
+    unit_value, unit_witness = binary_cost_ot(mu, nu, rel)
+    scale = 10.0**k
+    mu, nu = DiscreteMeasure(scale * mu.weights), DiscreteMeasure(scale * nu.weights)
+    value, witness, info = binary_cost_ot(mu, nu, rel, log=True)
+    assert info["report"].converged and info["certified"]
+    assert value / scale == pytest.approx(unit_value, rel=1e-12, abs=1e-15)
+    assert witness == unit_witness
+    assert not _witness_certified(value + 1e-6 * scale, witness, mu, nu, rel)
 
 
 # Scaling the data by 10^k rounds each point once; the distances then
