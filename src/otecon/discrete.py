@@ -37,6 +37,7 @@ trusting the solver.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,9 @@ class TransportPlan(_NoSolve):
     contained in the basis (zero-mass basic edges are kept for degeneracy).
     The report is that of the pivots that reached the basis; a plan built
     by hand, or by :func:`matrix_minimum`, reads as converged at step 0.
+    :func:`matrix_minimum` and :func:`solve_discrete_ot` write ``mass``
+    from the basis edges alone, so in their plans every cell off
+    ``basis_edges`` holds exactly 0.0.
     """
 
     mass: np.ndarray
@@ -87,8 +91,9 @@ class TransportPlan(_NoSolve):
             )
         if not _is_spanning_tree(edges, rows, cols):
             raise DomainError("basis edges must form a spanning tree")
-        support = {(int(i), int(j)) for i, j in zip(*np.nonzero(m > tol))}
-        if not support <= edges:
+        off_basis = np.ones((rows, cols), dtype=bool)
+        off_basis[tuple(zip(*edges))] = False
+        if np.any(m[off_basis] > tol):
             raise DomainError("plan support must be contained in the basis")
         object.__setattr__(self, "mass", frozen(m))
         object.__setattr__(self, "basis_edges", edges)
@@ -157,52 +162,84 @@ def matrix_minimum(
     zero-mass edge from its first row to the cheapest column already in the
     tree.  A column still unreached, one with no row in its component,
     hangs from row 0.
+
+    The cells come from a heap with one (cost, row) entry per open row, at
+    the row's next cell, in the row's own stable cost order, whose column
+    was open when the entry was made; a row leaves the heap when it closes.
+    The heap order, (cost, row) and then the column order within the row,
+    is the stable row-major order of all the cells, so the plan is the one
+    a scan of every cell in that order makes, without the cells of closed
+    rows or those a row has passed.
     """
+    return _matrix_minimum(mu, nu, cost, cost.entries.tolist())
+
+
+def _matrix_minimum(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix, cl: list
+) -> TransportPlan:
+    """:func:`matrix_minimum` on cost, whose entries are given as the lists cl."""
     _check_cost_shape(cost, mu.size, nu.size)
     _check_balanced(mu, nu)
     c = cost.entries
     rows, cols = c.shape
-    # Nodes 0..M-1 are rows and M..M+N-1 columns, as in the solver.
-    left = mu.weights.tolist() + nu.weights.tolist()
-    is_open = [w > 0.0 for w in left]
-    open_rows, open_cols = sum(is_open[:rows]), sum(is_open[rows:])
-    label = list(range(rows + cols))  # union-find over the forest
-    mass = np.zeros((rows, cols))
-    edges = []
-    order_i, order_j = np.divmod(np.argsort(c, axis=None, kind="stable"), cols)
-    for i, j in zip(order_i.tolist(), order_j.tolist()):
-        col = rows + j
-        if not (is_open[i] and is_open[col]):
-            continue
-        step = min(left[i], left[col])
-        mass[i, j] = step
-        edges.append((i, j))
-        label[_find(label, i)] = _find(label, col)
-        left[i] -= step
-        left[col] -= step
-        if left[i] <= 0.0:
-            is_open[i] = False
-            open_rows -= 1
-        if left[col] <= 0.0:
-            is_open[col] = False
-            open_cols -= 1
-        if not (open_rows and open_cols):
-            break
-
-    root = np.array([_find(label, node) for node in range(rows + cols)])
-    in_tree = root == root[0]
-    if not in_tree[rows:].any():
-        # A zero-weight row 0 took no edge: hang it on its cheapest column.
-        j = int(c[0].argmin())
-        edges.append((0, j))
-        in_tree |= root == root[rows + j]
-    for i in range(1, rows):
-        if not in_tree[i]:
-            j = int(np.where(in_tree[rows:], c[i], np.inf).argmin())
+    supply, demand = mu.weights.tolist(), nu.weights.tolist()
+    col_open = [w > 0.0 for w in demand]
+    edges: list[tuple[int, int]] = []
+    masses: list[float] = []
+    order = np.argsort(c, axis=1, kind="stable").tolist()
+    at = [0] * rows  # position of each row's heap entry in its order
+    heap = [(cl[i][order[i][0]], i) for i in range(rows) if supply[i] > 0.0]
+    heapq.heapify(heap)
+    while heap:
+        i = heap[0][1]
+        row = order[i]
+        j = row[at[i]]
+        if col_open[j]:
+            step = min(supply[i], demand[j])
             edges.append((i, j))
-            in_tree |= root == root[i]
-    # Each column still out of the tree took no edge.
-    edges += [(0, j) for j in np.flatnonzero(~in_tree[rows:]).tolist()]
+            masses.append(step)
+            supply[i] -= step
+            demand[j] -= step
+            col_open[j] = demand[j] > 0.0
+            if supply[i] <= 0.0:
+                heapq.heappop(heap)
+                continue
+        # The row is open and column j closed: move on to its next open one.
+        # Only rounding dust left on the row once every column has closed
+        # runs off the end.
+        k = at[i] + 1
+        while k < cols and not col_open[row[k]]:
+            k += 1
+        if k == cols:
+            heapq.heappop(heap)
+        else:
+            at[i] = k
+            heapq.heapreplace(heap, (cl[i][row[k]], i))
+
+    # A forest with M + N - 1 edges spans every node already.
+    if len(edges) < rows + cols - 1:
+        # Nodes 0..M-1 are rows and M..M+N-1 columns, as in the solver.
+        label = list(range(rows + cols))  # union-find over the forest
+        for i, j in edges:
+            label[_find(label, i)] = _find(label, rows + j)
+        root = np.array([_find(label, node) for node in range(rows + cols)])
+        in_tree = root == root[0]
+        if not in_tree[rows:].any():
+            # A zero-weight row 0 took no edge: hang it on its cheapest column.
+            j = int(c[0].argmin())
+            edges.append((0, j))
+            in_tree |= root == root[rows + j]
+        for i in range(1, rows):
+            if not in_tree[i]:
+                j = int(np.where(in_tree[rows:], c[i], np.inf).argmin())
+                edges.append((i, j))
+                in_tree |= root == root[i]
+        # Each column still out of the tree took no edge.
+        edges += [(0, j) for j in np.flatnonzero(~in_tree[rows:]).tolist()]
+    # Every cell off the basis holds exactly 0.0, as do the joining edges.
+    mass = np.zeros((rows, cols))
+    ei, ej = zip(*edges)
+    mass[ei, ej] = masses + [0.0] * (len(edges) - len(masses))
     return TransportPlan(mass, frozenset(edges))
 
 
@@ -230,15 +267,16 @@ def solve_discrete_ot(
     has its row end as the child, so that some flow can move from every
     node to the root.  Cunningham's rule keeps that property, and a strongly
     feasible basis never repeats, so degenerate pivots cannot cycle.  The
-    start is :func:`matrix_minimum` on C - min C.  When all weights are
-    positive, each of its allocations is positive, and each zero-mass edge
-    that joins its forest hangs a component from that component's first
-    row, which is then the edge's child: the start is strongly feasible.  A
-    zero-weight atom makes that impossible: no tree rooted at row 0 is
-    strongly feasible, since a zero-weight column can send no flow toward
-    the root.  There the rule carries no guarantee, and
-    ``max_iter`` (default ``200 * M * N + 1000``, at least 1), a cap on the
-    pivots, is the safety net.
+    start is :func:`matrix_minimum` on C - min C, whose heap of open rows
+    yields the cells in the stable row-major cost order.  When all weights
+    are positive, each of its allocations is positive, and each zero-mass
+    edge that joins its forest hangs a component from that component's
+    first row, which is then the edge's child: the start is strongly
+    feasible.  A zero-weight atom makes that impossible: no tree rooted at
+    row 0 is strongly feasible, since a zero-weight column can send no flow
+    toward the root.  There the rule carries no guarantee, and ``max_iter``
+    (default ``200 * M * N + 1000``, at least 1), a cap on the pivots, is
+    the safety net.
 
     The plan is the solve's :class:`~otecon.measures.SolveReport`.  At
     every basis the loop records its dual violation, ``max(0, -min
@@ -253,20 +291,21 @@ def solve_discrete_ot(
     M..M+N-1 columns), with parent and depth arrays and an adjacency
     updated in place.  After each pivot only the subtree cut off by the
     leaving edge is re-hung under the entering edge, and only its
-    potentials are recomputed, each from its tree parent.
+    potentials are recomputed, each from its tree parent and written into
+    the array that prices the next pivot.  The mass of the leaving edge is
+    the least on the cycle, so it drops to exactly 0.0, and every cell off
+    the basis holds 0.0: the plan's array is written from the basis edges.
     """
     low = cost.entries.min()
     shifted = CostMatrix(cost.entries - low)
-    start = matrix_minimum(mu, nu, shifted)
     c = shifted.entries
+    cl = c.tolist()  # row i's edge costs; column j's are cl[i][j] over i
+    start = _matrix_minimum(mu, nu, shifted, cl)
     rows, cols = c.shape
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
     check_count(max_iter, "max_iter", 1)
     tol = PIVOT_TOL * c.max()
-    # The costs of node k's edges: row i's over the columns, then column j's
-    # over the rows at node M + j.
-    cl = c.tolist() + c.T.tolist()
     mass = start.mass.tolist()
     n_nodes = rows + cols
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -276,28 +315,32 @@ def solve_discrete_ot(
     parent = [-1] * n_nodes
     depth = [0] * n_nodes
     pot = [0.0] * n_nodes  # phi for rows, then psi for columns
-
-    def edge(node: int) -> tuple[int, int]:
-        """Basis edge from a non-root node to its parent, as (row, col)."""
-        up = parent[node]
-        return (node, up - rows) if node < rows else (up, node - rows)
+    p = np.zeros(n_nodes)  # pot again, as the array that prices
+    phi, psi = p[:rows, None], p[None, rows:]
 
     def descend(top: int) -> None:
         """Reset parent, depth and potential below top from top's own."""
-        stack = [top]
-        while stack:
-            node = stack.pop()
+        below = [top]  # the loop reaches each node appended to it
+        for node in below:
             up = parent[node]
             d = depth[node] + 1
             base = pot[node]
-            costs = cl[node]
-            first = rows if node < rows else 0  # node number of costs[0]
-            for nxt in adj[node]:
-                if nxt != up:
-                    parent[nxt] = node
-                    depth[nxt] = d
-                    pot[nxt] = costs[nxt - first] - base
-                    stack.append(nxt)
+            if node < rows:
+                costs = cl[node]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = p[nxt] = costs[nxt - rows] - base
+                        below.append(nxt)
+            else:
+                j = node - rows
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = p[nxt] = cl[nxt][j] - base
+                        below.append(nxt)
 
     descend(0)
     # One buffer for the reduced costs: a fresh large array each pivot
@@ -305,22 +348,23 @@ def solve_discrete_ot(
     reduced = np.empty_like(c)
     history: list[float] = []
     for pivots in range(max_iter + 1):
-        p = np.array(pot)
         # Dantzig's rule: the most negative reduced cost enters (argmin
         # breaks ties row-major).
-        np.subtract(c, p[:rows, None], out=reduced)
-        np.subtract(reduced, p[None, rows:], out=reduced)
+        np.subtract(c, phi, out=reduced)
+        np.subtract(reduced, psi, out=reduced)
         flat = int(reduced.argmin())
         violation = max(0.0, -float(reduced.flat[flat]))
         history.append(violation)
         if violation <= tol or pivots == max_iter:
             break
-        enter = divmod(flat, cols)
+        i, j = divmod(flat, cols)
 
         # Climb from both ends to their common ancestor.  The cycle runs
-        # enter, then the tree path from the column end to the row end; an
-        # edge on it loses mass when that walk crosses it column to row.
-        a, b = rows + enter[1], enter[0]
+        # the entering edge, then the tree path from the column end to the
+        # row end.  Both halves alternate column and row nodes, so the
+        # edge to a node's parent loses mass at the columns of col_side
+        # and at the rows of row_side, its even positions.
+        a, b = rows + j, i
         col_side: list[int] = []
         row_side: list[int] = []
         while depth[a] > depth[b]:
@@ -334,26 +378,29 @@ def solve_discrete_ot(
             a = parent[a]
             row_side.append(b)
             b = parent[b]
-        # (edge, child node, loses mass) for each tree edge on the cycle, in
-        # reverse of the walk that starts at the apex along the entering
-        # edge's direction: down to the row end, across enter, up from the
-        # column end.  Cunningham's rule takes the last blocking edge of
-        # that walk, so the first one in this list.
-        cycle = [(edge(x), x, x >= rows) for x in reversed(col_side)]
-        cycle += [(edge(x), x, x < rows) for x in row_side]
-        theta = min(mass[i][j] for (i, j), _, loses in cycle if loses)
-        leave, cut = next(
-            (e, x) for e, x, loses in cycle if loses and mass[e[0]][e[1]] <= theta
-        )
+        # Cunningham's rule: the last losing edge with the least mass met
+        # on the walk from the apex along the entering edge's direction,
+        # down to the row end, across, up from the column end; so the first
+        # met from the apex down the column side, then up the row side.
+        theta = float("inf")
+        for x in reversed(col_side[::2]):
+            if mass[parent[x]][x - rows] < theta:
+                theta, cut = mass[parent[x]][x - rows], x
+        cut_on_col_side = True
+        for x in row_side[::2]:
+            if mass[x][parent[x] - rows] < theta:
+                theta, cut, cut_on_col_side = mass[x][parent[x] - rows], x, False
 
-        i, j = enter
+        # The leaving edge carried theta, so it drops to exactly 0.0.
         mass[i][j] += theta
-        for (ei, ej), _, loses in cycle:
-            if loses:
-                mass[ei][ej] -= theta
-            else:
-                mass[ei][ej] += theta
-        mass[leave[0]][leave[1]] = 0.0
+        for x in col_side[::2]:
+            mass[parent[x]][x - rows] -= theta
+        for x in col_side[1::2]:
+            mass[x][parent[x] - rows] += theta
+        for x in row_side[::2]:
+            mass[x][parent[x] - rows] -= theta
+        for x in row_side[1::2]:
+            mass[parent[x]][x - rows] += theta
 
         up = parent[cut]
         adj[cut].remove(up)
@@ -361,14 +408,19 @@ def solve_discrete_ot(
         adj[i].append(rows + j)
         adj[rows + j].append(i)
         # Re-hang the cut-off subtree from the entering edge's end inside it.
-        top, up = (rows + j, i) if cut in col_side else (i, rows + j)
+        top, up = (rows + j, i) if cut_on_col_side else (i, rows + j)
         parent[top] = up
         depth[top] = depth[up] + 1
-        pot[top] = cl[i][j] - pot[up]
+        pot[top] = p[top] = cl[i][j] - pot[up]
         descend(top)
+    # The tree edges, each from a node other than the root to its parent.
+    ei = list(range(1, rows)) + parent[rows:]
+    ej = [up - rows for up in parent[1:rows]] + list(range(cols))
+    final = np.zeros((rows, cols))  # every cell off the basis holds 0.0
+    final[ei, ej] = [mass[i][j] for i, j in zip(ei, ej)]
     plan = TransportPlan(
-        np.array(mass),
-        frozenset(edge(node) for node in range(1, n_nodes)),
+        final,
+        frozenset(zip(ei, ej)),
         iterations=pivots,
         stop_reason="tol" if violation <= tol else "max_iter",
         residual=violation,

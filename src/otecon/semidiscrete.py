@@ -121,14 +121,25 @@ def laguerre_assign(x: np.ndarray, diagram: LaguerreDiagram) -> np.ndarray:
     return int(idx[0]) if single else idx
 
 
-def _midpoint_grid(d: int, res: int) -> np.ndarray:
+def _grid_sq_dists(d: int, res: int, sites: np.ndarray) -> np.ndarray:
+    """Squared distances from the midpoint grid of res cells per axis to sites.
+
+    Row r is the grid point whose axis indices are the base-res digits of
+    r, first axis most significant.  Each axis gives a res x sites table of
+    squared coordinate gaps, and the tables are added by broadcasting in
+    axis order: the additions of :func:`_sq_dists` on the grid points, in
+    its order, without forming the grid or recomputing a gap per point.
+    """
     if res**d > GRID_LIMIT:
         raise ResourceError(
             f"grid of {res}^{d} points exceeds the {GRID_LIMIT:,} limit"
         )
     axis = (np.arange(res) + 0.5) / res
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    d2 = (axis[:, None] - sites[None, :, 0]) ** 2
+    for k in range(1, d):
+        gap = (axis[:, None] - sites[None, :, k]) ** 2
+        d2 = (d2[:, None, :] + gap[None, :, :]).reshape(-1, sites.shape[0])
+    return d2
 
 
 def _score(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> tuple:
@@ -220,8 +231,7 @@ def semidiscrete_solve(
             f" {SCORE_LIMIT:,} score limit"
         )
     sites = nu.points
-    grid = _midpoint_grid(d, grid_res)
-    d2 = _sq_dists(grid, sites)
+    d2 = _grid_sq_dists(d, grid_res, sites)
     band = 4.0 / grid_res * np.sqrt(_sq_dists(sites, sites))
     # (1 - s) |y - c|^2 makes the Laguerre cells the Voronoi cells of the
     # points c + s (y - c), which lie in the cube, so a site far outside it

@@ -3,7 +3,9 @@
 Nothing here shares code with the package: the transport LP goes through
 scipy's HiGHS, the vertex oracle enumerates spanning-tree basic solutions
 directly, the tree-potential oracle propagates duals over a basis from
-scratch, and the robust-expectation oracle solves the primal ball program
+scratch, the matrix-minimum scan visits every cell in one flat sorted
+order, as the package did before it kept a heap of open rows, and the
+robust-expectation oracle solves the primal ball program
 as an explicit LP.  The loop references at the end walk the quantile grids,
 rank candidates and Halton digits one element at a time, as the package
 did before those paths became array operations; the winners formula
@@ -208,6 +210,62 @@ def tree_potentials(edges, cost):
         assert len(left) < len(pending), "edges do not span from row 0"
         pending = left
     return np.array(phi), np.array(psi)
+
+
+def matrix_minimum_scan(w_mu, w_nu, cost):
+    """Matrix-minimum start by a scan of every cell; returns (mass, edges).
+
+    Walks all M * N cells in one stable argsort of the cost (ties
+    row-major), giving each cell whose row and column are both open the
+    smaller remainder, until every row or every column has closed.  The
+    forest is joined as the package joins it: rows in index order hang
+    each component not yet reached from its first row on the cheapest
+    column already in the tree, and unreached columns hang from row 0.
+    """
+    cost = np.asarray(cost, dtype=float)
+    rows, cols = cost.shape
+    left = [float(w) for w in w_mu] + [float(w) for w in w_nu]
+    is_open = [w > 0.0 for w in left]
+    open_rows, open_cols = sum(is_open[:rows]), sum(is_open[rows:])
+    label = list(range(rows + cols))
+
+    def find(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    mass = np.zeros((rows, cols))
+    edges = set()
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, cols)
+        if not (is_open[i] and is_open[rows + j]):
+            continue
+        step = min(left[i], left[rows + j])
+        mass[i, j] = step
+        edges.add((i, j))
+        label[find(i)] = find(rows + j)
+        left[i] -= step
+        left[rows + j] -= step
+        for node in (i, rows + j):
+            if left[node] <= 0.0:
+                is_open[node] = False
+                open_rows -= node < rows
+                open_cols -= node >= rows
+        if not (open_rows and open_cols):
+            break
+    root = np.array([find(node) for node in range(rows + cols)])
+    in_tree = root == root[0]
+    if not in_tree[rows:].any():
+        j = int(cost[0].argmin())
+        edges.add((0, j))
+        in_tree |= root == root[rows + j]
+    for i in range(1, rows):
+        if not in_tree[i]:
+            j = int(np.where(in_tree[rows:], cost[i], np.inf).argmin())
+            edges.add((i, j))
+            in_tree |= root == root[i]
+    edges |= {(0, j) for j in np.flatnonzero(~in_tree[rows:]).tolist()}
+    return mass, edges
 
 
 def merged_segments_loop(m, n):
@@ -485,6 +543,13 @@ def sista_loop(pi_hat, mu, nu, basis, eps, l1=0.0, beta=None, tol=1e-12,
     return beta, plan, it, False
 
 
+def midpoint_grid(d, res):
+    """Centres of the res^d cells of the unit cube, the last axis fastest."""
+    axis = (np.arange(res) + 0.5) / res
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def laguerre_two_pass_loop(sites, q, grid_res, tol=1e-3, max_iter=2000):
     """Semidual gradient ascent that counts cell masses and objective apart.
 
@@ -494,11 +559,7 @@ def laguerre_two_pass_loop(sites, q, grid_res, tol=1e-3, max_iter=2000):
     decrease, and stops below tol or when 47 halvings fail.  Returns
     (psi with its last entry 0, iterations, objectives, converged).
     """
-    d = sites.shape[1]
-    axis = (np.arange(grid_res) + 0.5) / grid_res
-    grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1
-    )
+    grid = midpoint_grid(sites.shape[1], grid_res)
     d2 = np.sum((grid[:, None, :] - sites[None, :, :]) ** 2, axis=2)
 
     def masses(psi):
@@ -536,11 +597,7 @@ def laguerre_two_pass_loop(sites, q, grid_res, tol=1e-3, max_iter=2000):
 
 
 def _laguerre_grid_scores(sites, weights, grid_res):
-    d = sites.shape[1]
-    axis = (np.arange(grid_res) + 0.5) / grid_res
-    grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1
-    )
+    grid = midpoint_grid(sites.shape[1], grid_res)
     return np.sum((grid[:, None, :] - sites[None, :, :]) ** 2, axis=2) - weights
 
 

@@ -9,6 +9,7 @@ from conftest import random_transport_instance
 from oracles import (
     binary_dual_maximum,
     lp_transport_value,
+    matrix_minimum_scan,
     tree_potentials,
     vertex_minimum_value,
 )
@@ -119,6 +120,42 @@ class TestMatrixMinimum:
             assert value == pytest.approx(
                 lp_transport_value(mu.weights, nu.weights, cost.entries), abs=1e-12
             )
+
+    @staticmethod
+    def scan_instances(rng):
+        """Non-square shapes with random, tied integer and 0/1 costs, under
+        positive weights and under weights with zero rows and columns."""
+        for _ in range(40):
+            m, n = (int(k) for k in rng.integers(1, 14, size=2))
+            costs = (
+                rng.random((m, n)),
+                rng.integers(0, 4, size=(m, n)).astype(float),
+                (rng.random((m, n)) < 0.5).astype(float),
+            )
+            a = rng.integers(0, 4, size=m).astype(float)
+            b = rng.integers(0, 4, size=n).astype(float)
+            a[rng.integers(m)] += 1.0
+            b[rng.integers(n)] += 1.0
+            zeros = measures(a / a.sum(), b / b.sum())
+            for mu, nu in (random_transport_instance(rng, m, n)[:2], zeros):
+                for cost in costs:
+                    yield mu, nu, cost
+
+    def test_matches_cell_scan(self, rng):
+        # the heap of open rows visits the cells in the scan's order, so the
+        # two starts agree to the byte; the rounding dust case ends with a
+        # row still open after every column closed
+        cases = list(self.scan_instances(rng))
+        dust = DiscreteMeasure(np.full(10, 0.1)), DiscreteMeasure([0.3, 0.3, 0.4])
+        cases += [(*dust, rng.random((10, 3))) for _ in range(5)]
+        zero_rows = sum(np.any(mu.weights == 0.0) for mu, _, _ in cases)
+        zero_cols = sum(np.any(nu.weights == 0.0) for _, nu, _ in cases)
+        assert zero_rows > 20 and zero_cols > 20
+        for mu, nu, cost in cases:
+            plan = matrix_minimum(mu, nu, CostMatrix(cost))
+            mass, edges = matrix_minimum_scan(mu.weights, nu.weights, cost)
+            assert plan.mass.tobytes() == mass.tobytes()
+            assert plan.basis_edges == edges
 
 
 class TestSolve:
@@ -419,6 +456,21 @@ class TestSolveReport:
         plan = solve_discrete_ot(mu, nu, cost, max_iter=3)[0]
         assert (plan.stop_reason, plan.iterations) == ("tol", 3)
         assert solve_discrete_ot(mu, nu, cost, max_iter=2)[0].stop_reason == "max_iter"
+
+    def test_mass_zero_off_basis(self, rng):
+        # the final plan is written from the basis edges alone: every cell
+        # off them holds exactly 0.0, at tol and at a cap of 1, 2 or 3
+        stops = set()
+        for _ in range(20):
+            m, n = rng.integers(3, 12, size=2)
+            mu, nu, cost = random_transport_instance(rng, m, n, rational=True)
+            for cap in (None, 1, 2, 3):
+                plan = solve_discrete_ot(mu, nu, cost, max_iter=cap)[0]
+                off_basis = np.ones(plan.shape, dtype=bool)
+                off_basis[tuple(zip(*plan.basis_edges))] = False
+                assert np.all(plan.mass[off_basis] == 0.0)
+                stops.add((cap, plan.stop_reason))
+        assert {(None, "tol"), (1, "max_iter"), (2, "max_iter"), (3, "max_iter")} <= stops
 
     def test_plan_built_without_pivots_reads_converged(self, rng):
         mu, nu, cost = random_transport_instance(rng, 4, 5)

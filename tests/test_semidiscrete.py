@@ -11,6 +11,7 @@ from oracles import (
     laguerre_grid_masses,
     laguerre_grid_semidual,
     laguerre_two_pass_loop,
+    midpoint_grid,
 )
 from scipy.optimize import linear_sum_assignment
 
@@ -29,7 +30,7 @@ from otecon import (
     vector_rank,
 )
 from otecon.discrete import extract_assignment
-from otecon.semidiscrete import _band_laplacian, _midpoint_grid, _score, _sq_dists
+from otecon.semidiscrete import _band_laplacian, _grid_sq_dists, _score, _sq_dists
 
 
 SAMPLE_KINDS = {
@@ -256,20 +257,27 @@ class TestTwoPassParity:
 class TestNewton:
     def test_sq_dists_bit_identical_to_broadcast_sum(self, rng):
         for d in (1, 2, 3):
-            grid = _midpoint_grid(d, {1: 512, 2: 96, 3: 20}[d])
+            grid = midpoint_grid(d, {1: 512, 2: 96, 3: 20}[d])
             sites = rng.uniform(0, 1, (16, d))
             sample = rng.standard_normal((40, d)) * 1e3
             for a, b in ((grid, sites), (sample, halton(40, d).points)):
                 broadcast = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
                 assert _sq_dists(a, b).tobytes() == broadcast.tobytes()
 
+    def test_grid_sq_dists_bit_identical_to_grid_points(self, rng):
+        # the per-axis tables add the same gaps in the same order as
+        # _sq_dists on the grid points, rows in the grid's point order
+        for d, res in ((1, 512), (1, 7), (2, 96), (2, 5), (3, 20), (3, 4)):
+            for sites in (rng.uniform(0, 1, (16, d)), rng.normal(0.5, 2.0, (3, d))):
+                expected = _sq_dists(midpoint_grid(d, res), sites)
+                assert _grid_sq_dists(d, res, sites).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("res", [64, 512, 4096])
     def test_band_laplacian_two_sites_on_a_line(self, res):
         # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
         sites = np.array([[0.2], [0.7]])
         psi = np.array([0.013, 0.0])
-        grid = _midpoint_grid(1, res)
-        _, _, idx, runner, gap = _score(_sq_dists(grid, sites), psi, np.full(2, 0.5))
+        _, _, idx, runner, gap = _score(_grid_sq_dists(1, res, sites), psi, np.full(2, 0.5))
         band = 4.0 / res * np.sqrt(_sq_dists(sites, sites))
         lap = _band_laplacian(idx, runner, gap, band)
         weight = 1.0 / (2.0 * 0.5)
