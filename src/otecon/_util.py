@@ -33,7 +33,7 @@ def as_float_array(x, name: str, ndim: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise DomainError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must contain only finite values")
     return arr
 

@@ -11,13 +11,17 @@ matrix-minimum plan, which reads C and so leaves fewer pivots than a start
 that ignores it: cells are filled greedily by increasing cost, and the
 components of that forest are joined into a tree by zero-mass edges, each
 from a component's first row to the cheapest column already in the tree.
-Rooted at row 0, every zero-mass edge then has its row as the child, so
-with positive weights the start is strongly feasible.  Dual potentials are
-propagated along the tree, the edge with the most negative reduced cost
-enters the basis (Dantzig's rule), mass shifts around the unique cycle it
-creates, and a binding edge leaves, chosen by Cunningham's rule (1976, "A
-network simplex method"), which keeps the tree strongly feasible and so
-cannot cycle under any entering rule.  Adding a constant to C changes no
+Taken in row order, each join adds one component, so when row i's turn
+comes the tree holds exactly the components whose first row is below i:
+the rows that join are the first rows of their components, and all their
+columns are chosen by one masked argmin.  Rooted at row 0, every
+zero-mass edge then has its row as the child, so with positive weights the
+start is strongly feasible.  Dual potentials are propagated along the tree,
+the edge with the most negative reduced cost enters the basis (Dantzig's
+rule), mass shifts around the unique cycle it creates, and a binding edge
+leaves, chosen by Cunningham's rule (1976, "A network simplex method"),
+which keeps the tree strongly feasible and so cannot cycle under any
+entering rule.  Adding a constant to C changes no
 optimal plan, so the pivots run on C - min C, and the pivot and certificate
 tolerances are relative constants times the cost range max C - min C: the
 same rule holds for costs of 1e-12, of 1e12 and at an offset of 1e10.  The
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_count, frozen
+from ._util import as_float_array, check_count, frozen
 from .errors import DomainError, NonAssignmentError
 from .measures import (
     CostMatrix, DiscreteMeasure, _check_balanced, _check_cost_shape, _marginal_gap,
@@ -77,23 +81,16 @@ class TransportPlan(_NoSolve):
     basis_edges: frozenset = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mass, dtype=float)
+        m = as_float_array(self.mass, "mass")
         if m.ndim != 2:
             raise DomainError(f"mass must be a matrix, got shape {m.shape}")
         tol = CERT_TOL * m.sum()
-        if np.any(m < -tol):
+        if (m < -tol).any():
             raise DomainError("mass entries must be nonnegative")
         rows, cols = m.shape
         edges = frozenset((int(i), int(j)) for i, j in self.basis_edges)
-        if len(edges) != rows + cols - 1:
-            raise DomainError(
-                f"basis must have {rows + cols - 1} edges, got {len(edges)}"
-            )
-        if not _is_spanning_tree(edges, rows, cols):
-            raise DomainError("basis edges must form a spanning tree")
-        off_basis = np.ones((rows, cols), dtype=bool)
-        off_basis[tuple(zip(*edges))] = False
-        if np.any(m[off_basis] > tol):
+        _check_basis(edges, rows, cols)
+        if any(divmod(k, cols) not in edges for k in np.flatnonzero(m > tol).tolist()):
             raise DomainError("plan support must be contained in the basis")
         object.__setattr__(self, "mass", frozen(m))
         object.__setattr__(self, "basis_edges", edges)
@@ -130,6 +127,14 @@ def _find(label: list[int], a: int) -> int:
         label[a] = label[label[a]]
         a = label[a]
     return a
+
+
+def _check_basis(edges, rows: int, cols: int) -> None:
+    """Reject basis edges that are not M + N - 1 edges of a spanning tree."""
+    if len(edges) != rows + cols - 1:
+        raise DomainError(f"basis must have {rows + cols - 1} edges, got {len(edges)}")
+    if not _is_spanning_tree(edges, rows, cols):
+        raise DomainError("basis edges must form a spanning tree")
 
 
 def _is_spanning_tree(edges, rows: int, cols: int) -> bool:
@@ -170,17 +175,34 @@ def matrix_minimum(
     is the stable row-major order of all the cells, so the plan is the one
     a scan of every cell in that order makes, without the cells of closed
     rows or those a row has passed.
+
+    The join is computed at once, not row by row.  If a zero-weight row 0
+    took no edge, it first hangs on its cheapest column, and its component
+    becomes that column's.  From then on, when row i's turn comes the tree
+    holds exactly the components whose first row is below i: row 0's, and
+    those of the earlier rows that joined.  So row i joins if and only if
+    it is the first row of its component, and the columns in the tree are
+    those whose component's first row is below i.  One masked argmin over
+    the joining rows picks each one's column, with the ties the sequential
+    join breaks, and the columns whose component has no row are the ones
+    left unreached.
     """
-    return _matrix_minimum(mu, nu, cost, cost.entries.tolist())
+    rows, cols = cost.shape
+    edges, masses = _matrix_minimum(mu, nu, cost.entries, cost.entries.tolist())
+    # Every cell off the basis holds exactly 0.0, as do the joining edges.
+    mass = np.zeros((rows, cols))
+    ei, ej = zip(*edges)
+    mass[ei, ej] = masses
+    return TransportPlan(mass, frozenset(edges))
 
 
 def _matrix_minimum(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix, cl: list
-) -> TransportPlan:
-    """:func:`matrix_minimum` on cost, whose entries are given as the lists cl."""
-    _check_cost_shape(cost, mu.size, nu.size)
+    mu: DiscreteMeasure, nu: DiscreteMeasure, c: np.ndarray, cl: list
+) -> tuple[list[tuple[int, int]], list[float]]:
+    """:func:`matrix_minimum`'s basis edges and their masses, on the cost
+    array c whose entries are given as the lists cl."""
+    _check_cost_shape(c, mu.size, nu.size)
     _check_balanced(mu, nu)
-    c = cost.entries
     rows, cols = c.shape
     supply, demand = mu.weights.tolist(), nu.weights.tolist()
     col_open = [w > 0.0 for w in demand]
@@ -222,25 +244,25 @@ def _matrix_minimum(
         label = list(range(rows + cols))  # union-find over the forest
         for i, j in edges:
             label[_find(label, i)] = _find(label, rows + j)
-        root = np.array([_find(label, node) for node in range(rows + cols)])
-        in_tree = root == root[0]
-        if not in_tree[rows:].any():
-            # A zero-weight row 0 took no edge: hang it on its cheapest column.
+        # Each union roots at a column, so row 0 is its own root only when,
+        # of zero weight, it took no edge: hang it on its cheapest column.
+        if _find(label, 0) == 0:
             j = int(c[0].argmin())
             edges.append((0, j))
-            in_tree |= root == root[rows + j]
-        for i in range(1, rows):
-            if not in_tree[i]:
-                j = int(np.where(in_tree[rows:], c[i], np.inf).argmin())
-                edges.append((i, j))
-                in_tree |= root == root[i]
+            label[0] = _find(label, rows + j)
+        root = [_find(label, node) for node in range(rows + cols)]
+        first: dict[int, int] = {}  # each component's first row
+        for i in range(rows):
+            first.setdefault(root[i], i)
+        joining = [i for i in range(1, rows) if first[root[i]] == i]
+        # rows stands for the first row of a component that has none.
+        col_first = np.array([first.get(r, rows) for r in root[rows:]])
+        in_tree = col_first < np.array(joining)[:, None]
+        picks = np.where(in_tree, c[joining], np.inf).argmin(axis=1)
+        edges += zip(joining, picks.tolist())
         # Each column still out of the tree took no edge.
-        edges += [(0, j) for j in np.flatnonzero(~in_tree[rows:]).tolist()]
-    # Every cell off the basis holds exactly 0.0, as do the joining edges.
-    mass = np.zeros((rows, cols))
-    ei, ej = zip(*edges)
-    mass[ei, ej] = masses + [0.0] * (len(edges) - len(masses))
-    return TransportPlan(mass, frozenset(edges))
+        edges += [(0, j) for j in np.flatnonzero(col_first == rows).tolist()]
+    return edges, masses + [0.0] * (len(edges) - len(masses))
 
 
 def solve_discrete_ot(
@@ -267,16 +289,19 @@ def solve_discrete_ot(
     has its row end as the child, so that some flow can move from every
     node to the root.  Cunningham's rule keeps that property, and a strongly
     feasible basis never repeats, so degenerate pivots cannot cycle.  The
-    start is :func:`matrix_minimum` on C - min C, whose heap of open rows
-    yields the cells in the stable row-major cost order.  When all weights
-    are positive, each of its allocations is positive, and each zero-mass
-    edge that joins its forest hangs a component from that component's
-    first row, which is then the edge's child: the start is strongly
-    feasible.  A zero-weight atom makes that impossible: no tree rooted at
-    row 0 is strongly feasible, since a zero-weight column can send no flow
-    toward the root.  There the rule carries no guarantee, and ``max_iter``
-    (default ``200 * M * N + 1000``, at least 1), a cap on the pivots, is
-    the safety net.
+    start is :func:`matrix_minimum`'s basis edges and masses on C - min C,
+    taken as lists without a plan object: the edges are checked to be
+    M + N - 1 edges of a spanning tree, and the masses, each the smaller of
+    two positive remainders or a joining 0.0, need no check.  Its heap of
+    open rows yields the cells in the stable row-major cost order.  When
+    all weights are positive, each of its allocations is positive, and each
+    zero-mass edge that joins its forest hangs a component from that
+    component's first row, which is then the edge's child: the start is
+    strongly feasible.  A zero-weight atom makes that impossible: no tree
+    rooted at row 0 is strongly feasible, since a zero-weight column can
+    send no flow toward the root.  There the rule carries no guarantee,
+    and ``max_iter`` (default ``200 * M * N + 1000``, at least 1), a cap
+    on the pivots, is the safety net.
 
     The plan is the solve's :class:`~otecon.measures.SolveReport`.  At
     every basis the loop records its dual violation, ``max(0, -min
@@ -297,19 +322,23 @@ def solve_discrete_ot(
     the basis holds 0.0: the plan's array is written from the basis edges.
     """
     low = cost.entries.min()
-    shifted = CostMatrix(cost.entries - low)
-    c = shifted.entries
+    c = cost.entries - low
+    span = c.max()
+    if span == np.inf:
+        raise DomainError("cost entries must contain only finite values")
     cl = c.tolist()  # row i's edge costs; column j's are cl[i][j] over i
-    start = _matrix_minimum(mu, nu, shifted, cl)
+    edges, masses = _matrix_minimum(mu, nu, c, cl)
     rows, cols = c.shape
+    _check_basis(edges, rows, cols)
     if max_iter is None:
         max_iter = 200 * rows * cols + 1000
     check_count(max_iter, "max_iter", 1)
-    tol = PIVOT_TOL * c.max()
-    mass = start.mass.tolist()
+    tol = PIVOT_TOL * span
+    mass = [[0.0] * cols for _ in range(rows)]
     n_nodes = rows + cols
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i, j in start.basis_edges:
+    for (i, j), w in zip(edges, masses):
+        mass[i][j] = w
         adj[i].append(rows + j)
         adj[rows + j].append(i)
     parent = [-1] * n_nodes
@@ -391,16 +420,18 @@ def solve_discrete_ot(
             if mass[x][parent[x] - rows] < theta:
                 theta, cut, cut_on_col_side = mass[x][parent[x] - rows], x, False
 
-        # The leaving edge carried theta, so it drops to exactly 0.0.
-        mass[i][j] += theta
-        for x in col_side[::2]:
-            mass[parent[x]][x - rows] -= theta
-        for x in col_side[1::2]:
-            mass[x][parent[x] - rows] += theta
-        for x in row_side[::2]:
-            mass[x][parent[x] - rows] -= theta
-        for x in row_side[1::2]:
-            mass[parent[x]][x - rows] += theta
+        # The leaving edge carried theta, so it drops to exactly 0.0.  A
+        # degenerate pivot (theta 0.0) would add and subtract only 0.0.
+        if theta > 0.0:
+            mass[i][j] += theta
+            for x in col_side[::2]:
+                mass[parent[x]][x - rows] -= theta
+            for x in col_side[1::2]:
+                mass[x][parent[x] - rows] += theta
+            for x in row_side[::2]:
+                mass[x][parent[x] - rows] -= theta
+            for x in row_side[1::2]:
+                mass[parent[x]][x - rows] += theta
 
         up = parent[cut]
         adj[cut].remove(up)
@@ -458,7 +489,8 @@ def verify_optimality(
     phi, psi = potentials.phi, potentials.psi
     if phi.size != c.shape[0] or psi.size != c.shape[1]:
         raise DomainError("potential lengths do not match cost shape")
-    if plan.marginal_residual(mu, nu) > CERT_TOL * max(mu.total_mass, nu.total_mass):
+    gap = plan.marginal_residual(mu, nu)
+    if not gap <= CERT_TOL * max(mu.total_mass, nu.total_mass):  # nan fails too
         return False
     low = c.min()
     ulp = np.finfo(float).eps * np.abs(c).max()

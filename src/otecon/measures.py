@@ -70,7 +70,7 @@ class DiscreteMeasure:
         w = as_float_array(self.weights, "weights", ndim=1)
         if w.size == 0:
             raise DomainError("a measure needs at least one atom")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise DomainError("weights must be nonnegative")
         object.__setattr__(self, "weights", frozen(w))
         if self.points is not None:
@@ -106,8 +106,9 @@ def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         )
 
 
-def _check_cost_shape(cost: CostMatrix, rows: int, cols: int) -> None:
-    """Reject a cost matrix that is not rows x cols, the sizes of two marginals."""
+def _check_cost_shape(cost: CostMatrix | np.ndarray, rows: int, cols: int) -> None:
+    """Reject a cost matrix, or an array of its entries, that is not rows x
+    cols, the sizes of two marginals."""
     if cost.shape != (rows, cols):
         raise DomainError(
             f"cost shape {cost.shape} does not match measures ({rows}, {cols})"
@@ -167,7 +168,7 @@ class Sample1D:
         v = as_float_array(self.values, "values", ndim=1)
         if v.size == 0:
             raise DomainError("a sample needs at least one observation")
-        if np.any(np.diff(v) < 0):
+        if (np.diff(v) < 0).any():
             raise DomainError("values must be nondecreasing; use from_data to sort")
         object.__setattr__(self, "values", frozen(v))
 
@@ -209,7 +210,7 @@ class HaltonSet:
 
     def __post_init__(self) -> None:
         p = as_float_array(self.points, "points", ndim=2)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if (p <= 0.0).any() or (p >= 1.0).any():
             raise DomainError("Halton points must lie in the open unit cube")
         object.__setattr__(self, "points", frozen(p))
 

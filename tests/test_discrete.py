@@ -22,6 +22,7 @@ from otecon import (
     NonAssignmentError,
     TransportPlan,
     extract_assignment,
+    halton,
     matrix_minimum,
     solve_discrete_ot,
     verify_optimality,
@@ -63,6 +64,49 @@ class TestMatrixMinimum:
         plan = matrix_minimum(*measures(third, third), cost)
         assert np.array_equal(plan.mass, np.diag(third))
         assert plan.basis_edges == {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1)}
+
+    def test_join_through_an_earlier_join(self):
+        # the greedy pass leaves three components: {r0, c0}, {r1, c1, r3,
+        # c2} and {r2, c3}.  Row 1 joins on column 0; row 3, not its
+        # component's first row, does not join; row 2 joins on column 2,
+        # which only row 3 touches, so it entered the tree with row 1
+        cost = CostMatrix(
+            [[0.0, 9.0, 9.0, 9.0], [5.0, 0.0, 9.0, 9.0], [7.0, 6.0, 5.0, 0.0],
+             [2.0, 1.0, 1.0, 9.0]]
+        )
+        mu, nu = measures([1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 1.0, 1.0])
+        plan = matrix_minimum(mu, nu, cost)
+        forest = {(0, 0), (1, 1), (2, 3), (3, 1), (3, 2)}
+        assert plan.basis_edges == forest | {(1, 0), (2, 2)}
+        assert plan.mass.tolist() == [
+            [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0, 0.0],
+        ]
+        mass, edges = matrix_minimum_scan(mu.weights, nu.weights, cost.entries)
+        assert plan.basis_edges == edges and plan.mass.tobytes() == mass.tobytes()
+
+    def test_join_from_zero_weight_row_0(self):
+        # row 0 takes no edge and hangs on its cheapest column, 1, whose
+        # component has row 2; of the other components, {r1, c0} joins on
+        # column 1, {r3, c2} on column 0, reached by row 1's join, and the
+        # zero-weight column 3, with no row, hangs from row 0
+        cost = CostMatrix(
+            [[5.0, 1.0, 3.0, 2.0], [0.0, 8.0, 8.0, 8.0], [8.0, 0.0, 8.0, 8.0],
+             [4.0, 6.0, 0.0, 8.0]]
+        )
+        mu, nu = measures([0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0])
+        plan = matrix_minimum(mu, nu, cost)
+        forest = {(1, 0), (2, 1), (3, 2)}
+        assert plan.basis_edges == forest | {(0, 1), (1, 1), (3, 0), (0, 3)}
+        mass, edges = matrix_minimum_scan(mu.weights, nu.weights, cost.entries)
+        assert plan.basis_edges == edges and plan.mass.tobytes() == mass.tobytes()
+
+    def test_join_without_joining_rows(self):
+        # a single row leaves no row to join: the zero-weight column 1,
+        # with no row in its component, hangs from row 0
+        plan = matrix_minimum(*measures([1.0], [0.5, 0.0, 0.5]), CostMatrix([[0.0, 1.0, 2.0]]))
+        assert plan.basis_edges == {(0, 0), (0, 2), (0, 1)}
+        assert plan.mass.tolist() == [[0.5, 0.0, 0.5]]
 
     def test_mass_mismatch(self):
         with pytest.raises(InfeasibleError):
@@ -148,6 +192,15 @@ class TestMatrixMinimum:
         cases = list(self.scan_instances(rng))
         dust = DiscreteMeasure(np.full(10, 0.1)), DiscreteMeasure([0.3, 0.3, 0.4])
         cases += [(*dust, rng.random((10, 3))) for _ in range(5)]
+        # uniform squares, where most rows join: random costs and the
+        # squared distances of a rank solve to the Halton points
+        for n in (30, 60):
+            uniform = DiscreteMeasure(np.full(n, 1.0 / n))
+            ref = halton(n, 2).points
+            for _ in range(3):
+                x = rng.random((n, 2))
+                ranks = ((x[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+                cases += [(uniform, uniform, rng.random((n, n))), (uniform, uniform, ranks)]
         zero_rows = sum(np.any(mu.weights == 0.0) for mu, _, _ in cases)
         zero_cols = sum(np.any(nu.weights == 0.0) for _, nu, _ in cases)
         assert zero_rows > 20 and zero_cols > 20
@@ -243,6 +296,27 @@ class TestSolve:
         mu, nu = measures([1.0], [1.0])
         with pytest.raises(DomainError):
             solve_discrete_ot(mu, nu, CostMatrix([[np.inf]]))
+
+    def test_cost_range_overflow_rejected(self):
+        # finite entries whose range max C - min C overflows to inf
+        mu, nu = measures([1.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="finite"), np.errstate(over="ignore"):
+            solve_discrete_ot(mu, nu, CostMatrix([[1e308, -1e308]]))
+
+    def test_one_plan_per_solve(self, rng, monkeypatch):
+        # the start's edges and masses go to the pivots without a plan of
+        # their own: only the returned plan is built and validated
+        built = []
+        check = TransportPlan.__post_init__
+
+        def counted(plan):
+            built.append(plan)
+            check(plan)
+
+        monkeypatch.setattr(TransportPlan, "__post_init__", counted)
+        mu, nu, cost = random_transport_instance(rng, 6, 5)
+        plan = solve_discrete_ot(mu, nu, cost)[0]
+        assert built == [plan]
 
     @pytest.mark.parametrize("cap", [0, 2.5, True])
     def test_bad_cap_rejected(self, cap):
@@ -517,6 +591,14 @@ class TestVerify:
         off = TransportPlan(np.diag([0.5 * scale, (0.5 + 1e-6) * scale]), edges)
         assert not verify_optimality(off, pots, half, half, cost)
 
+    def test_nan_mass_has_no_certificate(self, rng):
+        # a nan residual fails the marginal test: every other comparison
+        # with nan is False, so the slack tests alone would pass the plan
+        mu, nu, cost = random_transport_instance(rng, 3, 4)
+        plan, pots, _ = solve_discrete_ot(mu, nu, cost)
+        object.__setattr__(plan, "mass", np.full(plan.shape, np.nan))
+        assert not verify_optimality(plan, pots, mu, nu, cost)
+
     def test_shape_mismatch(self):
         plan = TransportPlan(np.array([[1.0]]), frozenset({(0, 0)}))
         pots = DualPotentials([0.0], [0.0])
@@ -585,3 +667,28 @@ class TestTransportPlanInvariants:
     def test_invalid_plan_rejected(self, mass, edges, message):
         with pytest.raises(DomainError, match=message):
             TransportPlan(np.array(mass), frozenset(edges))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        edges = frozenset({(0, 0), (1, 1), (0, 1)})
+        with pytest.raises(DomainError, match="mass must contain only finite values"):
+            TransportPlan(np.full((2, 2), bad), edges)
+
+    def test_off_basis_mass_up_to_tol(self):
+        # a 2 x 3 plan may carry up to CERT_TOL times its total mass on a
+        # cell off the basis, and no more
+        edges = frozenset({(0, 0), (0, 1), (1, 1), (1, 2)})
+        mass = np.array([[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]])
+        for _ in range(3):  # settle the tolerance, which counts the cell too
+            mass[0, 2] = CERT_TOL * mass.sum()
+        assert mass[0, 2] == CERT_TOL * mass.sum()
+        assert TransportPlan(mass, edges).mass[0, 2] == mass[0, 2]
+        mass[0, 2] *= 1.0 + 1e-6
+        with pytest.raises(DomainError, match="plan support must be contained"):
+            TransportPlan(mass, edges)
+
+    def test_numpy_integer_edges_normalized(self):
+        edges = {(np.int64(i), np.intp(j)) for i, j in [(0, 0), (1, 1), (0, 1)]}
+        plan = TransportPlan(np.diag([0.5, 0.5]), frozenset(edges))
+        assert plan.basis_edges == {(0, 0), (1, 1), (0, 1)}
+        assert all(type(i) is int and type(j) is int for i, j in plan.basis_edges)
