@@ -450,15 +450,21 @@ def unbalanced_loop(w_mu, w_nu, c, eps, lam_mu, lam_nu, tol=1e-9, max_iter=10000
     return plan, it, False
 
 
-def lse_scaling_loop(w_mu, w_nu, c, eps, lam=None, tol=1e-9, max_iter=10000):
+def lse_scaling_loop(w_mu, w_nu, c, eps, lam=None, tol=1e-9, max_iter=10000,
+                     omega=1.0, start=0, stop=None):
     """Damped log-domain Sinkhorn with a translation step; ``lam=None`` is balanced.
 
     Every half-sweep is a full log-sum-exp over the cost matrix, and the
     stop residual is read off the next row half-sweep: for the balanced
     problem the largest marginal violation, for the unbalanced one (lam_mu
     + eps) / eps times the change d = phi - phi_next plus one spacing of the
-    potentials, and |t| for the columns.  Returns (plan, phi, psi,
-    iterations, errors, converged), the balanced potentials with phi[0] == 0.
+    potentials, and |t| for the columns.  From sweep start + 1 to sweep stop
+    (to the end when stop is None), each half-sweep is over-relaxed: the new
+    potential is (1 - omega) times the old one plus omega times the update.  The residuals then read the
+    unrelaxed row update, and the unbalanced column residual adds (lam_nu +
+    eps) / eps times the largest distance of psi from its update.  Returns
+    (plan, phi, psi, iterations, errors, converged), the balanced potentials
+    with phi[0] == 0.
     """
     log_mu, log_nu = np.log(w_mu), np.log(w_nu)
     damp_mu = damp_nu = 1.0
@@ -472,11 +478,19 @@ def lse_scaling_loop(w_mu, w_nu, c, eps, lam=None, tol=1e-9, max_iter=10000):
         return _lse(log_nu[None, :] + (psi[None, :] - c) / eps, axis=1)
 
     phi_next = -eps * damp_mu * row_lse(np.zeros(len(w_nu)))
+    psi = np.zeros(len(w_nu))
     errors = []
     for it in range(1, max_iter + 1):
+        w = omega if start < it and (stop is None or it <= stop) else 1.0
         phi = phi_next
         lse_col = _lse(log_mu[:, None] + (phi[:, None] - c) / eps, axis=0)
-        psi = -eps * damp_nu * lse_col
+        psi_update = -eps * damp_nu * lse_col
+        lag = 0.0
+        if w == 1.0:
+            psi = psi_update
+        else:
+            psi = (1.0 - w) * psi + w * psi_update
+            lag = np.max(np.abs(psi - psi_update))
         if lam is not None:
             t = shift * (
                 np.logaddexp.reduce(log_mu - phi / lam_mu)
@@ -486,13 +500,17 @@ def lse_scaling_loop(w_mu, w_nu, c, eps, lam=None, tol=1e-9, max_iter=10000):
             psi = psi - t
         phi_next = -eps * damp_mu * row_lse(psi)
         d = phi - phi_next
+        if w != 1.0:
+            phi_next = (1.0 - w) * phi + w * phi_next
         if lam is None:
             row_error = np.max(np.abs(w_mu * np.expm1(d / eps)))
             col_error = np.max(np.abs(w_nu * np.expm1(psi / eps + lse_col)))
         else:
             ulp_phi = np.spacing(np.max(np.abs(phi)))
             row_error = (lam_mu + eps) / eps * (np.max(np.abs(d)) + ulp_phi)
-            col_error = abs(t) + (lam_nu + eps) / eps * np.spacing(np.max(np.abs(psi)))
+            col_error = abs(t) + (lam_nu + eps) / eps * (
+                lag + np.spacing(np.max(np.abs(psi)))
+            )
         errors.append(float(max(row_error, col_error)))
         if errors[-1] < tol:
             break

@@ -15,12 +15,32 @@ from otecon import (
     solve_discrete_ot,
     unbalanced_sinkhorn,
 )
+from otecon import entropic
 
 SWAP_COST = CostMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 
 def coin():
     return DiscreteMeasure([0.5, 0.5]), DiscreteMeasure([0.5, 0.5])
+
+
+@pytest.fixture
+def plain_sweeps(monkeypatch):
+    """Plain sweeps only: no measured rate calls for an omega of at most 1."""
+    monkeypatch.setattr(entropic, "OMEGA_CAP", 1.0)
+
+
+def relaxation(history):
+    """(sweep after which relaxation began, its omega), or None, by the
+    documented rule, replayed on a solve's residual history."""
+    for it in range(entropic.WARMUP, len(history)):
+        theta = (history[it - 1] / history[it - 1 - entropic.WINDOW]) ** (
+            1.0 / entropic.WINDOW
+        )
+        omega = 2.0 / (1.0 + max(1.0 - theta, 0.0) ** 0.5)
+        if omega <= entropic.OMEGA_CAP:
+            return it, omega
+    return None
 
 
 def first_order_residual(sol, w_mu, w_nu, lam_mu, lam_nu):
@@ -49,6 +69,7 @@ class TestSinkhorn:
         lp_plan, _, _ = solve_discrete_ot(mu, nu, SWAP_COST)
         assert np.allclose(sol.plan, lp_plan.mass, atol=1e-4)
 
+    @pytest.mark.usefixtures("plain_sweeps")
     def test_residual_history_nonincreasing(self, rng):
         for _ in range(5):
             mu, nu, cost = random_transport_instance(rng, 4, 4)
@@ -101,6 +122,7 @@ class TestSinkhorn:
         with pytest.raises(DomainError, match="nu must have strictly positive weights"):
             sinkhorn(mu, DiscreteMeasure([1.0, 0.0]), SWAP_COST, eps=1.0)
 
+    @pytest.mark.usefixtures("plain_sweeps")
     @pytest.mark.parametrize("m, n, eps", [(3, 5, 0.5), (8, 8, 0.05), (12, 7, 0.1)])
     def test_matches_plan_per_sweep_loop(self, rng, m, n, eps):
         for _ in range(3):
@@ -126,6 +148,7 @@ class TestSinkhorn:
             assert np.allclose(capped.phi, phi, rtol=0.0, atol=1e-12)
             assert np.allclose(capped.psi, psi, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.usefixtures("plain_sweeps")
     def test_underflowing_start_kernel_column(self):
         # the start kernel's column 2 is exp(-800) = 0, so the first column
         # half-sweep has to run in the log domain
@@ -172,8 +195,12 @@ class TestLseLoopParity:
     (lam + eps) / eps times a change in the potentials that the log-sum-exp
     loop resolves to a few spacings of them; where the residual reaches tol
     within that resolution, rounding decides the sweep it crosses.
+
+    The tests that run past the warm-up pin the plain sweeps; the relaxed
+    ones are compared in TestOverRelaxation.
     """
 
+    @pytest.mark.usefixtures("plain_sweeps")
     @pytest.mark.parametrize("eps", [0.5, 0.05, 0.01, 0.003, 0.001])
     @pytest.mark.parametrize("lam", [None, 1e-2, 1.0, 5.0, 1e2, 1e6])
     def test_matches_lse_loop(self, lam, eps):
@@ -229,6 +256,7 @@ class TestLseLoopParity:
         for ours, oracle in ((sol.phi, phi), (sol.psi, psi)):
             assert np.max(np.abs(ours - oracle)) <= 8 * np.spacing(np.abs(oracle).max())
 
+    @pytest.mark.usefixtures("plain_sweeps")
     @pytest.mark.parametrize("eps", [0.01, 0.001])
     @pytest.mark.parametrize("lam", [1.0, 5.0])
     def test_unequal_masses_match_lse_loop(self, lam, eps):
@@ -398,3 +426,141 @@ class TestUnbalanced:
             # would hide a first-order residual of about 1e-3 in the plan
             residual = first_order_residual(sol, w_mu, w_nu, lam, lam)
             assert residual < tol * (1 + 1e-6)
+
+
+def parity_instance(masses=1.0):
+    rng = np.random.default_rng(3)
+    w_mu, w_nu = rng.random(5) + 0.1, rng.random(6) + 0.1
+    return w_mu / w_mu.sum(), masses * w_nu / w_nu.sum(), rng.random((5, 6))
+
+
+def solve(w_mu, w_nu, cost, eps, lam, **kw):
+    mu, nu, c = DiscreteMeasure(w_mu), DiscreteMeasure(w_nu), CostMatrix(cost)
+    if lam is None:
+        return sinkhorn(mu, nu, c, eps=eps, **kw)
+    return unbalanced_sinkhorn(mu, nu, c, eps=eps, lam_mu=lam[0], lam_nu=lam[1], **kw)
+
+
+class TestOverRelaxation:
+    """Relaxed sweeps against the relaxed log-sum-exp loop and the plain path.
+
+    The relaxed loops run the same updates at the same omega from the same
+    sweep, which the test replays from the solver's history; tolerances are
+    those of TestLseLoopParity.
+    """
+
+    @pytest.mark.parametrize(
+        "lam, eps, masses",
+        [(lam, eps, 1.0) for lam in (None, 1.0, 5.0, 1e2) for eps in (0.05, 0.01, 0.003, 0.001)]
+        + [(1e-2, 0.003, 1.0), (1e-2, 0.001, 1.0), (1.0, 0.01, 1.5), (5.0, 0.001, 1.5)],
+    )
+    def test_matches_relaxed_lse_loop(self, lam, eps, masses):
+        w_mu, w_nu, cost = parity_instance(masses)
+        tol, cap = 1e-9, 3000
+        pair = None if lam is None else (lam, lam)
+        sol = solve(w_mu, w_nu, cost, eps, pair, tol=tol, max_iter=cap)
+        start, omega = relaxation(sol.history)
+        assert max(sol.history[start:]) <= entropic.REVERT * sol.history[start - 1]
+        plan, phi, _, iterations, errors, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, eps, pair, tol, cap, omega=omega, start=start
+        )
+        assert np.max(np.abs(sol.plan - plan)) <= 1e-12 * plan.max()
+        assert sol.converged == converged
+        if lam is None:
+            resolution = 1e-15 * max(1.0, cost.max() / eps)
+        else:
+            resolution = 8 * (lam + eps) / eps * np.spacing(max(np.abs(phi).max(), cost.max()))
+        assert abs(sol.history[-1] - errors[-1]) <= resolution
+        if converged:
+            assert sol.iterations == iterations
+
+    @pytest.mark.parametrize("lam, eps", [((0.5, 0.5), 0.2), ((0.2, 1.0), 0.05)])
+    def test_underflowing_scalings_match_relaxed_lse_loop(self, lam, eps):
+        # the row and column scalings of TestLseLoopParity's instance underflow
+        # at every sweep; at these lam and eps the solve runs past the
+        # warm-up, so both log-domain half-sweeps are relaxed too, and at
+        # lam_nu = 1 the column residual decides the last sweeps
+        cost = np.array([[1000.0, 2000.0], [3000.0, 500.0]])
+        w_mu, w_nu = np.array([0.6, 0.4]), np.array([0.5, 0.5])
+        sol = solve(w_mu, w_nu, cost, eps, lam)
+        start, omega = relaxation(sol.history)
+        _, phi, psi, iterations, errors, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, eps, lam, omega=omega, start=start
+        )
+        assert sol.converged and converged
+        assert start < sol.iterations == iterations
+        for ours, oracle in ((sol.phi, phi), (sol.psi, psi)):
+            assert np.max(np.abs(ours - oracle)) <= 8 * np.spacing(np.abs(oracle).max())
+        resolution = 8 * (max(lam) + eps) / eps * np.spacing(cost.max())
+        assert np.allclose(sol.history, errors, rtol=1e-12, atol=resolution)
+
+    @pytest.mark.parametrize(
+        "lam, eps, masses",
+        [(None, eps, 1.0) for eps in (0.05, 0.01, 0.003, 0.001)]
+        + [(lam, eps, masses)
+           for lam, eps in ((1e-2, 0.003), (1e-2, 0.001), (1.0, 0.01), (1.0, 0.003),
+                            (5.0, 0.01), (5.0, 0.003), (1e2, 0.01), (1e2, 0.003))
+           for masses in (1.0, 1.5)],
+    )
+    def test_agrees_with_plain_within_tol(self, monkeypatch, lam, eps, masses):
+        # For two plans of Gibbs form, J = sum (pi_a - pi_b) log(pi_a / pi_b)
+        # = (<dphi, drow> + <dpsi, dcol>) / eps, drow and dcol the differences
+        # of their marginals.  Balanced, each marginal lies within tol of its
+        # target.  Unbalanced, row = a exp(e / lam) with |e| < tol and
+        # a = mu exp(-phi / lam) decreasing in phi, so <dphi, drow> is at most
+        # sum |dphi| (a_a + a_b) (exp(tol / lam) - 1), and likewise for psi.
+        w_mu, w_nu, cost = parity_instance(masses)
+        tol = 1e-9
+        pair = None if lam is None else (lam, lam)
+        relaxed = solve(w_mu, w_nu, cost, eps, pair, tol=tol)
+        monkeypatch.setattr(entropic, "OMEGA_CAP", 1.0)
+        plain = solve(w_mu, w_nu, cost, eps, pair, tol=tol)
+        assert relaxed.converged and plain.converged
+        assert relaxed.iterations < plain.iterations
+        dphi, dpsi = np.abs(relaxed.phi - plain.phi), np.abs(relaxed.psi - plain.psi)
+        log_ratio = ((relaxed.phi - plain.phi)[:, None] + (relaxed.psi - plain.psi)[None, :]) / eps
+        jeffreys = np.sum((relaxed.plan - plain.plan) * log_ratio)
+        if lam is None:
+            bound = 2 * tol * (dphi.sum() + dpsi.sum()) / eps
+        else:
+            a = w_mu * (np.exp(-relaxed.phi / lam) + np.exp(-plain.phi / lam))
+            b = w_nu * (np.exp(-relaxed.psi / lam) + np.exp(-plain.psi / lam))
+            bound = np.expm1(tol / lam) * (dphi @ a + dpsi @ b) / eps
+        assert 0.0 < jeffreys <= bound
+
+    @pytest.mark.parametrize("lam", [None, 1e-2, 1.0, 5.0, 1e2, 1e6])
+    def test_inside_warmup_is_plain(self, monkeypatch, lam):
+        # the parity instance at eps 0.5 converges in 4 to 15 sweeps
+        w_mu, w_nu, cost = parity_instance()
+        pair = None if lam is None else (lam, lam)
+        sol = solve(w_mu, w_nu, cost, 0.5, pair)
+        monkeypatch.setattr(entropic, "OMEGA_CAP", 1.0)
+        plain = solve(w_mu, w_nu, cost, 0.5, pair)
+        assert sol.converged and sol.iterations <= entropic.WARMUP
+        assert sol.iterations == plain.iterations and sol.history == plain.history
+        for name in ("plan", "phi", "psi"):
+            assert getattr(sol, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_revert_to_plain(self):
+        # five points at eps 0.003: relaxed from sweep 21, the residual
+        # climbs past REVERT times its value at sweep 20 at sweep 28, and the
+        # sweeps from 29 on are plain
+        rng = np.random.default_rng(8)
+        w_mu, w_nu = rng.random(5) + 0.1, rng.random(5) + 0.1
+        x, y = rng.random((5, 2)), rng.random((5, 2))
+        cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        w_mu, w_nu = w_mu / w_mu.sum(), w_nu / w_nu.sum()
+        sol = solve(w_mu, w_nu, cost, 0.003, None)
+        start, omega = relaxation(sol.history)
+        ceiling = entropic.REVERT * sol.history[start - 1]
+        reverted = start + next(
+            k for k, e in enumerate(sol.history[start:], 1) if e > ceiling
+        )
+        assert (start, reverted) == (20, 28)
+        plan, _, _, iterations, errors, converged = lse_scaling_loop(
+            w_mu, w_nu, cost, 0.003, omega=omega, start=start, stop=reverted
+        )
+        assert sol.converged and converged
+        assert sol.iterations == iterations
+        assert np.max(np.abs(sol.plan - plan)) <= 1e-12 * plan.max()
+        assert abs(sol.history[-1] - errors[-1]) <= 1e-15 * max(1.0, cost.max() / 0.003)
