@@ -17,10 +17,17 @@ MAX_ITER = 300 Newton steps.  Each instance prints its verdict
 and wall time; a summary line follows.  The run is offline and
 deterministic apart from the times:
 
-    python scripts/semidiscrete_sweep.py --seed 0
+    python scripts/semidiscrete_sweep.py --seed 0 [--record FILE]
+
+``--record FILE`` also writes one tab-separated line per instance with no
+time in it: dimension, kind, instance number, site count, stop reason,
+accepted steps, the residual as ``float.hex`` and the sha256 of the
+weights' bytes.  Two checkouts' files (run each with its own ``src`` on
+``PYTHONPATH``) are then equal exactly when every solve ended alike.
 """
 
 import argparse
+import hashlib
 import time
 from collections import Counter
 
@@ -56,6 +63,9 @@ KINDS = ("uniform", "normal", "clustered", "near-duplicate", "outside-cube")
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--record", help="write each solve's outcome, without times, to this file"
+    )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -66,6 +76,7 @@ def main():
     reasons = Counter()
     total = 0.0
     slowest = (0.0, "")
+    record = []
     for d in (1, 2, 3):
         for kind in KINDS:
             for k in range(PER_KIND):
@@ -83,6 +94,11 @@ def main():
                     f" {diagram.stop_reason:<14} {diagram.iterations:>5}"
                     f" {diagram.residual:>10.3e} {seconds:>8.3f}"
                 )
+                digest = hashlib.sha256(diagram.weights.tobytes()).hexdigest()
+                record.append(
+                    f"{d}\t{kind}\t{k}\t{n}\t{diagram.stop_reason}"
+                    f"\t{diagram.iterations}\t{diagram.residual.hex()}\t{digest}\n"
+                )
                 reasons[diagram.stop_reason] += 1
                 total += seconds
                 slowest = max(slowest, (seconds, f"d={d} {kind} #{k}"))
@@ -92,6 +108,9 @@ def main():
         f"summary: {count} instances, {reasons['tol']} converged ({tally});"
         f" {total:.2f} s in all, slowest {slowest[1]} at {slowest[0]:.2f} s"
     )
+    if args.record:
+        with open(args.record, "w") as out:
+            out.writelines(record)
 
 
 if __name__ == "__main__":

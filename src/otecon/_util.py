@@ -17,9 +17,10 @@ EXP_CAP = 700.0
 GRID_LIMIT = 10_000_000
 
 # Largest number of grid points times sites of a semidiscrete solve.  Its
-# scores are one N x n float array, and about 2.1 such arrays are live at
-# the peak: measured on a 2-vCPU x86-64 VM, 110 MB above the import at
-# 256^2 x 100 and 231 MB at 64^3 x 50, so this limit peaks near 0.9 GB.
+# squared distances are one N x n float array, and the scores are taken one
+# site at a time, so little else is live at the peak: under tracemalloc on
+# a 2-vCPU x86-64 VM, 57 MB at 256^2 x 100 and 0.43 GB at this limit
+# (256^2 x 762 and 64^3 x 190), where the distances take 0.40 GB.
 SCORE_LIMIT = 50_000_000
 
 # First 20 primes, enough for every supported low-discrepancy dimension.

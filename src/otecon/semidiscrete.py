@@ -5,12 +5,14 @@ onto finitely many weighted sites is described by a Laguerre diagram: site j
 collects all x with ||x - y_j||^2 - psi_j minimal.  The site weights psi
 solve a concave maximization whose gradient is the mismatch between target
 masses and current cell masses, and whose Hessian is a graph Laplacian over
-adjacent cells.  The continuum is discretized by a midpoint grid; damped
-Newton steps read the gradient and a band estimate of that Laplacian off
-one pass over the grid scores per trial, each grid point within a score
-gap b of its runner-up adding 1 / (2 b N) to the facet weight.  The
-diagram is the solve's :class:`SolveReport`, with the objective of each
-accepted step as its history.
+adjacent cells.  The continuum is discretized by a midpoint grid, its
+squared distances stored one row per site.  One pass over the sites per
+trial gives the objective and the cell masses; a second pass, run only
+before a Newton step, finds each grid point's runner-up for a band
+estimate of that Laplacian, each grid point within a score gap b of its
+runner-up adding 1 / (2 b N) to the facet weight.  The diagram is the
+solve's :class:`SolveReport`, with the objective of each accepted step as
+its history.
 Composing the resulting assignment with a Halton point set gives
 multivariate quantiles; matching a sample against Halton points through the
 exact discrete solver gives multivariate ranks, whose law is
@@ -122,43 +124,61 @@ def laguerre_assign(x: np.ndarray, diagram: LaguerreDiagram) -> np.ndarray:
 
 
 def _grid_sq_dists(d: int, res: int, sites: np.ndarray) -> np.ndarray:
-    """Squared distances from the midpoint grid of res cells per axis to sites.
+    """Squared distances from the sites to the midpoint grid, a row per site.
 
-    Row r is the grid point whose axis indices are the base-res digits of
-    r, first axis most significant.  Each axis gives a res x sites table of
-    squared coordinate gaps, and the tables are added by broadcasting in
-    axis order: the additions of :func:`_sq_dists` on the grid points, in
-    its order, without forming the grid or recomputing a gap per point.
+    The grid has res cells per axis.  Each site's row is contiguous, and
+    its column r is the grid point whose axis indices are the base-res
+    digits of r, first axis most significant.  Each axis gives a sites x
+    res table of squared coordinate gaps, and the tables are added by
+    broadcasting in axis order: the additions of :func:`_sq_dists` on the
+    grid points, in its order, without forming the grid or recomputing a
+    gap per point.
     """
     if res**d > GRID_LIMIT:
         raise ResourceError(
             f"grid of {res}^{d} points exceeds the {GRID_LIMIT:,} limit"
         )
     axis = (np.arange(res) + 0.5) / res
-    d2 = (axis[:, None] - sites[None, :, 0]) ** 2
+    d2 = (axis[None, :] - sites[:, 0, None]) ** 2
     for k in range(1, d):
-        gap = (axis[:, None] - sites[None, :, k]) ** 2
-        d2 = (d2[:, None, :] + gap[None, :, :]).reshape(-1, sites.shape[0])
+        gap = (axis[None, :] - sites[:, k, None]) ** 2
+        d2 = (d2[:, :, None] + gap[:, None, :]).reshape(sites.shape[0], -1)
     return d2
 
 
 def _score(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> tuple:
-    """Semidual objective, grid cell masses and top two sites, in one pass.
+    """Semidual objective, grid cell masses and best sites, one site at a time.
 
-    Returns (objective, masses, idx, runner, gap): idx is each grid point's
-    best site, runner its second best and gap the score difference between
-    them.  The best score gathered at each argmin equals the row minimum
-    exactly; masking it with inf leaves the runner-up as the new minimum.
+    Returns (objective, masses, idx, best): idx is each grid point's best
+    site and best its score.  A site takes a point only when it scores
+    strictly lower, so ties go to the lowest index.
     """
-    scores = d2 - psi
-    rows = np.arange(d2.shape[0])
-    idx = np.argmin(scores, axis=1)
-    best = scores[rows, idx]
-    scores[rows, idx] = np.inf
-    runner = np.argmin(scores, axis=1)
-    gap = scores[rows, runner] - best
-    masses = np.bincount(idx, minlength=d2.shape[1]) / d2.shape[0]
-    return float(best.mean() + psi @ q), masses, idx, runner, gap
+    best = d2[0] - psi[0]
+    idx = np.zeros(d2.shape[1], dtype=np.intp)
+    for j in range(1, d2.shape[0]):
+        s = d2[j] - psi[j]
+        idx[s < best] = j
+        np.minimum(best, s, out=best)
+    masses = np.bincount(idx, minlength=d2.shape[0]) / d2.shape[1]
+    return float(best.mean() + psi @ q), masses, idx, best
+
+
+def _runner_up(
+    d2: np.ndarray, psi: np.ndarray, idx: np.ndarray, best: np.ndarray
+) -> tuple:
+    """Each grid point's second-best site and its score gap to the best.
+
+    The scores of :func:`_score` again, each point's own best masked with
+    inf; with one site every gap is inf.
+    """
+    second = np.full(d2.shape[1], np.inf)
+    runner = np.zeros(d2.shape[1], dtype=np.intp)
+    for j in range(d2.shape[0]):
+        s = d2[j] - psi[j]
+        s[idx == j] = np.inf
+        runner[s < second] = j
+        np.minimum(second, s, out=second)
+    return runner, second - best
 
 
 def _band_laplacian(
@@ -205,13 +225,15 @@ def semidiscrete_solve(
     that falls apart.  Its length halves from 1.0 until the objective does
     not decrease and no nonempty cell empties; if no length down to 2^-46
     qualifies, the loop ends at ``"step_exhausted"``.  Accepted objectives
-    are nondecreasing.  One pass over the grid scores per trial gives its
-    objective, cell masses and band.  The start weights make the cells
-    those of the Voronoi diagram of the sites shrunk into the cube (zero
-    weights when the sites lie in it).  The residual is the largest
+    are nondecreasing.  One pass over the sites per trial gives its
+    objective and cell masses; the runner-up pass for the band runs only
+    before a Newton step, not on rejected or final trials.  The squared
+    distances are stored one row per site, and no trial copies them.  The
+    start weights make the cells those of the Voronoi diagram of the sites
+    shrunk into the cube (zero weights when the sites lie in it).  The residual is the largest
     mismatch between final grid cell and target masses; below tol it makes
-    the stop reason ``"tol"``, at the cap too.  The score array, grid_res^d
-    points times the sites, may not exceed SCORE_LIMIT entries.
+    the stop reason ``"tol"``, at the cap too.  The distance array,
+    grid_res^d points times the sites, may not exceed SCORE_LIMIT entries.
     """
     if nu.dim != d:
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
@@ -238,13 +260,14 @@ def semidiscrete_solve(
     # does not start with an empty cell
     shrink = 0.5 / max(float(np.max(np.abs(sites - 0.5))), 0.5)
     psi = (1.0 - shrink) * np.sum((sites - 0.5) ** 2, axis=1)
-    current, masses, *top_two = _score(d2, psi, q)
+    current, masses, idx, best = _score(d2, psi, q)
     objectives = [current]
     for _ in range(max_iter):
         grad = q - masses
         if float(np.max(np.abs(grad))) < tol:
             break
-        lap = _band_laplacian(*top_two, band)[:-1, :-1]
+        runner, gap = _runner_up(d2, psi, idx, best)
+        lap = _band_laplacian(idx, runner, gap, band)[:-1, :-1]
         ridge = 1e-9 * max(1.0, float(lap.diagonal().max()))
         lap[np.diag_indices_from(lap)] += ridge
         newton = np.append(np.linalg.solve(lap, grad[:-1]), 0.0)
@@ -256,7 +279,7 @@ def semidiscrete_solve(
                 break
         else:
             break  # no step down to 2^-46 ascends and keeps every nonempty cell
-        psi, (current, masses, *top_two) = trial, scored
+        psi, (current, masses, idx, best) = trial, scored
         objectives.append(current)
     # masses are those of the final psi, however the loop ended
     residual = float(np.max(np.abs(q - masses)))

@@ -20,7 +20,9 @@ proximal-gradient method the package ran before its Newton solver, and
 the Laguerre loop is the two-pass gradient ascent on the weights that
 recounted the cell masses apart from the objective on every step; the
 grid masses and semidual after it recount a Laguerre diagram on their own
-grid, to certify the package's Newton weights.  The
+grid, to certify the package's Newton weights, and the top-two scoring
+takes two row-wise argmins over the grid points' scores, as the package
+did before it scored the grid one site at a time.  The
 CSV readers and the JSON writer at the end are the row-by-row csv-module
 readers and the element-by-element serializer the command line used
 before it parsed and formatted whole arrays; the readers stop where the
@@ -633,6 +635,26 @@ def laguerre_grid_semidual(sites, q, weights, grid_res):
     """Grid semidual mean_x min_j (||x - y_j||^2 - weights_j) + weights . q."""
     scores = _laguerre_grid_scores(sites, weights, grid_res)
     return float(np.min(scores, axis=1).mean() + weights @ q)
+
+
+def laguerre_grid_top_two(sites, q, weights, grid_res):
+    """Grid semidual, cell masses and top two sites, by row-wise argmin.
+
+    Returns (objective, masses, idx, runner, gap) over the midpoint grid,
+    points in its order: idx is each grid point's best site, runner its
+    second best and gap the score difference between them.  The best score
+    gathered at each argmin equals the row minimum exactly; masking it with
+    inf leaves the runner-up as the new minimum.
+    """
+    scores = _laguerre_grid_scores(sites, weights, grid_res)
+    rows = np.arange(scores.shape[0])
+    idx = np.argmin(scores, axis=1)
+    best = scores[rows, idx]
+    scores[rows, idx] = np.inf
+    runner = np.argmin(scores, axis=1)
+    gap = scores[rows, runner] - best
+    masses = np.bincount(idx, minlength=scores.shape[1]) / scores.shape[0]
+    return float(best.mean() + weights @ q), masses, idx, runner, gap
 
 
 class CsvLoopError(ValueError):

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     laguerre_grid_masses,
     laguerre_grid_semidual,
+    laguerre_grid_top_two,
     laguerre_two_pass_loop,
     midpoint_grid,
 )
@@ -30,7 +32,9 @@ from otecon import (
     vector_rank,
 )
 from otecon.discrete import extract_assignment
-from otecon.semidiscrete import _band_laplacian, _grid_sq_dists, _score, _sq_dists
+from otecon.semidiscrete import (
+    _band_laplacian, _grid_sq_dists, _runner_up, _score, _sq_dists,
+)
 
 
 SAMPLE_KINDS = {
@@ -266,18 +270,23 @@ class TestNewton:
 
     def test_grid_sq_dists_bit_identical_to_grid_points(self, rng):
         # the per-axis tables add the same gaps in the same order as
-        # _sq_dists on the grid points, rows in the grid's point order
+        # _sq_dists on the grid points, one contiguous row per site with
+        # its columns in the grid's point order
         for d, res in ((1, 512), (1, 7), (2, 96), (2, 5), (3, 20), (3, 4)):
             for sites in (rng.uniform(0, 1, (16, d)), rng.normal(0.5, 2.0, (3, d))):
-                expected = _sq_dists(midpoint_grid(d, res), sites)
-                assert _grid_sq_dists(d, res, sites).tobytes() == expected.tobytes()
+                expected = _sq_dists(midpoint_grid(d, res), sites).T
+                d2 = _grid_sq_dists(d, res, sites)
+                assert d2.shape == expected.shape and d2.flags.c_contiguous
+                assert d2.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("res", [64, 512, 4096])
     def test_band_laplacian_two_sites_on_a_line(self, res):
         # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
         sites = np.array([[0.2], [0.7]])
         psi = np.array([0.013, 0.0])
-        _, _, idx, runner, gap = _score(_grid_sq_dists(1, res, sites), psi, np.full(2, 0.5))
+        d2 = _grid_sq_dists(1, res, sites)
+        _, _, idx, best = _score(d2, psi, np.full(2, 0.5))
+        runner, gap = _runner_up(d2, psi, idx, best)
         band = 4.0 / res * np.sqrt(_sq_dists(sites, sites))
         lap = _band_laplacian(idx, runner, gap, band)
         weight = 1.0 / (2.0 * 0.5)
@@ -339,6 +348,92 @@ class TestNewton:
         sites = rng.standard_normal((60, 2))
         assert np.sum(laguerre_grid_masses(sites, np.zeros(60), 128) == 0) > 30
         self.assert_converges_within(sites, 128, 20)
+
+
+class TestScore:
+    """Site-at-a-time scoring against the row-wise argmin of the oracle."""
+
+    RES = {1: (512, 7), 2: (96, 9), 3: (20, 5)}
+
+    @staticmethod
+    def assert_matches_oracle(sites, psi, grid_res):
+        n, d = sites.shape
+        q = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        d2 = _grid_sq_dists(d, grid_res, sites)
+        objective, masses, idx, best = _score(d2, psi, q)
+        runner, gap = _runner_up(d2, psi, idx, best)
+        expected = laguerre_grid_top_two(sites, q, psi, grid_res)
+        assert np.float64(objective).tobytes() == np.float64(expected[0]).tobytes()
+        for got, want in zip((masses, idx, runner, gap), expected[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return idx, runner, gap
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_sites(self, d, rng):
+        for res in self.RES[d]:
+            for n in (2, 16, 40):
+                sites = rng.uniform(0, 1, (n, d))
+                self.assert_matches_oracle(sites, rng.normal(0, 0.02, n), res)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_duplicated_sites_tie_to_the_lower_index(self, d, rng):
+        sites = rng.uniform(0, 1, (6, d))
+        sites[4] = sites[1]
+        psi = rng.normal(0, 0.02, 6)
+        psi[4] = psi[1]
+        for res in self.RES[d]:
+            idx, runner, gap = self.assert_matches_oracle(sites, psi, res)
+            assert not np.any(idx == 4)
+            won = idx == 1
+            assert np.all(runner[won] == 4) and np.all(gap[won] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_points_on_a_bisector_tie(self, d, rng):
+        # an odd res puts a layer of midpoints at x_0 = 0.5, which sites 2
+        # and 0, mirror images across it, score exactly alike
+        sites = rng.uniform(0, 1, (4, d))
+        sites[0, 0], sites[2, 0] = 0.75, 0.25
+        sites[2, 1:] = sites[0, 1:]
+        psi = np.array([0.0, -0.3, 0.0, -0.3])
+        idx, runner, gap = self.assert_matches_oracle(sites, psi, self.RES[d][1])
+        tied = gap == 0.0
+        assert np.any(tied & (idx == 0) & (runner == 2))
+        assert np.all(idx[tied] < runner[tied])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_site_has_no_runner_up(self, d, rng):
+        for res in self.RES[d]:
+            idx, runner, gap = self.assert_matches_oracle(
+                rng.uniform(0, 1, (1, d)), np.array([0.4]), res
+            )
+            assert not idx.any() and not runner.any() and np.all(gap == np.inf)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sites_outside_the_cube(self, d, rng):
+        for res in self.RES[d]:
+            sites = rng.uniform(-0.5, 1.5, (12, d))
+            idx, _, _ = self.assert_matches_oracle(sites, np.zeros(12), res)
+            assert np.bincount(idx, minlength=12).min() == 0
+            self.assert_matches_oracle(sites, rng.normal(0, 0.5, 12), res)
+
+    def test_solve_peak_is_one_distance_array(self):
+        # the scores are taken one site at a time, so beside the 128^2 x 100
+        # distances (12.5 MiB) a solve holds only arrays of N entries, which
+        # the 0.2 x d2 (20 such arrays) covers, and n x n ones, which the
+        # 1 MiB covers: 13.9 MiB in all, where two-argmin scoring of an
+        # N x n copy took 26.7 MiB
+        sites = np.random.default_rng(0).uniform(0, 1, (100, 2))
+        nu = DiscreteMeasure(np.ones(100), points=sites)
+        d2_bytes = _grid_sq_dists(2, 128, sites).nbytes
+        tracemalloc.start()
+        try:
+            diag = semidiscrete_solve(nu, 2, grid_res=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.converged
+        assert peak <= 1.2 * d2_bytes + 2**20
 
 
 class TestVectorQuantile:
