@@ -42,6 +42,7 @@ trusting the solver.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,18 +315,25 @@ def solve_discrete_ot(
 
     The basis is kept as a tree rooted at row 0 (nodes 0..M-1 are rows,
     M..M+N-1 columns), with parent and depth arrays and an adjacency
-    updated in place.  After each pivot only the subtree cut off by the
-    leaving edge is re-hung under the entering edge, and only its
-    potentials are recomputed, each from its tree parent and written into
-    the array that prices the next pivot.  The mass of the leaving edge is
-    the least on the cycle, so it drops to exactly 0.0, and every cell off
-    the basis holds 0.0: the plan's array is written from the basis edges.
+    updated in place.  Each node other than the root also keeps the mass on
+    its edge to its parent, so the M + N - 1 masses are M + N floats and the
+    leaving edge is one minimum over the losing nodes of the cycle.  After
+    each pivot only the subtree cut off by the leaving edge is re-hung under
+    the entering edge: the edges on the path from the entering edge's end
+    to the leaving edge turn over, and each one's mass moves to its new
+    child.  Only the subtree's potentials are recomputed, each from its tree
+    parent and written into the array that prices the next pivot.  The mass
+    of the leaving edge is the least on the cycle, so it drops to exactly
+    0.0, and every cell off the basis holds 0.0: the plan's array is written
+    from the basis edges.
     """
-    low = cost.entries.min()
+    low, high = float(cost.entries.min()), float(cost.entries.max())
+    span = high - low  # max(C - min C), tested before C - min C is formed
+    if not math.isfinite(span):
+        raise DomainError(
+            f"cost range max C - min C = {high:g} - ({low:g}) is not finite"
+        )
     c = cost.entries - low
-    span = c.max()
-    if span == np.inf:
-        raise DomainError("cost entries must contain only finite values")
     cl = c.tolist()  # row i's edge costs; column j's are cl[i][j] over i
     edges, masses = _matrix_minimum(mu, nu, c, cl)
     rows, cols = c.shape
@@ -334,11 +342,9 @@ def solve_discrete_ot(
         max_iter = 200 * rows * cols + 1000
     check_count(max_iter, "max_iter", 1)
     tol = PIVOT_TOL * span
-    mass = [[0.0] * cols for _ in range(rows)]
     n_nodes = rows + cols
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for (i, j), w in zip(edges, masses):
-        mass[i][j] = w
+    for i, j in edges:
         adj[i].append(rows + j)
         adj[rows + j].append(i)
     parent = [-1] * n_nodes
@@ -372,6 +378,11 @@ def solve_discrete_ot(
                         below.append(nxt)
 
     descend(0)
+    # flow[x] is the mass on the tree edge from node x to parent[x]; the
+    # root, row 0, has no such edge.
+    flow = [0.0] * n_nodes
+    for (i, j), w in zip(edges, masses):
+        flow[i if parent[i] == rows + j else rows + j] = w
     # One buffer for the reduced costs: a fresh large array each pivot
     # costs more in page faults than the arithmetic.
     reduced = np.empty_like(c)
@@ -410,36 +421,34 @@ def solve_discrete_ot(
         # Cunningham's rule: the last losing edge with the least mass met
         # on the walk from the apex along the entering edge's direction,
         # down to the row end, across, up from the column end; so the first
-        # met from the apex down the column side, then up the row side.
-        theta = float("inf")
-        for x in reversed(col_side[::2]):
-            if mass[parent[x]][x - rows] < theta:
-                theta, cut = mass[parent[x]][x - rows], x
-        cut_on_col_side = True
-        for x in row_side[::2]:
-            if mass[x][parent[x] - rows] < theta:
-                theta, cut, cut_on_col_side = mass[x][parent[x] - rows], x, False
+        # met from the apex down the column side, then up the row side:
+        # min returns the first of equal minima in that order.
+        losing = col_side[::2][::-1] + row_side[::2]
+        cut = min(losing, key=flow.__getitem__)
+        theta = flow[cut]
 
         # The leaving edge carried theta, so it drops to exactly 0.0.  A
         # degenerate pivot (theta 0.0) would add and subtract only 0.0.
         if theta > 0.0:
-            mass[i][j] += theta
-            for x in col_side[::2]:
-                mass[parent[x]][x - rows] -= theta
-            for x in col_side[1::2]:
-                mass[x][parent[x] - rows] += theta
-            for x in row_side[::2]:
-                mass[x][parent[x] - rows] -= theta
-            for x in row_side[1::2]:
-                mass[parent[x]][x - rows] += theta
+            for x in losing:
+                flow[x] -= theta
+            for x in col_side[1::2] + row_side[1::2]:
+                flow[x] += theta
 
         up = parent[cut]
         adj[cut].remove(up)
         adj[up].remove(cut)
         adj[i].append(rows + j)
         adj[rows + j].append(i)
-        # Re-hang the cut-off subtree from the entering edge's end inside it.
-        top, up = (rows + j, i) if cut_on_col_side else (i, rows + j)
+        # Re-hang the cut-off subtree from the entering edge's end inside it
+        # (a column cut lies on the column side).  On the old path from top
+        # to cut each edge turns over, so its mass moves to its new child,
+        # and top takes the entering edge's theta.
+        top, up = (rows + j, i) if cut >= rows else (i, rows + j)
+        node, carried = top, theta
+        while node != cut:
+            flow[node], carried, node = carried, flow[node], parent[node]
+        flow[cut] = carried
         parent[top] = up
         depth[top] = depth[up] + 1
         pot[top] = p[top] = cl[i][j] - pot[up]
@@ -448,7 +457,7 @@ def solve_discrete_ot(
     ei = list(range(1, rows)) + parent[rows:]
     ej = [up - rows for up in parent[1:rows]] + list(range(cols))
     final = np.zeros((rows, cols))  # every cell off the basis holds 0.0
-    final[ei, ej] = [mass[i][j] for i, j in zip(ei, ej)]
+    final[ei, ej] = flow[1:]
     plan = TransportPlan(
         final,
         frozenset(zip(ei, ej)),

@@ -233,7 +233,8 @@ def semidiscrete_solve(
     shrunk into the cube (zero weights when the sites lie in it).  The residual is the largest
     mismatch between final grid cell and target masses; below tol it makes
     the stop reason ``"tol"``, at the cap too.  The distance array,
-    grid_res^d points times the sites, may not exceed SCORE_LIMIT entries.
+    grid_res^d points times the sites, may not exceed SCORE_LIMIT entries,
+    and the n x n band and Laplacian of the n sites GRID_LIMIT entries.
     """
     if nu.dim != d:
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
@@ -251,6 +252,11 @@ def semidiscrete_solve(
         raise ResourceError(
             f"{grid_res}^{d} grid points times {nu.size} sites exceeds the"
             f" {SCORE_LIMIT:,} score limit"
+        )
+    if nu.size**2 > GRID_LIMIT:
+        raise ResourceError(
+            f"{nu.size} sites need {nu.size} x {nu.size} band and Laplacian"
+            f" arrays, over the {GRID_LIMIT:,} entry limit"
         )
     sites = nu.points
     d2 = _grid_sq_dists(d, grid_res, sites)

@@ -740,6 +740,17 @@ class TestFailureModes:
         )
         assert err.count("\n") == 1 and "limit" in err
 
+    def test_semidiscrete_over_the_site_limit_exits_2_at_once(self, tmp_path, capsys):
+        # 3 163 sites on 2 cells are far under the score limit, but their
+        # n x n band and Laplacian are each just over 10 000 000 entries
+        sites = tmp_path / "sites.csv"
+        sites.write_text("".join(f"1,{(k + 0.5) / 3163!r}\n" for k in range(3163)))
+        err = self.rejected_at_once(
+            ["semidiscrete", "--nu", str(sites), "--grid-res", "2", "--max-iter", "1"],
+            tmp_path, capsys,
+        )
+        assert err.count("\n") == 1 and "limit" in err
+
     def test_semidiscrete_over_the_grid_limit_exits_2_at_once(self, tmp_path, capsys):
         # 2e7 points times 2 sites is under the score limit, so the grid's
         # own 10 000 000 point limit is the one that stops it; at 5 sites

@@ -1,5 +1,6 @@
 """Exact transport LP solver: matrix-minimum start, simplex pivots, certificates."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,10 +299,14 @@ class TestSolve:
             solve_discrete_ot(mu, nu, CostMatrix([[np.inf]]))
 
     def test_cost_range_overflow_rejected(self):
-        # finite entries whose range max C - min C overflows to inf
+        # finite entries whose range max C - min C overflows to inf: the
+        # range is tested before C - min C is formed, so numpy warns nothing
         mu, nu = measures([1.0], [0.5, 0.5])
-        with pytest.raises(DomainError, match="finite"), np.errstate(over="ignore"):
-            solve_discrete_ot(mu, nu, CostMatrix([[1e308, -1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"max C - min C = 1e\+308 - \(-1e\+308\) is not finite"
+            with pytest.raises(DomainError, match=message):
+                solve_discrete_ot(mu, nu, CostMatrix([[1e308, -1e308]]))
 
     def test_one_plan_per_solve(self, rng, monkeypatch):
         # the start's edges and masses go to the pivots without a plan of
@@ -488,26 +493,59 @@ class TestPivotRules:
 class TestSolveReport:
     """The plan is the solve's report; at the pivot cap it is the last basis."""
 
+    @staticmethod
+    def capped_instance(rng, kind):
+        """Random weights; a uniform square, where each pivot moves exactly 0
+        or 1/n; or integer weights 0-3 with costs in {0, 1, 2}, where many
+        pivots move 0.0 and zero-weight atoms occur."""
+        m, n = rng.integers(3, 12, size=2)
+        if kind == "random":
+            return random_transport_instance(rng, m, n)
+        if kind == "uniform square":
+            mu = nu = DiscreteMeasure(np.full(m, 1.0 / m))
+            return mu, nu, CostMatrix(rng.random((m, m)))
+        a = rng.integers(0, 4, size=m).astype(float)
+        b = rng.integers(0, 4, size=n).astype(float)
+        a[0] += a.sum() == 0
+        b[0] += b.sum() == 0
+        mu, nu = measures(a * b.sum(), b * a.sum())
+        return mu, nu, CostMatrix(rng.integers(0, 3, size=(m, n)).astype(float))
+
     def test_cap_returns_last_basis(self, rng):
         capped = 0
-        for _ in range(20):
-            m, n = rng.integers(3, 12, size=2)
-            mu, nu, cost = random_transport_instance(rng, m, n)
-            full = solve_discrete_ot(mu, nu, cost)[0]
-            tol = PIVOT_TOL * (cost.entries.max() - cost.entries.min())
-            for k in range(1, full.iterations):
-                plan, _, value = solve_discrete_ot(mu, nu, cost, max_iter=k)
-                msg = f"{m}x{n} capped at {k} of {full.iterations} pivots"
-                assert plan.stop_reason == "max_iter" and not plan.converged, msg
-                assert plan.iterations == k, msg
-                assert len(plan.history) == k + 1, msg
-                # the pivots are deterministic: the capped run is a prefix
-                assert plan.history == full.history[: k + 1], msg
-                assert plan.residual == plan.history[-1] > tol, msg
-                assert plan.marginal_residual(mu, nu) <= CERT_TOL * mu.total_mass, msg
-                assert value == float(np.sum(plan.mass * cost.entries)), msg
-                capped += 1
-        assert capped > 20
+        degenerate = {"random": 0, "uniform square": 0, "integer weights": 0}
+        for kind in ("random", "uniform square", "integer weights"):
+            for _ in range(20):
+                mu, nu, cost = self.capped_instance(rng, kind)
+                m, n = cost.shape
+                positive = (mu.weights > 0).all() and (nu.weights > 0).all()
+                full = solve_discrete_ot(mu, nu, cost)[0]
+                tol = PIVOT_TOL * (cost.entries.max() - cost.entries.min())
+                assert not positive or TestPivotRules.strongly_feasible(full)
+                last = None
+                for k in range(1, full.iterations):
+                    plan, _, value = solve_discrete_ot(mu, nu, cost, max_iter=k)
+                    msg = f"{kind} {m}x{n} capped at {k} of {full.iterations} pivots"
+                    assert plan.stop_reason == "max_iter" and not plan.converged, msg
+                    assert plan.iterations == k, msg
+                    assert len(plan.history) == k + 1, msg
+                    # the pivots are deterministic: the capped run is a prefix
+                    assert plan.history == full.history[: k + 1], msg
+                    assert plan.residual == plan.history[-1] > tol, msg
+                    assert plan.marginal_residual(mu, nu) <= CERT_TOL * mu.total_mass, msg
+                    assert value == float(np.sum(plan.mass * cost.entries)), msg
+                    # Cunningham's rule keeps every basis strongly feasible
+                    assert not positive or TestPivotRules.strongly_feasible(plan), msg
+                    if kind == "uniform square":
+                        assert set(plan.mass.flat) == {0.0, 1.0 / m}, msg
+                    if last is not None and np.array_equal(plan.mass, last.mass):
+                        # a pivot that moved 0.0 still changed the basis
+                        assert plan.basis_edges != last.basis_edges, msg
+                        degenerate[kind] += 1
+                    last = plan
+                    capped += 1
+        assert capped > 60
+        assert degenerate["uniform square"] and degenerate["integer weights"], degenerate
 
     def test_default_cap_meets_tol(self, rng):
         for _ in range(20):

@@ -31,6 +31,7 @@ from otecon import (
     vector_quantile,
     vector_rank,
 )
+from otecon import semidiscrete
 from otecon.discrete import extract_assignment
 from otecon.semidiscrete import (
     _band_laplacian, _grid_sq_dists, _runner_up, _score, _sq_dists,
@@ -182,6 +183,18 @@ class TestSolve:
         for res in (2.5, True):
             with pytest.raises(DomainError, match="grid_res must be an integer"):
                 semidiscrete_solve(nu, d=3, grid_res=res)
+
+    def test_site_limit_bounds_band_and_laplacian(self, monkeypatch):
+        # the band and the Laplacian are n x n, so n^2 may not pass
+        # GRID_LIMIT, whatever the grid: 10 sites fit a limit of 100, 11 not
+        monkeypatch.setattr(semidiscrete, "GRID_LIMIT", 100)
+
+        def sites(n):
+            return DiscreteMeasure(np.ones(n), points=(np.arange(n)[:, None] + 0.5) / n)
+
+        semidiscrete_solve(sites(10), d=1, grid_res=50, max_iter=1)
+        with pytest.raises(ResourceError, match="11 sites need 11 x 11"):
+            semidiscrete_solve(sites(11), d=1, grid_res=50, max_iter=1)
 
     def test_dimension_mismatch_rejected(self):
         nu = DiscreteMeasure([1.0], points=np.array([[0.5, 0.5]]))
