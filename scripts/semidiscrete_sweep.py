@@ -10,7 +10,7 @@ random masses:
 - near-duplicate: uniform sites, one of them repeated 1e-4 away;
 - outside-cube: sites uniform in [-0.5, 1.5]^d.
 
-Grids are the solver's default in 1-D (512 cells), as `otecon semidiscrete`
+Grids are the solver's default in 1-D (4096 cells), as `otecon semidiscrete`
 runs it, 64^2 in 2-D and 16^3 in 3-D, and each solve has a cap of
 MAX_ITER = 300 Newton steps.  Each instance prints its verdict
 (converged or not), stop reason, accepted Newton steps, final mass residual

@@ -11,8 +11,8 @@ import numpy as np
 EXP_CAP = 700.0
 
 # Largest number of entries one call may build from a size option: grid
-# points of the semidiscrete grid, entries (n^2) of its band and Laplacian
-# over n sites, projected values of the sliced distance, cost entries (n^2)
+# points of the semidiscrete grid, entries (n^2) of its Laplacian over n
+# sites, projected values of the sliced distance, cost entries (n^2)
 # of a multivariate rank solve, cells of a matching table or a surplus basis
 # read from its largest labels.
 GRID_LIMIT = 10_000_000

@@ -7,12 +7,11 @@ solve a concave maximization whose gradient is the mismatch between target
 masses and current cell masses, and whose Hessian is a graph Laplacian over
 adjacent cells.  The continuum is discretized by a midpoint grid, its
 squared distances stored one row per site.  One pass over the sites per
-trial gives the objective and the cell masses; a second pass, run only
-before a Newton step, finds each grid point's runner-up for a band
-estimate of that Laplacian, each grid point within a score gap b of its
-runner-up adding 1 / (2 b N) to the facet weight.  The diagram is the
-solve's :class:`SolveReport`, with the objective of each accepted step as
-its history.
+trial gives the objective, the cell masses and each grid point's cell;
+the Laplacian's facet weights come from counting the pairs of
+neighbouring grid points that lie in different cells, one pass over the
+grid per Newton step.  The diagram is the solve's :class:`SolveReport`,
+with the objective of each accepted step as its history.
 Composing the resulting assignment with a Halton point set gives
 multivariate quantiles; matching a sample against Halton points through the
 exact discrete solver gives multivariate ranks, whose law is
@@ -31,7 +30,7 @@ from ._util import (
 from .errors import DomainError, ResourceError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, _NoSolve, halton
 
-DEFAULT_GRID_RES = {1: 512, 2: 256, 3: 64}
+DEFAULT_GRID_RES = {1: 4096, 2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,9 @@ def _grid_sq_dists(d: int, res: int, sites: np.ndarray) -> np.ndarray:
 def _score(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> tuple:
     """Semidual objective, grid cell masses and best sites, one site at a time.
 
-    Returns (objective, masses, idx, best): idx is each grid point's best
-    site and best its score.  A site takes a point only when it scores
-    strictly lower, so ties go to the lowest index.
+    Returns (objective, masses, idx): idx is each grid point's best site.
+    A site takes a point only when it scores strictly lower, so ties go to
+    the lowest index.
     """
     best = d2[0] - psi[0]
     idx = np.zeros(d2.shape[1], dtype=np.intp)
@@ -160,46 +159,39 @@ def _score(d2: np.ndarray, psi: np.ndarray, q: np.ndarray) -> tuple:
         idx[s < best] = j
         np.minimum(best, s, out=best)
     masses = np.bincount(idx, minlength=d2.shape[0]) / d2.shape[1]
-    return float(best.mean() + psi @ q), masses, idx, best
+    return float(best.mean() + psi @ q), masses, idx
 
 
-def _runner_up(
-    d2: np.ndarray, psi: np.ndarray, idx: np.ndarray, best: np.ndarray
-) -> tuple:
-    """Each grid point's second-best site and its score gap to the best.
-
-    The scores of :func:`_score` again, each point's own best masked with
-    inf; with one site every gap is inf.
-    """
-    second = np.full(d2.shape[1], np.inf)
-    runner = np.zeros(d2.shape[1], dtype=np.intp)
-    for j in range(d2.shape[0]):
-        s = d2[j] - psi[j]
-        s[idx == j] = np.inf
-        runner[s < second] = j
-        np.minimum(second, s, out=second)
-    return runner, second - best
-
-
-def _band_laplacian(
-    idx: np.ndarray, runner: np.ndarray, gap: np.ndarray, band: np.ndarray
+def _neighbour_laplacian(
+    idx: np.ndarray, sites: np.ndarray, grid_res: int
 ) -> np.ndarray:
     """Grid estimate of the semidual Hessian, a Laplacian over facets.
 
-    Its weights are |facet(i, j)| / (2 |y_i - y_j|); band[i, j] is
-    4 h |y_i - y_j|.  The score gap grows at 2 |y_i - y_j| per unit of
-    distance from facet (i, j), so a grid point won by i with runner-up j
-    and a gap below band[i, j] lies within 2h of the facet, on either side.
-    The band is 4h wide and holds N |facet| 4h points, so each adds
-    1 / (2 band N) to the weight of (i, j).
+    Its weights are |facet(i, j)| / (2 |y_i - y_j|), measured by the pairs
+    of grid points adjacent along an axis whose best sites differ.  A facet
+    with unit normal v is crossed by about |facet| |v_k| / h^(d-1) such
+    pairs along axis k, h = 1 / grid_res, and v is parallel to y_i - y_j,
+    so the c_ij pairs of cells i and j over all axes give
+    |facet| = c_ij h^(d-1) / |v|_1 and the weight
+    c_ij h^(d-1) / (2 |y_i - y_j|_1); in 1-D it is exact.  A counted pair
+    joins two sites at different points: sites at the same point tie
+    everywhere, and the lower index takes every grid point, so
+    |y_i - y_j|_1 > 0.  idx is in the point order of
+    :func:`_grid_sq_dists`, first axis most significant.
     """
-    n = band.shape[0]
-    pair = idx * n + runner
-    inside = gap < band.ravel()[pair]
-    counts = np.bincount(pair[inside], minlength=n * n).reshape(n, n)
-    weights = np.divide(
-        counts, 2.0 * band * idx.size, out=np.zeros((n, n)), where=counts > 0
-    )
+    n, d = sites.shape
+    cells = idx.reshape((grid_res,) * d)
+    keys = []
+    for k in range(d):
+        axis = np.moveaxis(cells, k, 0)
+        lo, hi = np.minimum(axis[:-1], axis[1:]), np.maximum(axis[:-1], axis[1:])
+        cross = lo != hi
+        keys.append(lo[cross] * n + hi[cross])
+    pair, count = np.unique(np.concatenate(keys), return_counts=True)
+    i, j = np.divmod(pair, n)
+    span = np.abs(sites[i] - sites[j]).sum(axis=1)
+    weights = np.zeros((n, n))
+    weights[i, j] = count / (2.0 * grid_res ** (d - 1) * span)
     weights += weights.T
     return np.diag(weights.sum(axis=1)) - weights
 
@@ -215,26 +207,26 @@ def semidiscrete_solve(
 
     Maximizes the concave semidual objective over the site weights by
     damped Newton (Kitagawa, Merigot & Thibert 2019), with the continuum
-    replaced by a midpoint grid of grid_res cells per axis (defaults 512,
-    256, 64 for d = 1, 2, 3).  The gradient is q minus the grid cell
-    masses; the Hessian is a graph Laplacian with weights
-    |facet(i, j)| / (2 |y_i - y_j|), estimated from the grid points whose
-    two best scores differ by less than b = 4 |y_i - y_j| / grid_res, each
-    adding 1 / (2 b N) for N grid points.  The step solves the Laplacian
-    system with the last weight fixed and a small ridge for a band graph
-    that falls apart.  Its length halves from 1.0 until the objective does
-    not decrease and no nonempty cell empties; if no length down to 2^-46
-    qualifies, the loop ends at ``"step_exhausted"``.  Accepted objectives
-    are nondecreasing.  One pass over the sites per trial gives its
-    objective and cell masses; the runner-up pass for the band runs only
-    before a Newton step, not on rejected or final trials.  The squared
-    distances are stored one row per site, and no trial copies them.  The
-    start weights make the cells those of the Voronoi diagram of the sites
-    shrunk into the cube (zero weights when the sites lie in it).  The residual is the largest
-    mismatch between final grid cell and target masses; below tol it makes
-    the stop reason ``"tol"``, at the cap too.  The distance array,
-    grid_res^d points times the sites, may not exceed SCORE_LIMIT entries,
-    and the n x n band and Laplacian of the n sites GRID_LIMIT entries.
+    replaced by a midpoint grid of grid_res cells per axis (defaults 4096,
+    256, 64 for d = 1, 2, 3; in 1-D one cell holds less mass than the
+    default tol).  The gradient is q minus the grid cell masses; the
+    Hessian is a graph Laplacian with weights |facet(i, j)| / (2 |y_i - y_j|),
+    each facet measured by the neighbouring grid points that lie in cells
+    i and j.  The step solves the Laplacian system with the last weight
+    fixed and a small ridge for a facet graph that falls apart.  Its
+    length halves from 1.0 until the objective does not decrease and no
+    nonempty cell empties; if no length down to 2^-46 qualifies, the loop
+    ends at ``"step_exhausted"``.  Accepted objectives are nondecreasing.
+    One pass over the sites per trial gives its objective, cell masses and
+    grid cells, and one pass over the grid before a Newton step gives the
+    Laplacian.  The squared distances are stored one row per site, and no
+    trial copies them.  The start weights make the cells those of the
+    Voronoi diagram of the sites shrunk into the cube (zero weights when
+    the sites lie in it).  The residual is the largest mismatch between
+    final grid cell and target masses; below tol it makes the stop reason
+    ``"tol"``, at the cap too.  The distance array, grid_res^d points times
+    the sites, may not exceed SCORE_LIMIT entries, and the n x n Laplacian
+    of the n sites GRID_LIMIT entries.
     """
     if nu.dim != d:
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
@@ -255,25 +247,23 @@ def semidiscrete_solve(
         )
     if nu.size**2 > GRID_LIMIT:
         raise ResourceError(
-            f"{nu.size} sites need {nu.size} x {nu.size} band and Laplacian"
-            f" arrays, over the {GRID_LIMIT:,} entry limit"
+            f"{nu.size} sites need {nu.size} x {nu.size} Laplacian entries,"
+            f" over the {GRID_LIMIT:,} entry limit"
         )
     sites = nu.points
     d2 = _grid_sq_dists(d, grid_res, sites)
-    band = 4.0 / grid_res * np.sqrt(_sq_dists(sites, sites))
     # (1 - s) |y - c|^2 makes the Laguerre cells the Voronoi cells of the
     # points c + s (y - c), which lie in the cube, so a site far outside it
     # does not start with an empty cell
     shrink = 0.5 / max(float(np.max(np.abs(sites - 0.5))), 0.5)
     psi = (1.0 - shrink) * np.sum((sites - 0.5) ** 2, axis=1)
-    current, masses, idx, best = _score(d2, psi, q)
+    current, masses, idx = _score(d2, psi, q)
     objectives = [current]
     for _ in range(max_iter):
         grad = q - masses
         if float(np.max(np.abs(grad))) < tol:
             break
-        runner, gap = _runner_up(d2, psi, idx, best)
-        lap = _band_laplacian(idx, runner, gap, band)[:-1, :-1]
+        lap = _neighbour_laplacian(idx, sites, grid_res)[:-1, :-1]
         ridge = 1e-9 * max(1.0, float(lap.diagonal().max()))
         lap[np.diag_indices_from(lap)] += ridge
         newton = np.append(np.linalg.solve(lap, grad[:-1]), 0.0)
@@ -285,7 +275,7 @@ def semidiscrete_solve(
                 break
         else:
             break  # no step down to 2^-46 ascends and keeps every nonempty cell
-        psi, (current, masses, idx, best) = trial, scored
+        psi, (current, masses, idx) = trial, scored
         objectives.append(current)
     # masses are those of the final psi, however the loop ended
     residual = float(np.max(np.abs(q - masses)))

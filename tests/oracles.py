@@ -637,24 +637,39 @@ def laguerre_grid_semidual(sites, q, weights, grid_res):
     return float(np.min(scores, axis=1).mean() + weights @ q)
 
 
-def laguerre_grid_top_two(sites, q, weights, grid_res):
-    """Grid semidual, cell masses and top two sites, by row-wise argmin.
+def laguerre_grid_best(sites, q, weights, grid_res):
+    """Grid semidual, cell masses and best sites, by row-wise argmin.
 
-    Returns (objective, masses, idx, runner, gap) over the midpoint grid,
-    points in its order: idx is each grid point's best site, runner its
-    second best and gap the score difference between them.  The best score
-    gathered at each argmin equals the row minimum exactly; masking it with
-    inf leaves the runner-up as the new minimum.
+    Returns (objective, masses, idx) over the midpoint grid, points in its
+    order: idx is each grid point's best site, the lowest index on ties.
     """
     scores = _laguerre_grid_scores(sites, weights, grid_res)
-    rows = np.arange(scores.shape[0])
     idx = np.argmin(scores, axis=1)
-    best = scores[rows, idx]
-    scores[rows, idx] = np.inf
-    runner = np.argmin(scores, axis=1)
-    gap = scores[rows, runner] - best
+    best = scores[np.arange(scores.shape[0]), idx]
     masses = np.bincount(idx, minlength=scores.shape[1]) / scores.shape[0]
-    return float(best.mean() + weights @ q), masses, idx, runner, gap
+    return float(best.mean() + weights @ q), masses, idx
+
+
+def laguerre_neighbour_counts(sites, weights, grid_res):
+    """Pairs of neighbouring grid points in different Laguerre cells.
+
+    Loops over the midpoint grid's points and, on each axis, the point one
+    cell further along it; counts[i, j] = counts[j, i] is the number of
+    such pairs with one point in cell i and the other in cell j.
+    """
+    n, d = sites.shape
+    won = np.argmin(_laguerre_grid_scores(sites, weights, grid_res), axis=1)
+    cells = won.reshape((grid_res,) * d)
+    counts = np.zeros((n, n), dtype=int)
+    for point in itertools.product(range(grid_res), repeat=d):
+        for k in range(d):
+            if point[k] + 1 < grid_res:
+                near = point[:k] + (point[k] + 1,) + point[k + 1:]
+                a, b = cells[point], cells[near]
+                if a != b:
+                    counts[a, b] += 1
+                    counts[b, a] += 1
+    return counts
 
 
 class CsvLoopError(ValueError):

@@ -742,7 +742,7 @@ class TestFailureModes:
 
     def test_semidiscrete_over_the_site_limit_exits_2_at_once(self, tmp_path, capsys):
         # 3 163 sites on 2 cells are far under the score limit, but their
-        # n x n band and Laplacian are each just over 10 000 000 entries
+        # n x n Laplacian is just over 10 000 000 entries
         sites = tmp_path / "sites.csv"
         sites.write_text("".join(f"1,{(k + 0.5) / 3163!r}\n" for k in range(3163)))
         err = self.rejected_at_once(

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    laguerre_grid_best,
     laguerre_grid_masses,
     laguerre_grid_semidual,
-    laguerre_grid_top_two,
+    laguerre_neighbour_counts,
     laguerre_two_pass_loop,
     midpoint_grid,
 )
@@ -34,7 +35,7 @@ from otecon import (
 from otecon import semidiscrete
 from otecon.discrete import extract_assignment
 from otecon.semidiscrete import (
-    _band_laplacian, _grid_sq_dists, _runner_up, _score, _sq_dists,
+    DEFAULT_GRID_RES, _grid_sq_dists, _neighbour_laplacian, _score, _sq_dists,
 )
 
 
@@ -184,8 +185,8 @@ class TestSolve:
             with pytest.raises(DomainError, match="grid_res must be an integer"):
                 semidiscrete_solve(nu, d=3, grid_res=res)
 
-    def test_site_limit_bounds_band_and_laplacian(self, monkeypatch):
-        # the band and the Laplacian are n x n, so n^2 may not pass
+    def test_site_limit_bounds_laplacian(self, monkeypatch):
+        # the Laplacian is n x n, so n^2 may not pass
         # GRID_LIMIT, whatever the grid: 10 sites fit a limit of 100, 11 not
         monkeypatch.setattr(semidiscrete, "GRID_LIMIT", 100)
 
@@ -292,21 +293,6 @@ class TestNewton:
                 assert d2.shape == expected.shape and d2.flags.c_contiguous
                 assert d2.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("res", [64, 512, 4096])
-    def test_band_laplacian_two_sites_on_a_line(self, res):
-        # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
-        sites = np.array([[0.2], [0.7]])
-        psi = np.array([0.013, 0.0])
-        d2 = _grid_sq_dists(1, res, sites)
-        _, _, idx, best = _score(d2, psi, np.full(2, 0.5))
-        runner, gap = _runner_up(d2, psi, idx, best)
-        band = 4.0 / res * np.sqrt(_sq_dists(sites, sites))
-        lap = _band_laplacian(idx, runner, gap, band)
-        weight = 1.0 / (2.0 * 0.5)
-        assert np.allclose(lap.sum(axis=1), 0.0)
-        assert lap[0, 0] == pytest.approx(weight, abs=4.0 / res)
-        assert lap[0, 1] == pytest.approx(-weight, abs=4.0 / res)
-
     @staticmethod
     def assert_converges_within(sites, grid_res, steps):
         n, d = sites.shape
@@ -342,7 +328,7 @@ class TestNewton:
 
     def test_duplicate_site_ends_unconverged(self):
         # the copy ties its original everywhere, so its cell stays empty and
-        # outside the band graph: only the ridge keeps the Newton system
+        # outside the facet graph: only the ridge keeps the Newton system
         # solvable, and every halved Newton step empties a cell, so the loop
         # ends long before its cap
         sites = np.random.default_rng(0).uniform(0, 1, (5, 2))
@@ -354,6 +340,34 @@ class TestNewton:
         assert len(diag.history) == diag.iterations + 1
         assert np.all(np.diff(diag.history) >= -1e-12)
 
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "outside-cube"])
+    def test_line_sites_converge_at_the_default_grid(self, kind):
+        # the sweep's 1-D kinds: the facet weights are exact in 1-D, and a
+        # cell of the default grid holds less than tol
+        rng = np.random.default_rng(0)
+        draw = {
+            "uniform": lambda n: rng.random((n, 1)),
+            "clustered": lambda n: rng.uniform(0.0, 0.9) + 0.1 * rng.random((n, 1)),
+            "outside-cube": lambda n: rng.uniform(-0.5, 1.5, (n, 1)),
+        }[kind]
+        for n in (3, 12, 30):
+            nu = DiscreteMeasure(rng.random(n) + 0.1, points=draw(n))
+            diag = semidiscrete_solve(nu, d=1)
+            assert diag.stop_reason == "tol" and diag.iterations <= 2
+            masses = laguerre_grid_masses(nu.points, diag.weights, DEFAULT_GRID_RES[1])
+            assert np.max(np.abs(masses - diag.target_masses)) < 1e-3
+
+    def test_clustered_sites_converge(self):
+        # 25 sites in a 0.1-wide square on a 96^2 grid: 18 of the 20 seeded
+        # sets end at tol; seeds 0 and 17 still end step_exhausted
+        converged = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sites = rng.uniform(0.0, 0.9, 2) + 0.1 * rng.random((25, 2))
+            nu = DiscreteMeasure(np.ones(25), points=sites)
+            converged += semidiscrete_solve(nu, d=2, grid_res=96).stop_reason == "tol"
+        assert converged >= 18
+
     def test_normal_sites_converge_in_few_steps(self, rng):
         # most of the 60 sites lie outside the cube, and at zero weights more
         # than half of their cells are empty; laguerre_two_pass_loop's
@@ -361,6 +375,60 @@ class TestNewton:
         sites = rng.standard_normal((60, 2))
         assert np.sum(laguerre_grid_masses(sites, np.zeros(60), 128) == 0) > 30
         self.assert_converges_within(sites, 128, 20)
+
+
+class TestNeighbourLaplacian:
+    """The facet Laplacian counted from neighbouring grid points."""
+
+    RES = {1: (512, 7), 2: (96, 9), 3: (20, 5)}
+
+    @staticmethod
+    def laplacian(sites, psi, res):
+        n, d = sites.shape
+        _, _, idx = _score(_grid_sq_dists(d, res, sites), psi, np.full(n, 1.0 / n))
+        return _neighbour_laplacian(idx, sites, res)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_match_the_loop(self, d, rng):
+        # each off-diagonal entry is -c_ij / (2 res^(d-1) |y_i - y_j|_1) for
+        # the oracle's count c_ij, and rows sum to 0; site 6 copies site 2,
+        # so its cell is empty and its row zero
+        for res in self.RES[d]:
+            for sites in (rng.uniform(0, 1, (9, d)), rng.uniform(-0.5, 1.5, (9, d))):
+                sites[6] = sites[2]
+                psi = rng.normal(0, 0.02, 9)
+                psi[6] = psi[2]
+                lap = self.laplacian(sites, psi, res)
+                counts = laguerre_neighbour_counts(sites, psi, res)
+                span = np.abs(sites[:, None, :] - sites[None, :, :]).sum(axis=2)
+                expected = np.divide(
+                    counts, 2.0 * res ** (d - 1) * span,
+                    out=np.zeros((9, 9)), where=counts > 0,
+                )
+                off = ~np.eye(9, dtype=bool)
+                assert counts.any() and not counts[6].any()
+                assert np.array_equal(-lap[off], expected[off])
+                assert np.array_equal(lap, lap.T) and not lap[6].any()
+                scale = 1e-12 * lap.diagonal().max()
+                assert np.allclose(lap.sum(axis=1), 0.0, atol=scale)
+
+    @pytest.mark.parametrize("res", [64, 512, 4096])
+    def test_two_sites_on_a_line(self, res):
+        # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
+        sites = np.array([[0.2], [0.7]])
+        weight = 1.0 / (2.0 * (0.7 - 0.2))
+        lap = self.laplacian(sites, np.array([0.013, 0.0]), res)
+        assert np.array_equal(lap, [[weight, -weight], [-weight, weight]])
+
+    @pytest.mark.parametrize("res", [9, 64, 96])
+    def test_two_sites_in_the_square(self, res):
+        # the facet x_0 = 1/2 has length 1 at distance 1/2: weight 1, crossed
+        # by one axis-0 pair on each of the res grid lines
+        lap = self.laplacian(np.array([[0.25, 0.5], [0.75, 0.5]]), np.zeros(2), res)
+        assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
+        # the diagonal facet has length sqrt 2 at distance sqrt 1/2: weight 1
+        lap = self.laplacian(np.array([[0.25, 0.25], [0.75, 0.75]]), np.zeros(2), res)
+        assert lap[0, 1] == pytest.approx(-1.0, abs=2.0 / res)
 
 
 class TestScore:
@@ -373,14 +441,13 @@ class TestScore:
         n, d = sites.shape
         q = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
         d2 = _grid_sq_dists(d, grid_res, sites)
-        objective, masses, idx, best = _score(d2, psi, q)
-        runner, gap = _runner_up(d2, psi, idx, best)
-        expected = laguerre_grid_top_two(sites, q, psi, grid_res)
+        objective, masses, idx = _score(d2, psi, q)
+        expected = laguerre_grid_best(sites, q, psi, grid_res)
         assert np.float64(objective).tobytes() == np.float64(expected[0]).tobytes()
-        for got, want in zip((masses, idx, runner, gap), expected[1:]):
+        for got, want in zip((masses, idx), expected[1:]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        return idx, runner, gap
+        return idx
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_sites(self, d, rng):
@@ -396,10 +463,8 @@ class TestScore:
         psi = rng.normal(0, 0.02, 6)
         psi[4] = psi[1]
         for res in self.RES[d]:
-            idx, runner, gap = self.assert_matches_oracle(sites, psi, res)
-            assert not np.any(idx == 4)
-            won = idx == 1
-            assert np.all(runner[won] == 4) and np.all(gap[won] == 0.0)
+            idx = self.assert_matches_oracle(sites, psi, res)
+            assert not np.any(idx == 4) and np.any(idx == 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grid_points_on_a_bisector_tie(self, d, rng):
@@ -409,24 +474,26 @@ class TestScore:
         sites[0, 0], sites[2, 0] = 0.75, 0.25
         sites[2, 1:] = sites[0, 1:]
         psi = np.array([0.0, -0.3, 0.0, -0.3])
-        idx, runner, gap = self.assert_matches_oracle(sites, psi, self.RES[d][1])
-        tied = gap == 0.0
-        assert np.any(tied & (idx == 0) & (runner == 2))
-        assert np.all(idx[tied] < runner[tied])
+        res = self.RES[d][1]
+        idx = self.assert_matches_oracle(sites, psi, res)
+        d2 = _grid_sq_dists(d, res, sites)
+        tied = d2[0] - psi[0] == d2[2] - psi[2]
+        assert np.any(tied & (idx == 0)) and not np.any(tied & (idx == 2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_site_has_no_runner_up(self, d, rng):
         for res in self.RES[d]:
-            idx, runner, gap = self.assert_matches_oracle(
-                rng.uniform(0, 1, (1, d)), np.array([0.4]), res
-            )
-            assert not idx.any() and not runner.any() and np.all(gap == np.inf)
+            sites = rng.uniform(0, 1, (1, d))
+            idx = self.assert_matches_oracle(sites, np.array([0.4]), res)
+            assert not idx.any()
+            # no neighbouring points lie in different cells
+            assert np.array_equal(_neighbour_laplacian(idx, sites, res), [[0.0]])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sites_outside_the_cube(self, d, rng):
         for res in self.RES[d]:
             sites = rng.uniform(-0.5, 1.5, (12, d))
-            idx, _, _ = self.assert_matches_oracle(sites, np.zeros(12), res)
+            idx = self.assert_matches_oracle(sites, np.zeros(12), res)
             assert np.bincount(idx, minlength=12).min() == 0
             self.assert_matches_oracle(sites, rng.normal(0, 0.5, 12), res)
 
