@@ -14,16 +14,18 @@ Grids are the solver's default in 1-D (4096 cells), as `otecon semidiscrete`
 runs it, 64^2 in 2-D and 16^3 in 3-D, and each solve has a cap of
 MAX_ITER = 300 Newton steps.  Each instance prints its verdict
 (converged or not), stop reason, accepted Newton steps, final mass residual
-and wall time; a summary line follows.  The run is offline and
-deterministic apart from the times:
+and wall time; a summary line follows each seed's instances, and a total
+line follows them all when there are several seeds.  The run is offline
+and deterministic apart from the times:
 
-    python scripts/semidiscrete_sweep.py --seed 0 [--record FILE]
+    python scripts/semidiscrete_sweep.py --seed 0 [1 2 ...] [--record FILE]
 
 ``--record FILE`` also writes one tab-separated line per instance with no
 time in it: dimension, kind, instance number, site count, stop reason,
 accepted steps, the residual as ``float.hex`` and the sha256 of the
-weights' bytes.  Two checkouts' files (run each with its own ``src`` on
-``PYTHONPATH``) are then equal exactly when every solve ended alike.
+weights' bytes, the seeds' lines in the order given.  Two checkouts'
+files (run each with its own ``src`` on ``PYTHONPATH``) are then equal
+exactly when every solve ended alike.
 """
 
 import argparse
@@ -60,23 +62,13 @@ def sites(rng, kind, n, d):
 KINDS = ("uniform", "normal", "clustered", "near-duplicate", "outside-cube")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--record", help="write each solve's outcome, without times, to this file"
-    )
-    args = parser.parse_args()
-
-    rng = np.random.default_rng(args.seed)
-    print(
-        f"{'d':>1} {'kind':<14} {'#':>2} {'sites':>5} {'grid':>5} {'verdict':<11}"
-        f" {'stop_reason':<14} {'steps':>5} {'residual':>10} {'seconds':>8}"
-    )
+def sweep(seed, record):
+    """Solve the 60 instances of one seed, print a line for each, and return
+    the stop reasons' counts, the total time and the slowest solve."""
+    rng = np.random.default_rng(seed)
     reasons = Counter()
     total = 0.0
     slowest = (0.0, "")
-    record = []
     for d in (1, 2, 3):
         for kind in KINDS:
             for k in range(PER_KIND):
@@ -102,12 +94,40 @@ def main():
                 reasons[diagram.stop_reason] += 1
                 total += seconds
                 slowest = max(slowest, (seconds, f"d={d} {kind} #{k}"))
+    return reasons, total, slowest
+
+
+def summary(label, reasons, total, slowest):
     count = sum(reasons.values())
     tally = ", ".join(f"{reason} {reasons[reason]}" for reason in sorted(reasons))
     print(
-        f"summary: {count} instances, {reasons['tol']} converged ({tally});"
+        f"{label}: {count} instances, {reasons['tol']} converged ({tally});"
         f" {total:.2f} s in all, slowest {slowest[1]} at {slowest[0]:.2f} s"
     )
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
+    parser.add_argument(
+        "--record", help="write each solve's outcome, without times, to this file"
+    )
+    args = parser.parse_args()
+
+    print(
+        f"{'d':>1} {'kind':<14} {'#':>2} {'sites':>5} {'grid':>5} {'verdict':<11}"
+        f" {'stop_reason':<14} {'steps':>5} {'residual':>10} {'seconds':>8}"
+    )
+    record = []
+    reasons, total, slowest = Counter(), 0.0, (0.0, "")
+    for seed in args.seed:
+        run = sweep(seed, record)
+        summary("summary" if len(args.seed) == 1 else f"seed {seed}", *run)
+        reasons += run[0]
+        total += run[1]
+        slowest = max(slowest, (run[2][0], f"seed {seed} {run[2][1]}"))
+    if len(args.seed) > 1:
+        summary("total", reasons, total, slowest)
     if args.record:
         with open(args.record, "w") as out:
             out.writelines(record)

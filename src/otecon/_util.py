@@ -10,18 +10,20 @@ import numpy as np
 # rather than silent inf propagation.
 EXP_CAP = 700.0
 
-# Largest number of entries one call may build from a size option: grid
-# points of the semidiscrete grid, entries (n^2) of its Laplacian over n
-# sites, projected values of the sliced distance, cost entries (n^2)
-# of a multivariate rank solve, cells of a matching table or a surplus basis
-# read from its largest labels.
+# Largest number of entries of one array a call may build from a size
+# option, as check_size counts them: grid points of the semidiscrete grid,
+# the n^2 entries of its Laplacian over n sites (built in that one array:
+# 76.5 MiB under tracemalloc at 3 162 sites), projected values of the
+# sliced distance, the n^2 cost entries of a multivariate rank solve, cells
+# of a matching table or a surplus basis read from its largest labels.
 GRID_LIMIT = 10_000_000
 
-# Largest number of grid points times sites of a semidiscrete solve.  Its
-# squared distances are one N x n float array, and the scores are taken one
-# site at a time, so little else is live at the peak: under tracemalloc on
-# a 2-vCPU x86-64 VM, 57 MB at 256^2 x 100 and 0.43 GB at this limit
-# (256^2 x 762 and 64^3 x 190), where the distances take 0.40 GB.
+# Largest number of grid points times sites of a semidiscrete solve, as
+# check_size counts them.  Its squared distances are one N x n float array,
+# and the scores are taken one site at a time, so little else is live at
+# the peak: under tracemalloc on a 2-vCPU x86-64 VM, 57 MB at 256^2 x 100
+# and 0.43 GB at this limit (256^2 x 762 and 64^3 x 190), where the
+# distances take 0.40 GB.
 SCORE_LIMIT = 50_000_000
 
 # First 20 primes, enough for every supported low-discrepancy dimension.
@@ -59,6 +61,14 @@ def check_count(value: int, name: str, low: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise DomainError(f"{name} must be at least {low}, got {value}")
+
+
+def check_size(entries: int, limit: int, what: str) -> None:
+    """Reject an array of more than limit entries, named by what it holds."""
+    from .errors import ResourceError
+
+    if entries > limit:
+        raise ResourceError(f"{what}: {entries:,} entries, over the {limit:,} limit")
 
 
 def check_budget(tol: float, max_iter: int) -> None:

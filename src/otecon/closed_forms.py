@@ -25,8 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import GRID_LIMIT, as_float_array, check_count, check_scalar, frozen
-from .errors import DomainError, NotInvertibleError, ResourceError
+from ._util import (
+    GRID_LIMIT, as_float_array, check_count, check_scalar, check_size, frozen,
+)
+from .errors import DomainError, NotInvertibleError
 from .measures import GaussianMeasure, Sample1D, _symmetric_eigh, spd_sqrt
 
 # Lowest binary exponent a gap scale may take: 2^1022 is the largest power
@@ -227,11 +229,9 @@ def sliced_wasserstein(
     if d == 0:
         raise DomainError("points must have at least one coordinate")
     points = x.shape[0] + y.shape[0]
-    if n_dir * points > GRID_LIMIT:
-        raise ResourceError(
-            f"n_dir {n_dir} times {points} points exceeds the {GRID_LIMIT:,}"
-            " projected-value limit"
-        )
+    check_size(
+        n_dir * points, GRID_LIMIT, f"projections of n_dir {n_dir} times {points} points"
+    )
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.standard_normal((n_dir, d))
     norms = np.linalg.norm(dirs, axis=1)

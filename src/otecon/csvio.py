@@ -29,8 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._util import GRID_LIMIT
-from .errors import DomainError, ResourceError
+from ._util import GRID_LIMIT, check_size
+from .errors import DomainError
 from .measures import DiscreteMeasure, GaussianMeasure, Sample1D
 
 
@@ -238,16 +238,6 @@ def read_gaussian_csv(path: str) -> GaussianMeasure:
         raise CsvError(f"{path}: {exc}") from None
 
 
-def _check_cells(path: str, *shape: int) -> None:
-    """Reject an array shape, read off the largest labels, of more than
-    GRID_LIMIT cells before it is allocated."""
-    if math.prod(shape) > GRID_LIMIT:
-        raise ResourceError(
-            f"{path}: labels need a {' x '.join(map(str, shape))} array, over"
-            f" the {GRID_LIMIT:,} cell limit"
-        )
-
-
 def _matching_rows(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
     """Labels and counts of a matching table, read row by row."""
     entries: dict[tuple[int, int], float] = {}
@@ -290,7 +280,7 @@ def read_matching_csv(path: str) -> MatchingTable:
     nx, ny = int(x.max()), int(y.max())
     if nx == 0 or ny == 0:
         raise CsvError(f"{path}: no matched pairs present")
-    _check_cells(path, nx, ny)
+    check_size(nx * ny, GRID_LIMIT, f"{path}: labels' {nx} x {ny} array")
     flows = np.zeros((nx, ny))
     singles_x = np.zeros(nx)
     singles_y = np.zeros(ny)
@@ -357,7 +347,7 @@ def read_basis_csv(path: str, shape: tuple[int, int] | None = None) -> np.ndarra
     (x, y, k), values = records
     nx, ny = shape if shape is not None else (int(x.max()), int(y.max()))
     nk = int(k.max())
-    _check_cells(path, nx, ny, nk)
+    check_size(nx * ny * nk, GRID_LIMIT, f"{path}: labels' {nx} x {ny} x {nk} array")
     basis = np.zeros((nx, ny, nk))
     basis[x - 1, y - 1, k - 1] = values
     return basis

@@ -8,10 +8,10 @@ masses and current cell masses, and whose Hessian is a graph Laplacian over
 adjacent cells.  The continuum is discretized by a midpoint grid, its
 squared distances stored one row per site.  One pass over the sites per
 trial gives the objective, the cell masses and each grid point's cell;
-the Laplacian's facet weights come from counting the pairs of
-neighbouring grid points that lie in different cells, one pass over the
-grid per Newton step.  The diagram is the solve's :class:`SolveReport`,
-with the objective of each accepted step as its history.
+the Laplacian's facet weights, written into one n x n array, come from
+counting the pairs of neighbouring grid points that lie in different
+cells, one pass over the grid per Newton step.  The diagram is the
+solve's :class:`SolveReport`, with each accepted objective its history.
 Composing the resulting assignment with a Halton point set gives
 multivariate quantiles; matching a sample against Halton points through the
 exact discrete solver gives multivariate ranks, whose law is
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    GRID_LIMIT, SCORE_LIMIT, as_float_array, check_budget, check_count, frozen,
+    GRID_LIMIT, SCORE_LIMIT, as_float_array, check_budget, check_count, check_size,
+    frozen,
 )
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .measures import CostMatrix, DiscreteMeasure, HaltonSet, _NoSolve, halton
 
 DEFAULT_GRID_RES = {1: 4096, 2: 256, 3: 64}
@@ -133,10 +134,7 @@ def _grid_sq_dists(d: int, res: int, sites: np.ndarray) -> np.ndarray:
     grid points, in its order, without forming the grid or recomputing a
     gap per point.
     """
-    if res**d > GRID_LIMIT:
-        raise ResourceError(
-            f"grid of {res}^{d} points exceeds the {GRID_LIMIT:,} limit"
-        )
+    check_size(res**d, GRID_LIMIT, f"grid of {res}^{d} points")
     axis = (np.arange(res) + 0.5) / res
     d2 = (axis[None, :] - sites[:, 0, None]) ** 2
     for k in range(1, d):
@@ -177,7 +175,9 @@ def _neighbour_laplacian(
     joins two sites at different points: sites at the same point tie
     everywhere, and the lower index takes every grid point, so
     |y_i - y_j|_1 > 0.  idx is in the point order of
-    :func:`_grid_sq_dists`, first axis most significant.
+    :func:`_grid_sq_dists`, first axis most significant.  The weights go
+    negated into one zeroed n x n array, and its diagonal takes 0.0 minus
+    the row sums, +0.0 on an empty cell's row: no other n x n array.
     """
     n, d = sites.shape
     cells = idx.reshape((grid_res,) * d)
@@ -190,10 +190,10 @@ def _neighbour_laplacian(
     pair, count = np.unique(np.concatenate(keys), return_counts=True)
     i, j = np.divmod(pair, n)
     span = np.abs(sites[i] - sites[j]).sum(axis=1)
-    weights = np.zeros((n, n))
-    weights[i, j] = count / (2.0 * grid_res ** (d - 1) * span)
-    weights += weights.T
-    return np.diag(weights.sum(axis=1)) - weights
+    lap = np.zeros((n, n))
+    lap[i, j] = lap[j, i] = -count / (2.0 * grid_res ** (d - 1) * span)
+    lap[np.diag_indices(n)] = 0.0 - lap.sum(axis=1)
+    return lap
 
 
 def semidiscrete_solve(
@@ -213,7 +213,8 @@ def semidiscrete_solve(
     Hessian is a graph Laplacian with weights |facet(i, j)| / (2 |y_i - y_j|),
     each facet measured by the neighbouring grid points that lie in cells
     i and j.  The step solves the Laplacian system with the last weight
-    fixed and a small ridge for a facet graph that falls apart.  Its
+    fixed and a ridge of 1e-9 times the largest diagonal entry, at least
+    1e-9, for a facet graph that falls apart or has no edge.  Its
     length halves from 1.0 until the objective does not decrease and no
     nonempty cell empties; if no length down to 2^-46 qualifies, the loop
     ends at ``"step_exhausted"``.  Accepted objectives are nondecreasing.
@@ -221,12 +222,13 @@ def semidiscrete_solve(
     grid cells, and one pass over the grid before a Newton step gives the
     Laplacian.  The squared distances are stored one row per site, and no
     trial copies them.  The start weights make the cells those of the
-    Voronoi diagram of the sites shrunk into the cube (zero weights when
-    the sites lie in it).  The residual is the largest mismatch between
-    final grid cell and target masses; below tol it makes the stop reason
-    ``"tol"``, at the cap too.  The distance array, grid_res^d points times
-    the sites, may not exceed SCORE_LIMIT entries, and the n x n Laplacian
-    of the n sites GRID_LIMIT entries.
+    Voronoi diagram of the sites' bounding box mapped onto the cube's
+    central 80 % (zero weights when the sites coincide).  The residual
+    is the largest mismatch between final grid cell and target masses;
+    below tol it makes the stop reason ``"tol"``, at the cap too.  The
+    distance array, grid_res^d points times the sites, may not exceed
+    SCORE_LIMIT entries, and the n x n Laplacian of the n sites
+    GRID_LIMIT entries.
     """
     if nu.dim != d:
         raise DomainError(f"nu has dimension {nu.dim}, expected {d}")
@@ -240,23 +242,22 @@ def semidiscrete_solve(
         grid_res = DEFAULT_GRID_RES[d]
     check_count(grid_res, "grid_res", 2)
     check_budget(tol, max_iter)
-    if int(grid_res) ** d * nu.size > SCORE_LIMIT:
-        raise ResourceError(
-            f"{grid_res}^{d} grid points times {nu.size} sites exceeds the"
-            f" {SCORE_LIMIT:,} score limit"
-        )
-    if nu.size**2 > GRID_LIMIT:
-        raise ResourceError(
-            f"{nu.size} sites need {nu.size} x {nu.size} Laplacian entries,"
-            f" over the {GRID_LIMIT:,} entry limit"
-        )
+    check_size(
+        int(grid_res) ** d * nu.size, SCORE_LIMIT,
+        f"scores of {grid_res}^{d} grid points times {nu.size} sites",
+    )
+    check_size(nu.size**2, GRID_LIMIT, f"Laplacian of {nu.size} sites")
     sites = nu.points
     d2 = _grid_sq_dists(d, grid_res, sites)
-    # (1 - s) |y - c|^2 makes the Laguerre cells the Voronoi cells of the
-    # points c + s (y - c), which lie in the cube, so a site far outside it
-    # does not start with an empty cell
-    shrink = 0.5 / max(float(np.max(np.abs(sites - 0.5))), 0.5)
-    psi = (1.0 - shrink) * np.sum((sites - 0.5) ** 2, axis=1)
+    # with u = y - c, c the centre of the sites' box, these are the Voronoi
+    # cells of 1/2 + s u, the box mapped onto the cube's central 80 %;
+    # written about c, psi is of the order of the box's side
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
+    centre = (lo + hi) / 2.0
+    side = float(np.max(hi - lo))
+    shrink = 0.8 / side if side > 0.0 else 1.0
+    u = sites - centre
+    psi = (1.0 - shrink) * np.sum(u**2, axis=1) + 2.0 * (u @ (centre - 0.5))
     current, masses, idx = _score(d2, psi, q)
     objectives = [current]
     for _ in range(max_iter):
@@ -326,11 +327,8 @@ def vector_rank(sample: np.ndarray) -> RankAssignment:
     if y.ndim == 1:
         y = y[:, None]
     n, d = y.shape
-    if d > 1 and n * n > GRID_LIMIT:
-        raise ResourceError(
-            f"{n} observations need a {n} x {n} cost, over the {GRID_LIMIT:,}"
-            " entry limit"
-        )
+    if d > 1:
+        check_size(n * n, GRID_LIMIT, f"cost of {n} observations")
     ref = halton(n, d)
     if d == 1:
         perm = np.empty(n, dtype=int)

@@ -22,7 +22,8 @@ recounted the cell masses apart from the objective on every step; the
 grid masses and semidual after it recount a Laguerre diagram on their own
 grid, to certify the package's Newton weights, and the top-two scoring
 takes two row-wise argmins over the grid points' scores, as the package
-did before it scored the grid one site at a time.  The
+did before it scored the grid one site at a time.  The four-array facet
+Laplacian is the package's build before it wrote one n x n array.  The
 CSV readers and the JSON writer at the end are the row-by-row csv-module
 readers and the element-by-element serializer the command line used
 before it parsed and formatted whole arrays; the readers stop where the
@@ -672,6 +673,28 @@ def laguerre_neighbour_counts(sites, weights, grid_res):
     return counts
 
 
+def neighbour_laplacian_four_arrays(idx, sites, grid_res):
+    """The facet Laplacian built as the package built it before it wrote
+    one n x n array: a weight matrix, its transpose added, a diagonal
+    matrix of its row sums, and their difference.  Same counting of the
+    neighbouring pairs, which the loop above checks on its own."""
+    n, d = sites.shape
+    cells = idx.reshape((grid_res,) * d)
+    keys = []
+    for k in range(d):
+        axis = np.moveaxis(cells, k, 0)
+        lo, hi = np.minimum(axis[:-1], axis[1:]), np.maximum(axis[:-1], axis[1:])
+        cross = lo != hi
+        keys.append(lo[cross] * n + hi[cross])
+    pair, count = np.unique(np.concatenate(keys), return_counts=True)
+    i, j = np.divmod(pair, n)
+    span = np.abs(sites[i] - sites[j]).sum(axis=1)
+    weights = np.zeros((n, n))
+    weights[i, j] = count / (2.0 * grid_res ** (d - 1) * span)
+    weights += weights.T
+    return np.diag(weights.sum(axis=1)) - weights
+
+
 class CsvLoopError(ValueError):
     """Malformed CSV input, as reported by the row-by-row readers."""
 
@@ -681,10 +704,11 @@ class ResourceError(Exception):
 
 
 def _check_cells_loop(path, *shape):
-    if math.prod(shape) > 10_000_000:
+    cells = math.prod(shape)
+    if cells > 10_000_000:
         raise ResourceError(
-            f"{path}: labels need a {' x '.join(str(size) for size in shape)} array,"
-            " over the 10,000,000 cell limit"
+            f"{path}: labels' {' x '.join(str(size) for size in shape)} array:"
+            f" {cells:,} entries, over the 10,000,000 limit"
         )
 
 

@@ -762,8 +762,8 @@ class TestFailureModes:
             tmp_path, capsys,
         )
         assert err == (
-            "otecon semidiscrete: grid of 20000000^1 points exceeds the"
-            " 10,000,000 limit\n"
+            "otecon semidiscrete: grid of 20000000^1 points: 20,000,000 entries,"
+            " over the 10,000,000 limit\n"
         )
 
     def test_matching_labels_over_the_cell_limit_exit_2_at_once(self, tmp_path, capsys):
@@ -772,8 +772,8 @@ class TestFailureModes:
         table.write_text("1,1,1.0\n30000,0,2.0\n0,30000,3.0\n")
         err = self.rejected_at_once(["match-identify", "--table", str(table)], tmp_path, capsys)
         assert err == (
-            f"otecon match-identify: {table}: labels need a 30000 x 30000 array,"
-            " over the 10,000,000 cell limit\n"
+            f"otecon match-identify: {table}: labels' 30000 x 30000 array:"
+            " 900,000,000 entries, over the 10,000,000 limit\n"
         )
 
     def test_basis_index_over_the_cell_limit_exits_2_at_once(self, tmp_path, capsys):
@@ -784,8 +784,8 @@ class TestFailureModes:
             ["match-fit", "--table", "table_1x1.csv", "--basis", str(basis)], tmp_path, capsys
         )
         assert err == (
-            f"otecon match-fit: {basis}: labels need a 1 x 1 x 1000000000 array,"
-            " over the 10,000,000 cell limit\n"
+            f"otecon match-fit: {basis}: labels' 1 x 1 x 1000000000 array:"
+            " 1,000,000,000 entries, over the 10,000,000 limit\n"
         )
 
     def test_semidiscrete_sites_without_coordinates_exit_2(self, tmp_path, capsys):

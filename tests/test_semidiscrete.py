@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     laguerre_neighbour_counts,
     laguerre_two_pass_loop,
     midpoint_grid,
+    neighbour_laplacian_four_arrays,
 )
 from scipy.optimize import linear_sum_assignment
 
@@ -33,6 +35,7 @@ from otecon import (
     vector_rank,
 )
 from otecon import semidiscrete
+from otecon._util import check_size
 from otecon.discrete import extract_assignment
 from otecon.semidiscrete import (
     DEFAULT_GRID_RES, _grid_sq_dists, _neighbour_laplacian, _score, _sq_dists,
@@ -194,8 +197,19 @@ class TestSolve:
             return DiscreteMeasure(np.ones(n), points=(np.arange(n)[:, None] + 0.5) / n)
 
         semidiscrete_solve(sites(10), d=1, grid_res=50, max_iter=1)
-        with pytest.raises(ResourceError, match="11 sites need 11 x 11"):
+        with pytest.raises(
+            ResourceError,
+            match="^Laplacian of 11 sites: 121 entries, over the 100 limit$",
+        ):
             semidiscrete_solve(sites(11), d=1, grid_res=50, max_iter=1)
+
+    def test_size_check_admits_its_limit(self):
+        check_size(10_000_000, 10_000_000, "cost")
+        with pytest.raises(
+            ResourceError,
+            match="^cost: 10,000,001 entries, over the 10,000,000 limit$",
+        ):
+            check_size(10_000_001, 10_000_000, "cost")
 
     def test_dimension_mismatch_rejected(self):
         nu = DiscreteMeasure([1.0], points=np.array([[0.5, 0.5]]))
@@ -358,8 +372,8 @@ class TestNewton:
             assert np.max(np.abs(masses - diag.target_masses)) < 1e-3
 
     def test_clustered_sites_converge(self):
-        # 25 sites in a 0.1-wide square on a 96^2 grid: 18 of the 20 seeded
-        # sets end at tol; seeds 0 and 17 still end step_exhausted
+        # 25 sites in a 0.1-wide square on a 96^2 grid: all 20 seeded sets
+        # end at tol from the start fitted to the sites' box
         converged = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -367,6 +381,66 @@ class TestNewton:
             nu = DiscreteMeasure(np.ones(25), points=sites)
             converged += semidiscrete_solve(nu, d=2, grid_res=96).stop_reason == "tol"
         assert converged >= 18
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_start_cells_are_the_voronoi_cells_of_the_mapped_box(self, d, rng):
+        # at the start weights (a tol no residual reaches stops before any
+        # step) each point lies in the cell of the nearest 1/2 + s (y - c),
+        # c the centre of the sites' box and s = 0.8 / its longest side
+        draws = (
+            rng.uniform(0, 1, (12, d)),
+            rng.uniform(-0.5, 1.5, (12, d)),
+            rng.uniform(0.0, 0.9, d) + 0.1 * rng.random((12, d)),
+            3.0 + 0.02 * rng.random((12, d)),
+        )
+        for sites in draws:
+            nu = DiscreteMeasure(np.ones(12), points=sites)
+            start = semidiscrete_solve(nu, d, grid_res=8, tol=2.0)
+            assert start.iterations == 0
+            lo, hi = sites.min(axis=0), sites.max(axis=0)
+            mapped = 0.5 + 0.8 / np.max(hi - lo) * (sites - (lo + hi) / 2)
+            x = rng.uniform(0, 1, (500, d))
+            nearest = np.argmin(_sq_dists(x, mapped), axis=1)
+            assert np.array_equal(laguerre_assign(x, start), nearest)
+
+    @pytest.mark.parametrize(
+        "width, steps",
+        [(1e-12, 3), (1e-6, 3), (1e-3, 3), (0.0, None), ("shared", None)],
+    )
+    def test_start_of_degenerate_boxes(self, width, steps):
+        # five sites in a box 1e-12 to 1e-3 wide converge in a few steps
+        # from finite start weights; a box of no width (coincident sites)
+        # starts at zero weights; sites sharing their first coordinate have
+        # cells of whole grid rows, 1/64 of the mass each, so they run to
+        # the cap from a finite start
+        rng = np.random.default_rng(5)
+        if width == "shared":
+            sites = np.column_stack([np.full(5, 0.3), rng.uniform(0.25, 0.75, 5)])
+        else:
+            sites = 0.37 + width * rng.random((5, 2))
+        nu = DiscreteMeasure(rng.uniform(0.5, 1.5, 5), points=sites)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = semidiscrete_solve(nu, 2, grid_res=64, tol=2.0)
+            diag = semidiscrete_solve(nu, 2, grid_res=64, max_iter=50)
+        assert np.isfinite(start.weights).all() and np.isfinite(diag.weights).all()
+        if width == 0.0:
+            assert not start.weights.any()
+        if steps is not None:
+            assert diag.stop_reason == "tol" and diag.iterations <= steps
+        elif width == "shared":
+            assert diag.stop_reason == "max_iter"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coincident_sites_have_no_facets(self, d):
+        # every grid point ties to site 0, so the facet graph has no edge and
+        # the Laplacian is zero: the ridge's floor of 1 alone keeps the
+        # Newton system solvable (a ridge of 1e-9 max diag would be 0 and
+        # raise LinAlgError), and every step empties site 0's cell
+        nu = DiscreteMeasure(np.ones(5), points=np.full((5, d), 0.4))
+        diag = semidiscrete_solve(nu, d, grid_res={1: 64, 2: 16, 3: 8}[d])
+        assert diag.stop_reason == "step_exhausted" and diag.iterations == 0
+        assert np.isfinite(diag.weights).all()
 
     def test_normal_sites_converge_in_few_steps(self, rng):
         # most of the 60 sites lie outside the cube, and at zero weights more
@@ -411,6 +485,39 @@ class TestNeighbourLaplacian:
                 assert np.array_equal(lap, lap.T) and not lap[6].any()
                 scale = 1e-12 * lap.diagonal().max()
                 assert np.allclose(lap.sum(axis=1), 0.0, atol=scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_array_matches_the_four_array_build(self, d, rng):
+        # value for value, with +0.0 on the row and column of the empty cell
+        # of site 6, a copy of site 2
+        for res in self.RES[d]:
+            for sites in (rng.uniform(0, 1, (9, d)), rng.uniform(-0.5, 1.5, (9, d))):
+                sites[6] = sites[2]
+                psi = rng.normal(0, 0.02, 9)
+                psi[6] = psi[2]
+                d2 = _grid_sq_dists(d, res, sites)
+                _, _, idx = _score(d2, psi, np.full(9, 1.0 / 9))
+                lap = _neighbour_laplacian(idx, sites, res)
+                expected = neighbour_laplacian_four_arrays(idx, sites, res)
+                assert lap.tobytes() == expected.tobytes()
+                assert not np.signbit(lap[6]).any() and not np.signbit(lap[:, 6]).any()
+
+    def test_build_peak_is_one_array(self):
+        # 1 000 sites on the 4096 1-D grid: the n x n result and little
+        # else, where a weight matrix, its diagonal matrix and their
+        # difference peaked at about 2 x 8 n^2 bytes
+        n, res = 1000, DEFAULT_GRID_RES[1]
+        sites = np.random.default_rng(0).uniform(0, 1, (n, 1))
+        d2 = _grid_sq_dists(1, res, sites)
+        _, _, idx = _score(d2, np.zeros(n), np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            lap = _neighbour_laplacian(idx, sites, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lap.shape == (n, n)
+        assert peak < 1.5 * 8 * n * n
 
     @pytest.mark.parametrize("res", [64, 512, 4096])
     def test_two_sites_on_a_line(self, res):
