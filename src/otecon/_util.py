@@ -12,10 +12,9 @@ EXP_CAP = 700.0
 
 # Largest number of entries of one array a call may build from a size
 # option, as check_size counts them: grid points of the semidiscrete grid,
-# the n^2 entries of its Laplacian over n sites (built in that one array:
-# 76.5 MiB under tracemalloc at 3 162 sites), projected values of the
-# sliced distance, the n^2 cost entries of a multivariate rank solve, cells
-# of a matching table or a surplus basis read from its largest labels.
+# projected values of the sliced distance, the n^2 cost entries of a
+# multivariate rank solve, cells of a matching table or a surplus basis
+# read from its largest labels.
 GRID_LIMIT = 10_000_000
 
 # Largest number of grid points times sites of a semidiscrete solve, as

@@ -22,8 +22,9 @@ recounted the cell masses apart from the objective on every step; the
 grid masses and semidual after it recount a Laguerre diagram on their own
 grid, to certify the package's Newton weights, and the top-two scoring
 takes two row-wise argmins over the grid points' scores, as the package
-did before it scored the grid one site at a time.  The four-array facet
-Laplacian is the package's build before it wrote one n x n array.  The
+did before it scored the grid one site at a time.  The dense facet
+Laplacian spreads the package's facet edge list into the n x n array the
+package solved before it took its Newton steps by conjugate gradients.  The
 CSV readers and the JSON writer at the end are the row-by-row csv-module
 readers and the element-by-element serializer the command line used
 before it parsed and formatted whole arrays; the readers stop where the
@@ -673,26 +674,25 @@ def laguerre_neighbour_counts(sites, weights, grid_res):
     return counts
 
 
-def neighbour_laplacian_four_arrays(idx, sites, grid_res):
-    """The facet Laplacian built as the package built it before it wrote
-    one n x n array: a weight matrix, its transpose added, a diagonal
-    matrix of its row sums, and their difference.  Same counting of the
-    neighbouring pairs, which the loop above checks on its own."""
-    n, d = sites.shape
-    cells = idx.reshape((grid_res,) * d)
-    keys = []
-    for k in range(d):
-        axis = np.moveaxis(cells, k, 0)
-        lo, hi = np.minimum(axis[:-1], axis[1:]), np.maximum(axis[:-1], axis[1:])
-        cross = lo != hi
-        keys.append(lo[cross] * n + hi[cross])
-    pair, count = np.unique(np.concatenate(keys), return_counts=True)
-    i, j = np.divmod(pair, n)
-    span = np.abs(sites[i] - sites[j]).sum(axis=1)
-    weights = np.zeros((n, n))
-    weights[i, j] = count / (2.0 * grid_res ** (d - 1) * span)
-    weights += weights.T
-    return np.diag(weights.sum(axis=1)) - weights
+def dense_laplacian(edges, n):
+    """The n x n Laplacian of a facet edge list (i, j, w): -w at (i, j) and
+    (j, i), and 0.0 minus the row sums on the diagonal, +0.0 on the row of
+    a site with no edge."""
+    i, j, w = edges
+    lap = np.zeros((n, n))
+    lap[i, j] = lap[j, i] = -w
+    lap[np.diag_indices(n)] = 0.0 - lap.sum(axis=1)
+    return lap
+
+
+def newton_step_dense(lap, grad):
+    """Newton step on a dense facet Laplacian, by LU: the last weight fixed
+    at 0, the others solving the reduced system plus a ridge of 1e-9 times
+    its largest diagonal entry, at least 1e-9."""
+    reduced = lap[:-1, :-1].copy()
+    ridge = 1e-9 * max(1.0, float(reduced.diagonal().max(initial=0.0)))
+    reduced[np.diag_indices_from(reduced)] += ridge
+    return np.append(np.linalg.solve(reduced, grad[:-1]), 0.0)
 
 
 class CsvLoopError(ValueError):

@@ -740,16 +740,21 @@ class TestFailureModes:
         )
         assert err.count("\n") == 1 and "limit" in err
 
-    def test_semidiscrete_over_the_site_limit_exits_2_at_once(self, tmp_path, capsys):
-        # 3 163 sites on 2 cells are far under the score limit, but their
-        # n x n Laplacian is just over 10 000 000 entries
+    def test_semidiscrete_sites_past_a_square_limit_run(self, tmp_path):
+        # 3 163 sites on 2 cells are far under the score limit; their n x n
+        # Laplacian, just over 10 000 000 entries, was rejected with exit 2,
+        # and the edge-list Newton step keeps no such array
         sites = tmp_path / "sites.csv"
         sites.write_text("".join(f"1,{(k + 0.5) / 3163!r}\n" for k in range(3163)))
-        err = self.rejected_at_once(
+        code, payload = run_cli(
             ["semidiscrete", "--nu", str(sites), "--grid-res", "2", "--max-iter", "1"],
-            tmp_path, capsys,
+            tmp_path,
         )
-        assert err.count("\n") == 1 and "limit" in err
+        assert code in (0, 3)
+        doc = json.loads(payload)
+        VALIDATOR.validate(doc)
+        assert len(doc["result"]["weights"]) == 3163
+        assert doc["diagnostics"]["iterations"] <= 1
 
     def test_semidiscrete_over_the_grid_limit_exits_2_at_once(self, tmp_path, capsys):
         # 2e7 points times 2 sites is under the score limit, so the grid's

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dense_laplacian,
     laguerre_grid_best,
     laguerre_grid_masses,
     laguerre_grid_semidual,
     laguerre_neighbour_counts,
     laguerre_two_pass_loop,
     midpoint_grid,
-    neighbour_laplacian_four_arrays,
+    newton_step_dense,
 )
 from scipy.optimize import linear_sum_assignment
 
@@ -38,7 +39,8 @@ from otecon import semidiscrete
 from otecon._util import check_size
 from otecon.discrete import extract_assignment
 from otecon.semidiscrete import (
-    DEFAULT_GRID_RES, _grid_sq_dists, _neighbour_laplacian, _score, _sq_dists,
+    DEFAULT_GRID_RES, _grid_sq_dists, _neighbour_laplacian, _newton_step, _score,
+    _sq_dists,
 )
 
 
@@ -188,20 +190,26 @@ class TestSolve:
             with pytest.raises(DomainError, match="grid_res must be an integer"):
                 semidiscrete_solve(nu, d=3, grid_res=res)
 
-    def test_site_limit_bounds_laplacian(self, monkeypatch):
-        # the Laplacian is n x n, so n^2 may not pass
-        # GRID_LIMIT, whatever the grid: 10 sites fit a limit of 100, 11 not
+    @pytest.mark.parametrize("d", [2.0, np.float64(2.0), True])
+    def test_dimension_must_be_an_integer(self, d):
+        # a float dimension failed in range() with a TypeError, and True ran
+        # as 1-D
+        nu = DiscreteMeasure([0.5, 0.5], points=np.array([[0.2, 0.2], [0.8, 0.8]]))
+        if d is True:
+            nu = DiscreteMeasure([0.5, 0.5], points=np.array([[0.2], [0.8]]))
+        with pytest.raises(DomainError, match="^d must be an integer"):
+            semidiscrete_solve(nu, d, grid_res=16)
+
+    def test_site_count_is_not_bounded_by_grid_limit(self, monkeypatch):
+        # the Newton step keeps no n x n array, so 11 sites run under a
+        # GRID_LIMIT of 100, which rejected their 121-entry Laplacian
         monkeypatch.setattr(semidiscrete, "GRID_LIMIT", 100)
-
-        def sites(n):
-            return DiscreteMeasure(np.ones(n), points=(np.arange(n)[:, None] + 0.5) / n)
-
-        semidiscrete_solve(sites(10), d=1, grid_res=50, max_iter=1)
-        with pytest.raises(
-            ResourceError,
-            match="^Laplacian of 11 sites: 121 entries, over the 100 limit$",
-        ):
-            semidiscrete_solve(sites(11), d=1, grid_res=50, max_iter=1)
+        points = (np.arange(11)[:, None] + 0.5) / 11
+        diag = semidiscrete_solve(
+            DiscreteMeasure(np.ones(11), points=points), d=1, grid_res=50, max_iter=1
+        )
+        assert diag.n_sites == 11 and diag.iterations <= 1
+        assert np.isfinite(diag.weights).all()
 
     def test_size_check_admits_its_limit(self):
         check_size(10_000_000, 10_000_000, "cost")
@@ -434,9 +442,10 @@ class TestNewton:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coincident_sites_have_no_facets(self, d):
         # every grid point ties to site 0, so the facet graph has no edge and
-        # the Laplacian is zero: the ridge's floor of 1 alone keeps the
-        # Newton system solvable (a ridge of 1e-9 max diag would be 0 and
-        # raise LinAlgError), and every step empties site 0's cell
+        # the Laplacian is zero: the Jacobi diagonal of the conjugate
+        # gradients is the ridge alone, which its floor of 1 keeps at 1e-9
+        # (1e-9 max diag would be 0, and the step infinite), and every step
+        # empties site 0's cell
         nu = DiscreteMeasure(np.ones(5), points=np.full((5, d), 0.4))
         diag = semidiscrete_solve(nu, d, grid_res={1: 64, 2: 16, 3: 8}[d])
         assert diag.stop_reason == "step_exhausted" and diag.iterations == 0
@@ -460,7 +469,7 @@ class TestNeighbourLaplacian:
     def laplacian(sites, psi, res):
         n, d = sites.shape
         _, _, idx = _score(_grid_sq_dists(d, res, sites), psi, np.full(n, 1.0 / n))
-        return _neighbour_laplacian(idx, sites, res)
+        return dense_laplacian(_neighbour_laplacian(idx, sites, res), n)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_counts_match_the_loop(self, d, rng):
@@ -486,39 +495,6 @@ class TestNeighbourLaplacian:
                 scale = 1e-12 * lap.diagonal().max()
                 assert np.allclose(lap.sum(axis=1), 0.0, atol=scale)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_array_matches_the_four_array_build(self, d, rng):
-        # value for value, with +0.0 on the row and column of the empty cell
-        # of site 6, a copy of site 2
-        for res in self.RES[d]:
-            for sites in (rng.uniform(0, 1, (9, d)), rng.uniform(-0.5, 1.5, (9, d))):
-                sites[6] = sites[2]
-                psi = rng.normal(0, 0.02, 9)
-                psi[6] = psi[2]
-                d2 = _grid_sq_dists(d, res, sites)
-                _, _, idx = _score(d2, psi, np.full(9, 1.0 / 9))
-                lap = _neighbour_laplacian(idx, sites, res)
-                expected = neighbour_laplacian_four_arrays(idx, sites, res)
-                assert lap.tobytes() == expected.tobytes()
-                assert not np.signbit(lap[6]).any() and not np.signbit(lap[:, 6]).any()
-
-    def test_build_peak_is_one_array(self):
-        # 1 000 sites on the 4096 1-D grid: the n x n result and little
-        # else, where a weight matrix, its diagonal matrix and their
-        # difference peaked at about 2 x 8 n^2 bytes
-        n, res = 1000, DEFAULT_GRID_RES[1]
-        sites = np.random.default_rng(0).uniform(0, 1, (n, 1))
-        d2 = _grid_sq_dists(1, res, sites)
-        _, _, idx = _score(d2, np.zeros(n), np.full(n, 1.0 / n))
-        tracemalloc.start()
-        try:
-            lap = _neighbour_laplacian(idx, sites, res)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert lap.shape == (n, n)
-        assert peak < 1.5 * 8 * n * n
-
     @pytest.mark.parametrize("res", [64, 512, 4096])
     def test_two_sites_on_a_line(self, res):
         # the facet is a point, so the Hessian weight is 1 / (2 |y_1 - y_2|)
@@ -536,6 +512,84 @@ class TestNeighbourLaplacian:
         # the diagonal facet has length sqrt 2 at distance sqrt 1/2: weight 1
         lap = self.laplacian(np.array([[0.25, 0.25], [0.75, 0.75]]), np.zeros(2), res)
         assert lap[0, 1] == pytest.approx(-1.0, abs=2.0 / res)
+
+
+class TestNewtonStep:
+    """The conjugate-gradient Newton step against LU on the dense Laplacian."""
+
+    RES = {1: (512, 7), 2: (96, 9), 3: (20, 5)}
+
+    @staticmethod
+    def steps(sites, psi, res):
+        n, d = sites.shape
+        q = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        _, masses, idx = _score(_grid_sq_dists(d, res, sites), psi, q)
+        edges = _neighbour_laplacian(idx, sites, res)
+        grad = q - masses
+        step = _newton_step(*edges, grad)
+        return step, newton_step_dense(dense_laplacian(edges, n), grad), masses
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_dense_solve(self, d, rng):
+        # site 6 copies site 2, so its cell is empty and its unknown meets
+        # only the ridge; the last site's weight of 0.1 wins it the grid
+        # point nearest to it, a cell whose facets tie the graph to the
+        # fixed weight
+        for res in self.RES[d]:
+            for _ in range(3):
+                sites = rng.uniform(0, 1, (9, d))
+                sites[6] = sites[2]
+                psi = rng.normal(0, 0.002, 9)
+                psi[6], psi[-1] = psi[2], 0.1
+                step, expected, masses = self.steps(sites, psi, res)
+                assert masses[6] == 0 and masses[-1] > 0
+                assert step[-1] == 0.0
+                err = np.linalg.norm(step - expected)
+                assert err <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_graph_apart_from_the_fixed_weight(self, d, rng):
+        # the last site copies site 0, so its cell is empty and the others'
+        # facet graph floats on the ridge alone: its condition number is
+        # about 1e9 / 1e-9-ridge, and LU on it is itself good to about
+        # 1e9 eps, so the two steps agree to 1e-6
+        for res in self.RES[d]:
+            sites = rng.uniform(0, 1, (9, d))
+            sites[-1] = sites[0]
+            psi = rng.normal(0, 0.002, 9)
+            psi[-1] = psi[0]
+            step, expected, masses = self.steps(sites, psi, res)
+            assert masses[-1] == 0 and step[-1] == 0.0
+            assert np.linalg.norm(step - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coincident_sites_and_one_site(self, d):
+        # no edge: the system is the ridge of 1e-9 alone, which the Jacobi
+        # diagonal solves in one iteration; site 0 holds all the mass, and
+        # one site has no unknown, so its step is 0
+        step, expected, _ = self.steps(np.full((5, d), 0.4), np.zeros(5), 8)
+        grad = np.arange(1.0, 6.0) / 15.0 - np.eye(5)[0]
+        assert np.array_equal(step, expected)
+        assert step == pytest.approx(np.append(grad[:-1] / 1e-9, 0.0), rel=1e-15)
+        step, expected, _ = self.steps(np.full((1, d), 0.4), np.zeros(1), 8)
+        assert np.array_equal(step, [0.0]) and np.array_equal(expected, [0.0])
+
+    def test_step_peak_is_the_distance_array(self):
+        # a one-step 1-D solve of 1 000 sites on 4 096 cells holds the
+        # distances and arrays of grid points, sites and facets: the dense
+        # n x n Laplacian took 7.9 MiB more
+        n = 1000
+        sites = np.random.default_rng(0).uniform(0, 1, (n, 1))
+        nu = DiscreteMeasure(np.ones(n), points=sites)
+        d2_bytes = 8 * n * DEFAULT_GRID_RES[1]
+        tracemalloc.start()
+        try:
+            diag = semidiscrete_solve(nu, 1, max_iter=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.iterations == 1
+        assert peak <= d2_bytes + 2**20
 
 
 class TestScore:
@@ -588,13 +642,13 @@ class TestScore:
         assert np.any(tied & (idx == 0)) and not np.any(tied & (idx == 2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_site_has_no_runner_up(self, d, rng):
+    def test_one_site_has_no_facets(self, d, rng):
         for res in self.RES[d]:
             sites = rng.uniform(0, 1, (1, d))
             idx = self.assert_matches_oracle(sites, np.array([0.4]), res)
             assert not idx.any()
             # no neighbouring points lie in different cells
-            assert np.array_equal(_neighbour_laplacian(idx, sites, res), [[0.0]])
+            assert all(a.size == 0 for a in _neighbour_laplacian(idx, sites, res))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sites_outside_the_cube(self, d, rng):
@@ -607,9 +661,8 @@ class TestScore:
     def test_solve_peak_is_one_distance_array(self):
         # the scores are taken one site at a time, so beside the 128^2 x 100
         # distances (12.5 MiB) a solve holds only arrays of N entries, which
-        # the 0.2 x d2 (20 such arrays) covers, and n x n ones, which the
-        # 1 MiB covers: 13.9 MiB in all, where two-argmin scoring of an
-        # N x n copy took 26.7 MiB
+        # the 0.2 x d2 (20 such arrays) covers: 13.9 MiB in all, where
+        # two-argmin scoring of an N x n copy took 26.7 MiB
         sites = np.random.default_rng(0).uniform(0, 1, (100, 2))
         nu = DiscreteMeasure(np.ones(100), points=sites)
         d2_bytes = _grid_sq_dists(2, 128, sites).nbytes
